@@ -67,6 +67,9 @@ struct Frame {
   /// conservative prune expansion.
   std::vector<std::uint64_t> backtrack;
   bool blocked = false;  ///< Every option was asleep on arrival.
+  /// DPOR: `backtrack` holds the whole menu, so a fingerprint prune has
+  /// nothing left to re-arm here. Derived state, never persisted.
+  bool armed = false;
 };
 
 /// One work unit: a fixed path prefix (frames[0, floor) never change;
@@ -144,9 +147,11 @@ struct WaveContext {
 
 /// Send-time metadata of a message of the current run.
 struct MsgInfo {
-  ProcessId sender = kNoProcess;
-  std::uint64_t sent_time = 0;       ///< Global step number of the send.
-  std::vector<std::uint64_t> clock;  ///< Sender's vector clock at send.
+  ProcessId sender = kNoProcess;  ///< kNoProcess: not tracked.
+  std::uint64_t sent_time = 0;    ///< Global step number of the send.
+  /// Offset of the sender's vector clock at send (n entries) in the
+  /// engine's clock pool; the sends of one step share it.
+  std::size_t clock = 0;
   /// The payload itself (kContent only; shared with the envelope).
   sim::PayloadPtr payload;
   /// Content digest when the payload's encoding is complete (kContent
@@ -187,6 +192,7 @@ class UnitEngine {
   UnitResult run(Unit unit) {
     res_.unit = std::move(unit);
     u_ = &res_.unit;
+    deferred_at_.assign(u_->floor, PrefixDeferrals{});
     // A re-queued unit (budget break with the search stopping, or a
     // violation stop) holds a fully executed path: the next move is
     // the backtrack flip the uninterrupted search would have made.
@@ -213,11 +219,18 @@ class UnitEngine {
       run_blocked_ = false;
       Scenario sc = build_(source);
       if (dpor) {
+        // Cleared, not reallocated: the storage serves every run.
         const auto n = static_cast<std::size_t>(sc.sim->n());
-        proc_events_.assign(n, {});
-        clock_.assign(n, std::vector<std::uint64_t>(n, 0));
+        proc_events_.resize(n);
+        clock_.resize(n);
+        for (std::size_t p = 0; p < n; ++p) {
+          proc_events_[p].clear();
+          clock_[p].assign(n, 0);
+        }
         msgs_.clear();
+        msg_clocks_.clear();
         prev_sent_ = sc.sim->network().total_sent();
+        msgs_base_ = prev_sent_;
       }
       // Liveness mode: anchor the run at the initial state. The root
       // fingerprint is taken before the first step, which is where the
@@ -442,10 +455,10 @@ class UnitEngine {
                 const std::uint64_t em =
                     sim::ReplayScheduler::label_message(executed);
                 if (am != 0 && em != 0 && am != em) {
-                  const auto ai = msgs_.find(am);
-                  const auto ei = msgs_.find(em);
-                  indep = ai != msgs_.end() && ei != msgs_.end() &&
-                          deliveries_independent(ai->second, ei->second);
+                  const MsgInfo* ai = msg_info(am);
+                  const MsgInfo* ei = msg_info(em);
+                  indep = ai != nullptr && ei != nullptr &&
+                          deliveries_independent(*ai, *ei);
                 }
               }
             }
@@ -481,6 +494,7 @@ class UnitEngine {
               ++res_.delta.backtrack_points;
             }
           }
+          f.armed = true;
         }
       }
     } else {
@@ -573,7 +587,9 @@ class UnitEngine {
   /// local frame and returns whether the label was new.
   bool add_backtrack(std::size_t idx, std::uint64_t label, bool race) {
     if (idx < u_->floor) {
-      if (defer_seen_.emplace(idx, label).second) {
+      std::vector<std::uint64_t>& deferred = deferred_at_[idx].labels;
+      if (!contains(deferred, label)) {
+        deferred.push_back(label);
         res_.deferred.push_back(DeferredOp{idx, label, race});
       }
       return false;
@@ -609,8 +625,8 @@ class UnitEngine {
           sim::ReplayScheduler::label_process(label) != receiver) {
         continue;
       }
-      const auto it = msgs_.find(m);
-      if (it != msgs_.end() && it->second.sender == sender) {
+      const MsgInfo* mi = msg_info(m);
+      if (mi != nullptr && mi->sender == sender) {
         return add_backtrack(idx, label, /*race=*/true);
       }
     }
@@ -627,15 +643,19 @@ class UnitEngine {
 
   /// A fingerprint prune cuts the run before its races are observable:
   /// conservatively re-expand every schedule frame on the path (prefix
-  /// frames via deferral).
+  /// frames via deferral). A frame's backtrack set only grows while the
+  /// frame lives, and a prefix frame's deferrals only grow during the
+  /// wave, so each is re-armed once; later prunes skip it.
   void expand_path_on_prune() {
     for (std::size_t idx = 0; idx < u_->frames.size(); ++idx) {
-      const Frame& f = u_->frames[idx];
+      Frame& f = u_->frames[idx];
       if (f.kind != sim::ChoiceKind::kSchedule) continue;
-      const std::vector<std::uint64_t> menu = f.labels;
-      for (std::uint64_t label : menu) {
+      bool& armed = idx < u_->floor ? deferred_at_[idx].whole_menu : f.armed;
+      if (armed) continue;
+      for (std::uint64_t label : f.labels) {
         add_backtrack(idx, label, /*race=*/false);
       }
+      armed = true;
     }
   }
 
@@ -662,7 +682,7 @@ class UnitEngine {
   /// racing choice point.
   void race_delivery(ProcessId p, std::uint64_t msg, const MsgInfo& mi) {
     const auto pi = static_cast<std::size_t>(p);
-    const std::uint64_t send_knows_p = mi.clock[pi];
+    const std::uint64_t send_knows_p = msg_clocks_[mi.clock + pi];
     const auto& events = proc_events_[pi];
     for (std::size_t j = events.size(); j-- > 0;) {
       const StepRec& ej = events[j];
@@ -675,9 +695,8 @@ class UnitEngine {
       // a race. Keep scanning — msg may still race with an earlier
       // event.
       if (ej.delivered != 0) {
-        const auto eit = msgs_.find(ej.delivered);
-        if (eit != msgs_.end() &&
-            deliveries_independent(mi, eit->second)) {
+        const MsgInfo* ei = msg_info(ej.delivered);
+        if (ei != nullptr && deliveries_independent(mi, *ei)) {
           ++res_.delta.commute_skips;
           continue;
         }
@@ -721,9 +740,9 @@ class UnitEngine {
         return;
       }
       if (skip_inert) {
-        const auto eit = msgs_.find(ej.delivered);
-        if (eit != msgs_.end() && eit->second.payload != nullptr &&
-            eit->second.payload->tick_insensitive()) {
+        const MsgInfo* ei = msg_info(ej.delivered);
+        if (ei != nullptr && ei->payload != nullptr &&
+            ei->payload->tick_insensitive()) {
           ++res_.delta.commute_skips;
           continue;
         }
@@ -747,14 +766,22 @@ class UnitEngine {
   /// happens on the road not taken.
   void end_of_run_races(sim::Simulator& sim) {
     sim.network().for_each_pending([this](const sim::Envelope& env) {
-      const auto mit = msgs_.find(env.id);
-      if (mit == msgs_.end()) return;  // Sent before tracking started.
-      race_delivery(env.to, env.id, mit->second);
+      const MsgInfo* mi = msg_info(env.id);
+      if (mi == nullptr) return;  // Sent before tracking started.
+      race_delivery(env.to, env.id, *mi);
     });
     for (std::size_t p = 0; p < proc_events_.size(); ++p) {
       const auto pid = static_cast<ProcessId>(p);
       race_lambda(pid, sim.process_tick_noop(pid));
     }
+  }
+
+  /// Send-time metadata of message `id`; nullptr when it was sent
+  /// before tracking started.
+  [[nodiscard]] const MsgInfo* msg_info(std::uint64_t id) const {
+    if (id <= msgs_base_ || id - msgs_base_ > msgs_.size()) return nullptr;
+    const MsgInfo& mi = msgs_[id - msgs_base_ - 1];
+    return mi.sender == kNoProcess ? nullptr : &mi;
   }
 
   /// Record one executed simulator step into the happens-before state
@@ -780,12 +807,14 @@ class UnitEngine {
         // payload, digest, sender and (crucially, for the conservative
         // direction) the sender's clock — but exists only from this
         // step on.
-        const auto mit = msgs_.find(ls.fault_msg);
-        if (mit != msgs_.end()) {
-          MsgInfo info = mit->second;
+        WFD_CHECK(ls.dup_id == msgs_base_ + msgs_.size() + 1);
+        const MsgInfo* orig = msg_info(ls.fault_msg);
+        MsgInfo info;
+        if (orig != nullptr) {
+          info = *orig;
           info.sent_time = step_time;
-          msgs_.emplace(ls.dup_id, std::move(info));
         }
+        msgs_.push_back(std::move(info));
       }
       prev_sent_ = sim.network().total_sent();
       return;
@@ -800,9 +829,8 @@ class UnitEngine {
     // further exempts same-process delivery pairs whose payloads
     // commute.
     if (!ls.was_start && ls.delivered != 0) {
-      const auto mit = msgs_.find(ls.delivered);
-      if (mit != msgs_.end()) {
-        race_delivery(ls.p, ls.delivered, mit->second);
+      if (const MsgInfo* mi = msg_info(ls.delivered)) {
+        race_delivery(ls.p, ls.delivered, *mi);
       }
     } else if (!ls.was_start) {
       race_lambda(ls.p, ls.tick_noop);
@@ -811,11 +839,9 @@ class UnitEngine {
     // Fold the event into the happens-before state.
     std::vector<std::uint64_t>& cp = clock_[p];
     if (ls.delivered != 0) {
-      const auto mit = msgs_.find(ls.delivered);
-      if (mit != msgs_.end()) {
-        const auto& mc = mit->second.clock;
+      if (const MsgInfo* mi = msg_info(ls.delivered)) {
         for (std::size_t q = 0; q < cp.size(); ++q) {
-          cp[q] = std::max(cp[q], mc[q]);
+          cp[q] = std::max(cp[q], msg_clocks_[mi->clock + q]);
         }
       }
     }
@@ -827,21 +853,29 @@ class UnitEngine {
     // under kContent also its payload and content digest, so dependence
     // can be decided at race time without the (possibly consumed)
     // envelope.
-    const std::uint64_t total = sim.network().total_sent();
+    const sim::Network& net = sim.network();
+    const std::uint64_t total = net.total_sent();
+    const std::size_t clock = msg_clocks_.size();
+    if (total > prev_sent_) {
+      msg_clocks_.insert(msg_clocks_.end(), cp.begin(), cp.end());
+    }
     for (std::uint64_t id = prev_sent_ + 1; id <= total; ++id) {
-      MsgInfo info{ls.p, step_time, cp, nullptr, std::nullopt};
+      MsgInfo info{ls.p, step_time, clock, nullptr, std::nullopt};
       if (cfg_.dependence == Dependence::kContent) {
-        info.payload = sim.network().get(id).payload;
+        info.payload = net.get(id).payload;
         if (info.payload != nullptr) {
           if (info.payload->kind().empty()) {
             res_.conservative.insert(info.payload->identity());
           }
-          sim::StateEncoder enc;
-          info.payload->encode_state(enc);
-          if (enc.complete()) info.digest = enc.digest();
+          // The network's cached encoding: the state fingerprints of
+          // this run reuse it.
+          const sim::StateEncoder::Partial& content = net.content(id);
+          if (content.complete) {
+            info.digest = sim::StateEncoder::digest(content);
+          }
         }
       }
-      msgs_.emplace(id, std::move(info));
+      msgs_.push_back(std::move(info));
     }
     prev_sent_ = total;
   }
@@ -998,13 +1032,24 @@ class UnitEngine {
   /// reported by the scheduler's note_enabled hook — captured even for
   /// singleton menus that never reach choose().
   std::vector<std::uint64_t> menu_;
-  /// Dedup of deferred insertions: one op per (depth, label) per wave.
-  std::set<std::pair<std::size_t, std::uint64_t>> defer_seen_;
+  /// Deferred insertions of this wave per prefix depth (< floor): the
+  /// labels already deferred — one op per (depth, label) — and whether
+  /// a prune already deferred the depth's whole menu.
+  struct PrefixDeferrals {
+    std::vector<std::uint64_t> labels;
+    bool whole_menu = false;
+  };
+  std::vector<PrefixDeferrals> deferred_at_;
 
   // Per-run happens-before state (rebuilt every re-execution).
   std::vector<std::vector<StepRec>> proc_events_;
   std::vector<std::vector<std::uint64_t>> clock_;
-  std::unordered_map<std::uint64_t, MsgInfo> msgs_;
+  /// msgs_[id - msgs_base_ - 1] describes message id: ids are dense, so
+  /// the messages sent since tracking started form one vector.
+  std::vector<MsgInfo> msgs_;
+  std::uint64_t msgs_base_ = 0;
+  /// The vector clocks msgs_ refers to, n entries each.
+  std::vector<std::uint64_t> msg_clocks_;
   std::uint64_t prev_sent_ = 0;
 };
 
@@ -1342,6 +1387,7 @@ ExploreReport Explorer::run() {
   rep.resume_generation = gen;
 
   const std::uint64_t base_total = stats.nodes;
+  rep.resumed_nodes = base_total;
   const bool pattern_sensitive =
       ScenarioFactory::pattern_sensitive(cfg_.scenario);
   std::vector<std::vector<ProcessId>> perms;

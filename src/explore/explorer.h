@@ -151,6 +151,9 @@ struct ExploreReport {
   bool resumed = false;
   /// Save/resume generations behind this search (0 = fresh start).
   std::uint64_t resume_generation = 0;
+  /// stats.nodes carried in from the resumed snapshot (0 = fresh start):
+  /// this invocation explored stats.nodes - resumed_nodes states.
+  std::uint64_t resumed_nodes = 0;
   /// Non-empty: resuming failed and nothing ran. resume_rejected
   /// distinguishes an incompatible snapshot (different scenario or
   /// search configuration — the caller's exit-2 case) from an

@@ -42,17 +42,42 @@ bool parse_loss(const std::string& v, ScenarioOptions& s) {
   return s.loss_drops > 0 || s.loss_dups > 0;
 }
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (u < 0x20) {
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
+        } else {
+          out += c;
+        }
+    }
   }
   return out;
 }
-
-}  // namespace
 
 std::string reduction_to_text(Reduction r) {
   switch (r) {
@@ -292,8 +317,8 @@ std::string config_to_json(const SearchConfig& cfg) {
   const ScenarioOptions& s = cfg.scenario;
   std::ostringstream out;
   out << "{\"problem\":\"" << json_escape(s.problem) << "\",\"n\":" << s.n
-      << ",\"crashes\":" << s.crashes << ",\"crash_mode\":\"" << s.crash_mode
-      << "\",\"loss_drops\":" << s.loss_drops
+      << ",\"crashes\":" << s.crashes << ",\"crash_mode\":\""
+      << json_escape(s.crash_mode) << "\",\"loss_drops\":" << s.loss_drops
       << ",\"loss_dups\":" << s.loss_dups << ",\"fd_adversarial\":"
       << (s.fd_adversarial ? "true" : "false")
       << ",\"depth\":" << s.max_steps << ",\"seed\":" << s.seed

@@ -133,6 +133,11 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
 /// for --json reports and tooling.
 [[nodiscard]] std::string config_to_json(const SearchConfig& cfg);
 
+/// `s` as the contents of a JSON string literal: quotes, backslashes
+/// and control characters escaped. Every string a --json report writes
+/// goes through it.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
 [[nodiscard]] std::string reduction_to_text(Reduction r);
 [[nodiscard]] bool parse_reduction(const std::string& s, Reduction* out);
 [[nodiscard]] std::string dependence_to_text(Dependence d);

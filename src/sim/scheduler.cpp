@@ -65,20 +65,20 @@ StepChoice RandomFairScheduler::next(const Network& net,
   c.p = round_.back();
   round_.pop_back();
 
-  const auto pending = net.pending_for(c.p);
+  const std::vector<Network::Pending>& pending = net.pending(c.p);
   if (pending.empty()) return c;  // Lambda step.
 
   // Force-deliver overdue messages to keep delays finite.
-  const Envelope& oldest = net.get(pending.front());
+  const Envelope& oldest = net.get(pending.front().id);
   if (now - oldest.sent_at >= opt_.force_age) {
-    c.message_id = pending.front();
+    c.message_id = pending.front().id;
     return c;
   }
   if (rng_.uniform01() < opt_.lambda_prob) return c;  // Lambda step.
   if (rng_.uniform01() < opt_.oldest_prob) {
-    c.message_id = pending.front();
+    c.message_id = pending.front().id;
   } else {
-    c.message_id = pending[rng_.below(pending.size())];
+    c.message_id = pending[rng_.below(pending.size())].id;
   }
   return c;
 }
@@ -122,9 +122,9 @@ StepChoice FilteredScheduler::next(const Network& net, const FailurePattern& f,
   if (blocked_(net.get(c.message_id), now)) {
     // Withhold: try to substitute the oldest unblocked message; otherwise
     // the process takes a lambda step and the message stays pending.
-    for (std::uint64_t id : net.pending_for(c.p)) {
-      if (!blocked_(net.get(id), now)) {
-        c.message_id = id;
+    for (const Network::Pending& m : net.pending(c.p)) {
+      if (!blocked_(net.get(m.id), now)) {
+        c.message_id = m.id;
         return c;
       }
     }
@@ -150,35 +150,33 @@ void ReplayScheduler::begin_run(int n, const FailurePattern& f,
 
 StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
                                  Time now) {
-  std::vector<StepChoice> options;
-  std::vector<std::uint64_t> labels;
+  options_.clear();
+  labels_.clear();
+  const auto offer = [this](StepChoice c) {
+    options_.push_back(c);
+    labels_.push_back(label(c.p, c.message_id, c.action));
+  };
   for (ProcessId p = 0; p < n_; ++p) {
     if (!f.alive(p, now)) continue;
     if (!started_[static_cast<std::size_t>(p)]) {
       // The first step of a process receives no message; offering
       // deliveries would silently waste them (the simulator runs
       // on_start and leaves the message pending).
-      options.push_back(StepChoice{p, 0});
-      labels.push_back(label(p, 0));
+      offer(StepChoice{p, 0});
       continue;
     }
     bool any_delivery = false;
     std::uint64_t seen_channels = 0;  // Senders already offered (bitmask).
-    for (std::uint64_t id : net.pending_for(p)) {
-      const ProcessId from = net.get(id).from;
+    for (const Network::Pending& m : net.pending(p)) {
       if (opt_.oldest_per_channel) {
-        const std::uint64_t bit = std::uint64_t{1} << from;
+        const std::uint64_t bit = std::uint64_t{1} << m.from;
         if ((seen_channels & bit) != 0) continue;
         seen_channels |= bit;
       }
-      options.push_back(StepChoice{p, id});
-      labels.push_back(label(p, id));
+      offer(StepChoice{p, m.id});
       any_delivery = true;
     }
-    if (opt_.lambda_always || !any_delivery) {
-      options.push_back(StepChoice{p, 0});
-      labels.push_back(label(p, 0));
-    }
+    if (opt_.lambda_always || !any_delivery) offer(StepChoice{p, 0});
   }
   if (opt_.faults != nullptr) {
     // Adversary moves go after the normal labels so default (index-0)
@@ -186,46 +184,39 @@ StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
     // deliveries already on the menu — dropping a message the reduction
     // would not offer for delivery is covered by dropping the offered
     // (older) one first.
-    const std::size_t normal = options.size();
+    const std::size_t normal = options_.size();
     for (std::size_t i = 0; i < normal; ++i) {
-      // By value: the push_backs below may reallocate `options`.
-      const StepChoice c = options[i];
+      // By value: offer() may reallocate `options_`.
+      const StepChoice c = options_[i];
       if (c.message_id == 0) continue;
       const ProcessId from = net.get(c.message_id).from;
       if (opt_.faults->may_drop(from, c.p)) {
-        options.push_back(
-            StepChoice{c.p, c.message_id, StepChoice::Action::kDrop});
-        labels.push_back(
-            label(c.p, c.message_id, StepChoice::Action::kDrop));
+        offer(StepChoice{c.p, c.message_id, StepChoice::Action::kDrop});
       }
       if (opt_.faults->may_dup(from, c.p)) {
-        options.push_back(
-            StepChoice{c.p, c.message_id, StepChoice::Action::kDup});
-        labels.push_back(
-            label(c.p, c.message_id, StepChoice::Action::kDup));
+        offer(StepChoice{c.p, c.message_id, StepChoice::Action::kDup});
       }
     }
     for (ProcessId p = 0; p < n_; ++p) {
       if (opt_.faults->may_crash(p, f, now)) {
-        options.push_back(StepChoice{p, 0, StepChoice::Action::kCrash});
-        labels.push_back(label(p, 0, StepChoice::Action::kCrash));
+        offer(StepChoice{p, 0, StepChoice::Action::kCrash});
       }
     }
   }
-  if (options.empty()) return StepChoice{};  // Everyone crashed.
+  if (options_.empty()) return StepChoice{};  // Everyone crashed.
   // Report the full menu — forced moves included — before the >=2 guard:
   // liveness fairness bookkeeping needs the enabled set of every step,
   // and single-option points never reach choose().
-  choices_->note_enabled(ChoiceKind::kSchedule, labels);
+  choices_->note_enabled(ChoiceKind::kSchedule, labels_);
   std::size_t idx = 0;
-  if (options.size() >= 2) {
-    idx = choices_->choose(ChoiceKind::kSchedule, labels);
-    WFD_CHECK(idx < options.size());
+  if (options_.size() >= 2) {
+    idx = choices_->choose(ChoiceKind::kSchedule, labels_);
+    WFD_CHECK(idx < options_.size());
   }
-  if (options[idx].action == StepChoice::Action::kDeliver) {
-    started_[static_cast<std::size_t>(options[idx].p)] = true;
+  if (options_[idx].action == StepChoice::Action::kDeliver) {
+    started_[static_cast<std::size_t>(options_[idx].p)] = true;
   }
-  return options[idx];
+  return options_[idx];
 }
 
 }  // namespace wfd::sim

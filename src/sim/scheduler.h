@@ -229,6 +229,9 @@ class ReplayScheduler : public Scheduler {
   Options opt_;
   int n_ = 0;
   std::vector<bool> started_;
+  /// The menu of the current step; kept across steps to reuse storage.
+  std::vector<StepChoice> options_;
+  std::vector<std::uint64_t> labels_;
 };
 
 }  // namespace wfd::sim

@@ -149,15 +149,7 @@ void Simulator::encode_state(StateEncoder& enc) const {
     procs_[static_cast<std::size_t>(p)]->encode_state(enc);
     enc.pop();
   }
-  net_.for_each_pending([&enc](const Envelope& env) {
-    StateEncoder sub = enc.child();
-    sub.pid_field("from", env.from);
-    sub.pid_field("to", env.to);
-    if (env.payload != nullptr) {
-      env.payload->encode_state(sub);
-    }
-    enc.merge("in-flight", sub);
-  });
+  net_.encode_state(enc);
   enc.push("oracle");
   oracle_->encode_state(enc, now_);
   enc.pop();

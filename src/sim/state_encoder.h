@@ -32,8 +32,14 @@
 // field() is simply not collapsed (the reduction degrades to fewer
 // merges, never to unsound ones — only hash collisions can conflate
 // genuinely different states, as with any fingerprint).
+//
+// Because the combine is a sum, the fields an encoder folded at root
+// scope can be taken out as an exact (sum, count) Partial and added to
+// another root-scope encoder later: the network encodes each message's
+// payload once and reuses the partial in every fingerprint.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -41,6 +47,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/check.h"
 #include "common/process_set.h"
 #include "common/types.h"
 
@@ -48,6 +55,16 @@ namespace wfd::sim {
 
 class StateEncoder {
  public:
+  /// The fields folded at root scope so far: add() folds them into
+  /// another root-scope encoder with the same renaming exactly as if
+  /// they had been folded there.
+  struct Partial {
+    std::uint64_t sum = 0;
+    std::uint64_t count = 0;
+    bool complete = true;
+    bool operator==(const Partial&) const = default;
+  };
+
   StateEncoder() = default;
   /// An encoder that renames process ids through `perm` (size n, a
   /// permutation of 0..n-1; ids outside the range — kNoProcess — pass
@@ -57,6 +74,9 @@ class StateEncoder {
   /// A fresh sub-encoder inheriting the renaming (for the multiset
   /// idiom with merge()). Always build sub-encoders this way.
   [[nodiscard]] StateEncoder child() const { return StateEncoder(perm_); }
+
+  /// Whether this encoder carries a process renaming.
+  [[nodiscard]] bool renamed() const { return perm_ != nullptr; }
 
   /// The renamed identity of `p` (identity map without a renaming).
   [[nodiscard]] ProcessId map_pid(ProcessId p) const {
@@ -69,16 +89,16 @@ class StateEncoder {
 
   /// Enter a nested scope; every field folded until the matching pop()
   /// is keyed by this scope (e.g. push("proc", p) around a process).
-  void push(std::string_view tag) { ctx_.push_back(mix(top() ^ fnv(tag))); }
+  void push(std::string_view tag) { enter(mix(top() ^ fnv(tag))); }
   void push(std::string_view tag, std::uint64_t index) {
-    ctx_.push_back(mix(top() ^ fnv(tag) ^ mix(index)));
+    enter(mix(top() ^ fnv(tag) ^ mix(index)));
   }
   /// Scope keyed by a *process identity*: the index is renamed.
   void push_proc(std::string_view tag, ProcessId p) {
     push(tag, static_cast<std::uint64_t>(
                   static_cast<std::int64_t>(map_pid(p))));
   }
-  void pop() { ctx_.pop_back(); }
+  void pop() { --depth_; }
 
   /// Fold a field whose value *is* a process identity (renamed; -1 /
   /// kNoProcess encodes consistently either way).
@@ -141,12 +161,40 @@ class StateEncoder {
     complete_ = false;
   }
 
+  /// The fields folded so far (root scope only: a partial carries no
+  /// scope, so one taken mid-scope could not be re-keyed).
+  [[nodiscard]] Partial partial() const {
+    WFD_CHECK(depth_ == 0);
+    return Partial{acc_, count_, complete_};
+  }
+  /// Fold a partial taken from a root-scope encoder with the same
+  /// renaming, at root scope.
+  void add(const Partial& p) {
+    WFD_CHECK(depth_ == 0);
+    acc_ += p.sum;
+    count_ += p.count;
+    complete_ = complete_ && p.complete;
+  }
+
   [[nodiscard]] bool complete() const { return complete_; }
   [[nodiscard]] std::uint64_t digest() const {
-    return mix(acc_ ^ mix(count_));
+    return digest(Partial{acc_, count_, complete_});
+  }
+  /// The digest of an encoder that folded exactly `p`.
+  [[nodiscard]] static std::uint64_t digest(const Partial& p) {
+    return mix(p.sum ^ mix(p.count));
   }
 
  private:
+  /// Scope nesting limit. Protocol encodings nest a handful of levels
+  /// (process, module, field, element); the stack lives inline so push
+  /// and child() never touch the heap.
+  static constexpr std::size_t kMaxDepth = 32;
+
+  void enter(std::uint64_t scope) {
+    WFD_CHECK(depth_ < kMaxDepth);
+    ctx_[depth_++] = scope;
+  }
   static std::uint64_t mix(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -162,7 +210,7 @@ class StateEncoder {
     return h;
   }
   [[nodiscard]] std::uint64_t top() const {
-    return ctx_.empty() ? 0x51ed270b35ae2d01ull : ctx_.back();
+    return depth_ == 0 ? 0x51ed270b35ae2d01ull : ctx_[depth_ - 1];
   }
   void fold(std::string_view tag, std::uint64_t value) {
     acc_ += mix(top() ^ fnv(tag) ^ mix(value));
@@ -171,7 +219,9 @@ class StateEncoder {
 
   std::uint64_t acc_ = 0;
   std::uint64_t count_ = 0;
-  std::vector<std::uint64_t> ctx_;
+  /// Scope keys, innermost at depth_ - 1.
+  std::array<std::uint64_t, kMaxDepth> ctx_{};
+  std::size_t depth_ = 0;
   bool complete_ = true;
   const std::vector<ProcessId>* perm_ = nullptr;
 };

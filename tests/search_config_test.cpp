@@ -101,6 +101,22 @@ TEST(SearchConfigTest, JsonCarriesEverySoundnessLever) {
   }
 }
 
+TEST(SearchConfigTest, JsonEscapeCoversQuotesBackslashesAndControls) {
+  EXPECT_EQ(json_escape("agreement"), "agreement");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("l1\nl2\r\tx"), "l1\\nl2\\r\\tx");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json_escape(std::string("nul\0!", 5)), "nul\\u0000!");
+  // Bytes >= 0x20 (UTF-8 included) pass through unchanged.
+  EXPECT_EQ(json_escape("Ω ~"), "Ω ~");
+  // A user string reaches the config JSON escaped.
+  SearchConfig cfg;
+  cfg.scenario.liveness = "x\"\n";
+  EXPECT_NE(config_to_json(cfg).find("\"liveness\":\"x\\\"\\n\""),
+            std::string::npos);
+}
+
 TEST(SearchConfigTest, CliFlagOutcomes) {
   SearchConfig cfg;
   // Not SearchConfig flags: the caller (wfd_check) layers these on top.

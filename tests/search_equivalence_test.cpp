@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "explore/explorer.h"
@@ -317,6 +318,92 @@ TEST(SymmetrySoundnessTest, CanonicalFingerprintAgreesAcrossRenamings) {
   EXPECT_EQ(b_sw, a_id);
   EXPECT_EQ(std::min(a_id, a_sw), std::min(b_id, b_sw))
       << "canonical fingerprints must merge the renamed pair";
+}
+
+// ---- Golden search counts ----------------------------------------------
+
+// The complete stats block of five small exhaustive searches, pinned.
+// Any change to a reduction, a state encoding, the schedule menu or the
+// message buffer that alters the explored tree — one state, one prune,
+// one backtrack point — fails here. The test runs in every preset, so
+// the sanitizer builds replay the exact searches with their exactness
+// cross-checks on (e.g. cached message encodings recomputed, see
+// sim/network.h).
+struct Golden {
+  const char* name;
+  std::vector<std::string> flags;  ///< wfd_check scenario/search flags.
+  ExploreStats want;
+};
+
+ExploreStats golden_stats(std::uint64_t nodes, std::uint64_t runs,
+                          std::uint64_t steps, std::uint64_t sleep_skips,
+                          std::uint64_t fp_prunes, std::uint64_t hb_races,
+                          std::uint64_t backtrack_points,
+                          std::uint64_t commute_skips,
+                          std::uint64_t injected_crashes) {
+  ExploreStats s;
+  s.nodes = nodes;
+  s.runs = runs;
+  s.steps = steps;
+  s.sleep_skips = sleep_skips;
+  s.fp_prunes = fp_prunes;
+  s.hb_races = hb_races;
+  s.backtrack_points = backtrack_points;
+  s.commute_skips = commute_skips;
+  s.injected_crashes = injected_crashes;
+  s.exhausted = true;
+  return s;
+}
+
+std::vector<Golden> golden_searches() {
+  std::vector<Golden> g = {
+      {"register n=3 d14 dpor",
+       {"--problem=register", "--n=3", "--fd=static", "--reg-ops=1",
+        "--reg-readers=1", "--depth=14", "--reduction=dpor"},
+       golden_stats(8223, 22474, 278129, 72401, 19041, 3696, 45250, 79519,
+                    0)},
+      {"consensus n=3 d12 symmetry",
+       {"--problem=consensus", "--n=3", "--fd=static", "--depth=12",
+        "--symmetry"},
+       golden_stats(3519, 5082, 51337, 19302, 4041, 379, 12048, 0, 0)},
+      {"consensus n=3 d10 crash=explore",
+       {"--problem=consensus", "--n=3", "--fd=static", "--depth=10",
+        "--crash=explore", "--crashes=1"},
+       golden_stats(16458, 18473, 160482, 72669, 4005, 0, 22941, 0, 13452)},
+      {"consensus n=3 d10 liveness=termination",
+       {"--problem=consensus", "--n=3", "--fd=static", "--depth=10",
+        "--liveness=termination", "--reduction=none"},
+       golden_stats(7138, 27890, 230260, 0, 25957, 0, 0, 0, 0)},
+      {"rb n=3",
+       {"--problem=rb", "--n=3"},
+       golden_stats(15, 4, 36, 0, 0, 3, 3, 36, 0)},
+  };
+  ExploreStats& live = g[3].want;
+  live.liveness = true;
+  live.graph_states = 2774;
+  live.graph_edges = 10698;
+  live.graph_truncated = 548;
+  return g;
+}
+
+TEST(GoldenSearchTest, StatsBlocksArePinned) {
+  for (const Golden& g : golden_searches()) {
+    SCOPED_TRACE(g.name);
+    SearchConfig cfg;
+    cfg.max_states = 0;
+    for (const std::string& flag : g.flags) {
+      ASSERT_EQ(apply_cli_flag(cfg, flag), CliResult::kApplied) << flag;
+    }
+    const ExploreReport rep = explore(cfg);
+    expect_same_stats(rep.stats, g.want, g.name);
+    EXPECT_EQ(rep.stats.liveness, g.want.liveness);
+    EXPECT_EQ(rep.stats.graph_states, g.want.graph_states);
+    EXPECT_EQ(rep.stats.graph_edges, g.want.graph_edges);
+    EXPECT_EQ(rep.stats.graph_truncated, g.want.graph_truncated);
+    EXPECT_FALSE(rep.cex.has_value());
+    EXPECT_EQ(rep.fair_cycle_checked, g.want.liveness);
+    EXPECT_TRUE(rep.conservative_payloads.empty());
+  }
 }
 
 }  // namespace

@@ -24,6 +24,31 @@ struct IntMsg final : Payload {
   int v;
 };
 
+struct EncodedMsg final : Payload {
+  explicit EncodedMsg(int x) : v(x) {}
+  void encode_state(sim::StateEncoder& enc) const override {
+    enc.field("v", v);
+    enc.push("owner");
+    enc.pid_field("p", 0);
+    enc.pop();
+  }
+  int v;
+};
+
+std::uint64_t send(Network& net, ProcessId from, ProcessId to) {
+  Envelope e;
+  e.from = from;
+  e.to = to;
+  e.payload = sim::make_payload<IntMsg>(from);
+  return net.send(std::move(e));
+}
+
+std::vector<std::uint64_t> pending_ids(const Network& net, ProcessId p) {
+  std::vector<std::uint64_t> ids;
+  for (const Network::Pending& m : net.pending(p)) ids.push_back(m.id);
+  return ids;
+}
+
 TEST(NetworkTest, SendAssignsIncreasingIds) {
   Network net;
   Envelope e;
@@ -45,7 +70,7 @@ TEST(NetworkTest, PendingForAndOldest) {
   const auto a = net.send(to1);
   net.send(to2);
   const auto c = net.send(to1);
-  EXPECT_EQ(net.pending_for(1), (std::vector<std::uint64_t>{a, c}));
+  EXPECT_EQ(pending_ids(net, 1), (std::vector<std::uint64_t>{a, c}));
   EXPECT_EQ(net.oldest_for(1), a);
   EXPECT_TRUE(net.has_pending(2));
   EXPECT_FALSE(net.has_pending(3));
@@ -62,6 +87,122 @@ TEST(NetworkTest, TakeRemoves) {
   EXPECT_EQ(out.id, id);
   EXPECT_FALSE(net.contains(id));
   EXPECT_EQ(net.size(), 0u);
+}
+
+TEST(NetworkTest, TakeFromTheMiddleKeepsSendOrder) {
+  Network net;
+  std::vector<std::uint64_t> ids;
+  for (ProcessId from = 0; from < 4; ++from) ids.push_back(send(net, from, 2));
+  const Envelope out = net.take(ids[1]);
+  EXPECT_EQ(out.from, 1);
+  EXPECT_EQ(out.to, 2);
+  EXPECT_EQ(pending_ids(net, 2),
+            (std::vector<std::uint64_t>{ids[0], ids[2], ids[3]}));
+  EXPECT_FALSE(net.contains(ids[1]));
+  EXPECT_TRUE(net.contains(ids[2]));
+  EXPECT_EQ(net.get(ids[3]).from, 3);
+  EXPECT_EQ(net.size(), 3u);
+}
+
+TEST(NetworkTest, DuplicatedSendIsANewPendingMessage) {
+  Network net;
+  const auto a = send(net, 0, 1);
+  Envelope copy = net.get(a);
+  const auto b = net.send(std::move(copy));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(pending_ids(net, 1), (std::vector<std::uint64_t>{a, b}));
+  EXPECT_EQ(net.get(b).id, b);
+  EXPECT_EQ(net.get(b).payload, net.get(a).payload);
+  net.take(a);
+  EXPECT_EQ(net.oldest_for(1), b);
+  EXPECT_EQ(net.total_sent(), 2u);
+}
+
+TEST(NetworkTest, OldestAndHasPendingAfterOutOfOrderTakes) {
+  Network net;
+  const auto a = send(net, 0, 1);
+  const auto b = send(net, 2, 1);
+  const auto c = send(net, 0, 2);
+  const auto d = send(net, 2, 1);
+  net.take(b);
+  EXPECT_EQ(net.oldest_for(1), a);
+  net.take(a);
+  EXPECT_EQ(net.oldest_for(1), d);
+  EXPECT_TRUE(net.has_pending(1));
+  net.take(d);
+  EXPECT_FALSE(net.has_pending(1));
+  EXPECT_EQ(net.oldest_for(1), 0u);
+  // The receiver-2 message outlives every older take.
+  EXPECT_TRUE(net.contains(c));
+  EXPECT_EQ(net.oldest_for(2), c);
+  net.take(c);
+  EXPECT_EQ(net.size(), 0u);
+  // Ids keep counting after the buffer drains.
+  EXPECT_EQ(send(net, 1, 0), 5u);
+}
+
+TEST(NetworkTest, ReceiverWithoutTrafficHasNothingPending) {
+  Network net;
+  EXPECT_TRUE(net.pending(0).empty());
+  send(net, 0, 3);
+  for (ProcessId p : {0, 1, 2, 4, kMaxProcesses - 1}) {
+    EXPECT_TRUE(net.pending(p).empty()) << p;
+    EXPECT_FALSE(net.has_pending(p)) << p;
+    EXPECT_EQ(net.oldest_for(p), 0u) << p;
+  }
+  EXPECT_FALSE(net.contains(0));
+  EXPECT_FALSE(net.contains(2));
+}
+
+TEST(NetworkTest, PendingEntriesCarryTheirSender) {
+  Network net;
+  send(net, 3, 0);
+  send(net, 1, 0);
+  send(net, 3, 0);
+  std::vector<ProcessId> senders;
+  for (const Network::Pending& m : net.pending(0)) {
+    senders.push_back(m.from);
+    EXPECT_EQ(net.get(m.id).from, m.from);
+  }
+  EXPECT_EQ(senders, (std::vector<ProcessId>{3, 1, 3}));
+}
+
+TEST(NetworkTest, ContentIsThePayloadsFreshEncoding) {
+  Network net;
+  Envelope e;
+  e.from = 0;
+  e.to = 1;
+  e.payload = sim::make_payload<EncodedMsg>(7);
+  const auto id = net.send(e);
+  sim::StateEncoder fresh;
+  e.payload->encode_state(fresh);
+  EXPECT_EQ(net.content(id), fresh.partial());
+  EXPECT_EQ(sim::StateEncoder::digest(net.content(id)), fresh.digest());
+  // A second read returns the cached value.
+  EXPECT_EQ(net.content(id), fresh.partial());
+
+  // The in-flight fold is the per-message sub-digest over sender,
+  // receiver and payload, with or without the cache.
+  sim::StateEncoder sub;
+  sub.pid_field("from", 0);
+  sub.pid_field("to", 1);
+  e.payload->encode_state(sub);
+  sim::StateEncoder expected;
+  expected.merge("in-flight", sub);
+  sim::StateEncoder folded;
+  net.encode_state(folded);
+  EXPECT_EQ(folded.digest(), expected.digest());
+  const std::vector<ProcessId> swap{1, 0};
+  sim::StateEncoder renamed_sub(&swap);
+  renamed_sub.pid_field("from", 0);
+  renamed_sub.pid_field("to", 1);
+  e.payload->encode_state(renamed_sub);
+  sim::StateEncoder renamed_expected(&swap);
+  renamed_expected.merge("in-flight", renamed_sub);
+  sim::StateEncoder renamed(&swap);
+  net.encode_state(renamed);
+  EXPECT_EQ(renamed.digest(), renamed_expected.digest());
+  EXPECT_NE(renamed.digest(), folded.digest());
 }
 
 // A process that counts its own steps and sends pings to its successor.

@@ -19,15 +19,19 @@
 #     fairness per directed channel, so a confirmed lasso's loop must
 #     serve every continuously pending (sender, receiver) pair — the
 #     audit names the starved channel when it rejects.
-#  6. Crash-composed lasso: on consensus-crash-live-bug the search
+#  6. --json: every outcome — a found lasso, a confirmed, an unconfirmed
+#     and a safety-violating lasso replay, a clean replay, a clean
+#     exhaust — prints exactly one JSON object on stdout, with the
+#     violation text escaped.
+#  7. Crash-composed lasso: on consensus-crash-live-bug the search
 #     composed with --crash=explore finds the crash-wedged lasso
 #     (every crash in the stem, none in the loop), shrinks it, and
 #     --replay re-validates it; the crash-free liveness search on the
 #     same problem must stay silent — the bug lives behind a crash
 #     edge only.
 #
-# Plain POSIX sh, no timing assumptions — legs 1-5 run unchanged under
-# the asan/ubsan/tsan presets. Leg 6 explores a ~440k-state tree and
+# Plain POSIX sh, no timing assumptions — legs 1-6 run unchanged under
+# the asan/ubsan/tsan presets. Leg 7 explores a ~440k-state tree and
 # only runs when the second argument is "crash" (a separate ctest lane,
 # kept out of the sanitizer presets like the other heavyweight
 # exhausts).
@@ -106,7 +110,46 @@ done
 [ "$CHANNEL_REJECT" -eq 1 ] ||
   fail "no candidate loop was rejected by the per-channel audit"
 
-# 6. Crash-composed lasso (only with the "crash" argument): the search
+# 6. --json: one JSON object on stdout for every outcome.
+json_one() {
+  [ "$(wc -l <"$1")" -eq 1 ] && grep -q '^{.*}$' "$1" ||
+    fail "$2: stdout is not one JSON object: $(cat "$1")"
+  grep -q "$3" "$1" || fail "$2: no $3 in $(cat "$1")"
+}
+$CHECK --exhaustive $SCENARIO --json >"$DIR/j_found.out" 2>/dev/null
+[ $? -eq 3 ] || fail "--json search did not exit 3"
+json_one "$DIR/j_found.out" "found lasso" '"loop":"[0-9]'
+$CHECK --replay="$DIR/lasso.wfdr" --json >"$DIR/j_confirmed.out" 2>/dev/null
+[ $? -eq 3 ] || fail "--json lasso replay did not exit 3"
+json_one "$DIR/j_confirmed.out" "confirmed lasso" '"confirmed":true'
+$CHECK --replay="$DIR/broken.wfdr" --json >"$DIR/j_broken.out" 2>/dev/null
+[ $? -eq 0 ] || fail "--json broken lasso replay did not exit 0"
+json_one "$DIR/j_broken.out" "unconfirmed lasso" '"confirmed":false,"reason":"'
+grep -v "^loop=" "$DIR/lasso.wfdr" >"$DIR/stem.wfdr"
+$CHECK --replay="$DIR/stem.wfdr" --json >"$DIR/j_stem.out" 2>/dev/null
+[ $? -eq 0 ] || fail "--json clean replay did not exit 0"
+json_one "$DIR/j_stem.out" "clean replay" '"verdict":"clean","mode":"replay"'
+# The safety search on the liveness bug is clean; its report carries
+# the search's timing.
+$CHECK --exhaustive --problem=consensus-live-bug --n=2 --fd=static \
+  --depth=12 --max-states=0 --json >"$DIR/j_clean.out" 2>/dev/null
+[ $? -eq 0 ] || fail "--json clean exhaust did not exit 0"
+json_one "$DIR/j_clean.out" "clean exhaust" \
+  '"elapsed_ms":[0-9]*,"states_per_sec":[0-9]*,"steps_per_state":[0-9.]*,'
+# A lasso file whose stem violates agreement: the lasso replay stops at
+# the safety violation and reports it as one JSON object too.
+$CHECK --exhaustive --problem=consensus-bug --n=2 --depth=6 \
+  --save="$DIR/bug.wfdr" >/dev/null 2>&1
+[ $? -eq 3 ] || fail "seeded safety bug not found"
+sed 's/^liveness=$/liveness=termination/' "$DIR/bug.wfdr" \
+  >"$DIR/bug_lasso.wfdr"
+echo "loop=0" >>"$DIR/bug_lasso.wfdr"
+$CHECK --replay="$DIR/bug_lasso.wfdr" --json >"$DIR/j_bug.out" 2>/dev/null
+[ $? -eq 3 ] || fail "--json safety-violating lasso replay did not exit 3"
+json_one "$DIR/j_bug.out" "lasso replay safety violation" \
+  '"property":"agreement(decide)","message":"'
+
+# 7. Crash-composed lasso (only with the "crash" argument): the search
 # composed with --crash=explore finds the crash-wedged lasso on
 # consensus-crash-live-bug, shrinks it, and --replay re-validates it.
 # Replay confirmation also proves every crash sits in the stem: a loop

@@ -237,7 +237,8 @@ int report_lasso(const Args& a, explore::Counterexample cex,
         "{\"verdict\":\"violation\",\"property\":\"%s\",\"message\":\"%s\","
         "\"mode\":\"%s\",\"decisions\":\"%s\",\"loop\":\"%s\","
         "\"stem_shrunk_from\":%llu,\"loop_shrunk_from\":%llu}\n",
-        cex.violation.property.c_str(), cex.violation.message.c_str(), how,
+        explore::json_escape(cex.violation.property).c_str(),
+        explore::json_escape(cex.violation.message).c_str(), how,
         decisions_to_text(cex.decisions).c_str(),
         decisions_to_text(cex.loop).c_str(),
         static_cast<unsigned long long>(stem_from),
@@ -289,7 +290,8 @@ int report_cex(const Args& a, const explore::ScenarioBuilder& build,
     std::printf(
         "{\"verdict\":\"violation\",\"property\":\"%s\",\"message\":\"%s\","
         "\"mode\":\"%s\",\"decisions\":\"%s\",\"shrunk_from\":%llu}\n",
-        cex.violation.property.c_str(), cex.violation.message.c_str(), how,
+        explore::json_escape(cex.violation.property).c_str(),
+        explore::json_escape(cex.violation.message).c_str(), how,
         decisions_to_text(cex.decisions).c_str(),
         static_cast<unsigned long long>(shrunk_from));
   } else {
@@ -325,7 +327,7 @@ std::string conservative_to_json(const std::set<std::string>& ids) {
   std::string out = "[";
   for (const std::string& id : ids) {
     if (out.size() > 1) out += ",";
-    out += "\"" + id + "\"";
+    out += "\"" + explore::json_escape(id) + "\"";
   }
   return out + "]";
 }
@@ -355,7 +357,11 @@ int run_exhaustive(const Args& a) {
     });
   }
   explore::Explorer ex(build, cfg);
+  const auto start = std::chrono::steady_clock::now();
   const explore::ExploreReport rep = ex.run();
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
   if (watchdog.joinable()) {
     {
       const std::lock_guard<std::mutex> lock(mu);
@@ -374,6 +380,17 @@ int run_exhaustive(const Args& a) {
   }
   const auto& st = rep.stats;
   const std::string cov = explore::coverage_name(explore::coverage(st));
+  // Throughput of this invocation: a resumed search adds to the
+  // snapshot's counts, so only the states it added count toward its rate.
+  const auto elapsed_ms = static_cast<unsigned long long>(elapsed_s * 1e3);
+  const double states_per_sec =
+      elapsed_s > 0
+          ? static_cast<double>(st.nodes - rep.resumed_nodes) / elapsed_s
+          : 0.0;
+  const double steps_per_state =
+      st.nodes > 0
+          ? static_cast<double>(st.steps) / static_cast<double>(st.nodes)
+          : 0.0;
   // A run that cannot persist its frontier must not report success, or
   // a save/resume loop would silently restart from scratch.
   const bool save_failed = !rep.save_error.empty();
@@ -415,7 +432,8 @@ int run_exhaustive(const Args& a) {
         "\"conservative_payloads\":%s,"
         "\"status\":\"%s\",\"coverage\":\"%s\","
         "\"resumed\":%s,\"resume_generation\":%llu,"
-        "\"config\":%s%s}\n",
+        "\"elapsed_ms\":%llu,\"states_per_sec\":%.0f,"
+        "\"steps_per_state\":%.2f,\"config\":%s%s}\n",
         static_cast<unsigned long long>(st.nodes),
         static_cast<unsigned long long>(st.runs),
         static_cast<unsigned long long>(st.steps),
@@ -432,8 +450,9 @@ int run_exhaustive(const Args& a) {
         : deadline_hit ? "deadline"
                        : "budget",
         cov.c_str(), rep.resumed ? "true" : "false",
-        static_cast<unsigned long long>(rep.resume_generation),
-        explore::config_to_json(cfg).c_str(), liveness_json.c_str());
+        static_cast<unsigned long long>(rep.resume_generation), elapsed_ms,
+        states_per_sec, steps_per_state, explore::config_to_json(cfg).c_str(),
+        liveness_json.c_str());
     if (save_failed) return kExitUsage;
     return budget_left ? kExitBudget : kExitClean;
   }
@@ -446,7 +465,8 @@ int run_exhaustive(const Args& a) {
     std::printf(
         "explored %llu states across %llu runs (%llu steps, "
         "%llu sleep-set skips, %llu fp prunes, %llu hb races, "
-        "%llu backtrack points, %llu commute skips): %s [coverage: %s]\n",
+        "%llu backtrack points, %llu commute skips): %s [coverage: %s] "
+        "in %.3f s (%.0f states/s, %.1f steps/state)\n",
         static_cast<unsigned long long>(st.nodes),
         static_cast<unsigned long long>(st.runs),
         static_cast<unsigned long long>(st.steps),
@@ -459,7 +479,7 @@ int run_exhaustive(const Args& a) {
         : rep.cex.has_value() ? "stopped at violation"
         : deadline_hit        ? "deadline reached"
                               : "budget reached",
-        cov.c_str());
+        cov.c_str(), elapsed_s, states_per_sec, steps_per_state);
     if (st.injected_crashes + st.injected_drops + st.injected_dups != 0) {
       std::printf(
           "injected faults: %llu crashes, %llu drops, %llu duplicates\n",
@@ -566,9 +586,9 @@ int run_replay_mode(const Args& a) {
       if (a.json) {
         std::printf(
             "{\"verdict\":\"violation\",\"property\":\"liveness(%s)\","
-            "\"mode\":\"lasso-replay\",\"stem_steps\":%llu,"
-            "\"loop_steps\":%llu}\n",
-            rf->scenario.liveness.c_str(),
+            "\"mode\":\"lasso-replay\",\"confirmed\":true,"
+            "\"stem_steps\":%llu,\"loop_steps\":%llu}\n",
+            explore::json_escape(rf->scenario.liveness).c_str(),
             static_cast<unsigned long long>(out.stem_steps),
             static_cast<unsigned long long>(out.loop_steps));
       } else {
@@ -582,12 +602,28 @@ int run_replay_mode(const Args& a) {
       return kExitViolation;
     }
     if (out.violation.has_value()) {
-      std::printf("VIOLATION of %s (lasso replay hit a safety violation)\n",
-                  out.violation->property.c_str());
-      std::printf("  %s\n", out.violation->message.c_str());
+      if (a.json) {
+        std::printf(
+            "{\"verdict\":\"violation\",\"property\":\"%s\","
+            "\"message\":\"%s\",\"mode\":\"lasso-replay\","
+            "\"confirmed\":false}\n",
+            explore::json_escape(out.violation->property).c_str(),
+            explore::json_escape(out.violation->message).c_str());
+      } else {
+        std::printf("VIOLATION of %s (lasso replay hit a safety violation)\n",
+                    out.violation->property.c_str());
+        std::printf("  %s\n", out.violation->message.c_str());
+      }
       return kExitViolation;
     }
-    std::printf("lasso NOT confirmed: %s\n", out.reason.c_str());
+    if (a.json) {
+      std::printf(
+          "{\"verdict\":\"clean\",\"mode\":\"lasso-replay\","
+          "\"confirmed\":false,\"reason\":\"%s\"}\n",
+          explore::json_escape(out.reason).c_str());
+    } else {
+      std::printf("lasso NOT confirmed: %s\n", out.reason.c_str());
+    }
     return kExitClean;
   }
   const explore::ScenarioBuilder build =
@@ -599,7 +635,8 @@ int run_replay_mode(const Args& a) {
       std::printf(
           "{\"verdict\":\"violation\",\"property\":\"%s\",\"message\":\"%s\","
           "\"mode\":\"replay\",\"steps\":%llu}\n",
-          out.violation->property.c_str(), out.violation->message.c_str(),
+          explore::json_escape(out.violation->property).c_str(),
+          explore::json_escape(out.violation->message).c_str(),
           static_cast<unsigned long long>(out.steps));
     } else {
       std::printf("VIOLATION of %s (replay, %llu steps)\n",
@@ -609,9 +646,17 @@ int run_replay_mode(const Args& a) {
     }
     return kExitViolation;
   }
-  std::printf("replay clean: %llu steps, all done: %s\n",
-              static_cast<unsigned long long>(out.steps),
-              out.all_done ? "yes" : "no");
+  if (a.json) {
+    std::printf(
+        "{\"verdict\":\"clean\",\"mode\":\"replay\",\"steps\":%llu,"
+        "\"all_done\":%s}\n",
+        static_cast<unsigned long long>(out.steps),
+        out.all_done ? "true" : "false");
+  } else {
+    std::printf("replay clean: %llu steps, all done: %s\n",
+                static_cast<unsigned long long>(out.steps),
+                out.all_done ? "yes" : "no");
+  }
   return kExitClean;
 }
 
