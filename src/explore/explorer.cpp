@@ -118,6 +118,9 @@ struct UnitResult {
   /// Liveness mode: the state-graph fragment this unit observed, merged
   /// into the committed graph at the barrier (slot order).
   LiveGraph graph;
+  /// Steps of this wave's runs that ended inside their run's recorded
+  /// path: re-executed only to rebuild a state.
+  std::uint64_t replayed_steps = 0;
 };
 
 /// Registry entry for a node whose frontier was split across units: the
@@ -215,6 +218,26 @@ class UnitEngine {
       // fingerprint pruning, or every run would prune itself at step
       // one.
       const std::size_t replay_len = u_->frames.size();
+      // Observe each step once. backtrack() flipped the last frame
+      // (replay_len - 1), so a step that consumes only frames below it
+      // (source position < replay_len after the step) repeats a step
+      // the previous run of this engine executed and observed: its
+      // invariants found nothing (that run would have stopped there,
+      // and no frame exists past a violating step) and, in liveness
+      // mode, its transition and the goal bit of the state it reached
+      // are already in the graph. Such a step still runs the simulator,
+      // DPOR and the cancel poll, but skips the invariant checks, the
+      // fingerprint and the graph record, taking the state's
+      // fingerprint from the previous run; the next observed step's
+      // checks catch up (Invariant::check). The engine's first run has
+      // no previous run and observes everything.
+      const std::size_t skip = static_cast<std::size_t>(
+          std::partition_point(prev_steps_.begin(), prev_steps_.end(),
+                               [replay_len](const StepObs& o) {
+                                 return o.pos < replay_len;
+                               }) -
+          prev_steps_.begin());
+      prev_steps_.resize(skip);
       DfsSource source(*this);
       run_blocked_ = false;
       Scenario sc = build_(source);
@@ -248,15 +271,16 @@ class UnitEngine {
         if (!res_.graph.have_root) {
           res_.graph.root = *root;
           res_.graph.have_root = true;
+          res_.graph.at(*root).goal = goal->goal(*sc.sim);
         } else {
           WFD_CHECK_MSG(res_.graph.root == *root,
                         "initial-state fingerprint varies across runs");
         }
-        res_.graph.at(*root).goal = goal->goal(*sc.sim);
         cur_fp = *root;
       }
       std::optional<Violation> violation;
       std::uint64_t run_steps = 0;
+      std::uint64_t run_replayed = 0;
       bool pruned = false;
       while (!run_blocked_) {
         // Once per step, so at least once per choice-point expansion.
@@ -279,16 +303,26 @@ class UnitEngine {
           }
           observe_step(*sc.sim, frame, run_steps);
         }
+        const bool replaying = source.pos() < replay_len;
+        if (replaying) ++run_replayed;
+        if (run_steps <= skip) {
+          const StepObs& seen = prev_steps_[run_steps - 1];
+          cur_fp = seen.fp;
+#ifndef NDEBUG
+          if (run_steps == skip) check_skipped_prefix(sc, source.pos(), seen);
+#endif
+          continue;
+        }
         for (auto& inv : sc.invariants) {
           violation = inv->check(*sc.sim);
           if (violation.has_value()) break;
         }
         if (violation.has_value()) break;
 
-        // Liveness mode: record every executed step's transition, even
-        // while replaying — a backtrack flips the chosen option of an
-        // existing frame, so the "replayed" flipped step is in fact a
-        // new transition. add_live_edge dedups by decision block.
+        // Liveness mode: record the step's transition. A backtrack
+        // flips the chosen option of an existing frame, so the first
+        // observed step of a run — the "replayed" flipped step — is in
+        // fact a new transition. add_live_edge dedups by decision block.
         std::optional<std::uint64_t> fp;
         if (liveness_) {
           fp = fingerprint(sc);
@@ -297,8 +331,9 @@ class UnitEngine {
           record_transition(sc, *goal, cur_fp, *fp, pos_before, source.pos());
           cur_fp = *fp;
         }
+        prev_steps_.push_back(StepObs{source.pos(), cur_fp});
 
-        if (source.pos() < replay_len) continue;  // Still replaying.
+        if (replaying) continue;
         if (!cfg_.state_fingerprints) continue;
         if (!fp.has_value()) fp = fingerprint(sc);
         if (!fp.has_value()) continue;
@@ -335,6 +370,7 @@ class UnitEngine {
       u_->path_pending = false;
       if (dpor) end_of_run_races(*sc.sim);
       res_.delta.steps += run_steps;
+      res_.replayed_steps += run_replayed;
       ++res_.delta.runs;
       if (const inject::FaultState* fs = sc.sim->faults()) {
         res_.delta.injected_crashes +=
@@ -1007,6 +1043,33 @@ class UnitEngine {
     res_.graph.at(dst_fp).goal = goal.goal(*sc.sim);
   }
 
+  /// One observed step: the source position after it and (liveness
+  /// mode) the fingerprint of the state it reached.
+  struct StepObs {
+    std::size_t pos = 0;
+    std::uint64_t fp = 0;
+  };
+
+#ifndef NDEBUG
+  /// Builds without NDEBUG, once per run at the last skipped step: the
+  /// step must end where the previous run's did, every invariant
+  /// catches up on the skipped prefix and must find nothing, and in
+  /// liveness mode the state must fingerprint to what the previous run
+  /// recorded there.
+  void check_skipped_prefix(const Scenario& sc, std::size_t pos,
+                            const StepObs& seen) {
+    WFD_CHECK_MSG(pos == seen.pos, "skipped prefix consumed other frames");
+    for (auto& inv : sc.invariants) {
+      WFD_CHECK_MSG(!inv->check(*sc.sim).has_value(),
+                    "skipped prefix violates an invariant");
+    }
+    if (liveness_) {
+      WFD_CHECK_MSG(fingerprint(sc) == seen.fp,
+                    "skipped prefix reached another state");
+    }
+  }
+#endif
+
   [[nodiscard]] bool cancel_requested() const {
     return cfg_.cancel != nullptr &&
            cfg_.cancel->load(std::memory_order_relaxed);
@@ -1040,6 +1103,10 @@ class UnitEngine {
     bool whole_menu = false;
   };
   std::vector<PrefixDeferrals> deferred_at_;
+  /// The observed steps of the previous run, in order. A run keeps the
+  /// prefix it skips and overwrites the rest, so the storage serves
+  /// every run.
+  std::vector<StepObs> prev_steps_;
 
   // Per-run happens-before state (rebuilt every re-execution).
   std::vector<std::vector<StepRec>> proc_events_;
@@ -1489,6 +1556,7 @@ ExploreReport Explorer::run() {
     bool wave_violation = false;
     for (UnitResult& r : results) {
       merge_stats(stats, r.delta);
+      rep.replayed_steps += r.replayed_steps;
       conservative.insert(r.conservative.begin(), r.conservative.end());
       for (const auto& [fp, t] : r.fps_overlay) {
         const auto [it, fresh] = fps.emplace(fp, t);

@@ -65,12 +65,16 @@
 // Liveness mode (SearchConfig::scenario.liveness non-empty) grows the
 // fingerprint store into an explicit state graph while exploring —
 // per-step fingerprints, goal bits, enabled sets, per-channel
-// deliverability bits, decision-labelled edges (explore/liveness.h) —
-// and, once the tree is exhausted, runs a fair-cycle search over it: a
-// cycle avoiding the clause's goal that is fair to every enabled
-// process and every pending directed channel is a liveness violation,
-// reported as a replayable stem+loop lasso. A
-// fingerprint revisit prunes regardless of time in this mode (the
+// deliverability bits, decision-labelled edges (explore/liveness.h).
+// Each step is recorded once: a replayed step whose transition the
+// previous run of the same unit already recorded is re-executed but
+// neither re-fingerprinted nor re-recorded, which is exact because its
+// decisions, states and goal bit are the recorded ones. Once the tree
+// is exhausted, a fair-cycle search runs over the graph: a cycle
+// avoiding the clause's goal that is fair to every enabled process and
+// every pending directed channel is a liveness violation, reported as a
+// replayable stem+loop lasso. A fingerprint revisit prunes regardless
+// of time in this mode (the
 // liveness validate() rules make states time-free, so a prune is an
 // exact merge into an already-expanded graph node) and exhaustion
 // therefore reports kComplete coverage even with fp_prunes > 0.
@@ -154,6 +158,11 @@ struct ExploreReport {
   /// stats.nodes carried in from the resumed snapshot (0 = fresh start):
   /// this invocation explored stats.nodes - resumed_nodes states.
   std::uint64_t resumed_nodes = 0;
+  /// Steps of this invocation that ended inside their run's recorded
+  /// path (re-executed only to rebuild a state; the rest of
+  /// stats.steps extended a path). Per invocation, like resumed_nodes:
+  /// not part of ExploreStats or the snapshot.
+  std::uint64_t replayed_steps = 0;
   /// Non-empty: resuming failed and nothing ran. resume_rejected
   /// distinguishes an incompatible snapshot (different scenario or
   /// search configuration — the caller's exit-2 case) from an

@@ -160,8 +160,8 @@ struct LiveGraph {
 };
 
 /// Record `e` on `n` unless an edge with the same decision block exists
-/// (replayed prefixes re-execute their transitions every run; the
-/// decision block identifies the transition).
+/// (distinct runs and units reach the same node by the same transition;
+/// the decision block identifies the transition).
 void add_live_edge(LiveGraphNode& n, LiveGraphEdge e);
 
 /// Fold a unit overlay into the committed graph. Caller supplies the

@@ -17,6 +17,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -333,6 +335,8 @@ struct Golden {
   const char* name;
   std::vector<std::string> flags;  ///< wfd_check scenario/search flags.
   ExploreStats want;
+  /// Liveness searches: graph_digest() of the saved snapshot.
+  std::uint64_t graph_digest = 0;
 };
 
 ExploreStats golden_stats(std::uint64_t nodes, std::uint64_t runs,
@@ -383,18 +387,53 @@ std::vector<Golden> golden_searches() {
   live.graph_states = 2774;
   live.graph_edges = 10698;
   live.graph_truncated = 548;
+  g[3].graph_digest = 17145195937447422792ull;
   return g;
+}
+
+SearchConfig golden_config(const std::vector<std::string>& flags) {
+  SearchConfig cfg;
+  cfg.max_states = 0;
+  for (const std::string& flag : flags) {
+    EXPECT_EQ(apply_cli_flag(cfg, flag), CliResult::kApplied) << flag;
+  }
+  return cfg;
+}
+
+/// FNV-1a over a saved snapshot's fingerprint and state-graph lines
+/// (fps=, groot=, gnode=, gedge=): the explored states and the recorded
+/// graph by content, in committed order — "same graph" beyond counts.
+std::uint64_t graph_digest(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("fps=", 0) != 0 && line.rfind("groot=", 0) != 0 &&
+        line.rfind("gnode=", 0) != 0 && line.rfind("gedge=", 0) != 0) {
+      continue;
+    }
+    line += '\n';
+    for (const char c : line) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+  }
+  return h;
 }
 
 TEST(GoldenSearchTest, StatsBlocksArePinned) {
   for (const Golden& g : golden_searches()) {
     SCOPED_TRACE(g.name);
-    SearchConfig cfg;
-    cfg.max_states = 0;
-    for (const std::string& flag : g.flags) {
-      ASSERT_EQ(apply_cli_flag(cfg, flag), CliResult::kApplied) << flag;
+    SearchConfig cfg = golden_config(g.flags);
+    if (g.want.liveness) {
+      cfg.save_path = testing::TempDir() + "wfd_golden_live.wfds";
     }
     const ExploreReport rep = explore(cfg);
+    if (g.want.liveness) {
+      ASSERT_TRUE(rep.save_error.empty()) << rep.save_error;
+      EXPECT_EQ(graph_digest(cfg.save_path), g.graph_digest);
+      std::remove(cfg.save_path.c_str());
+    }
     expect_same_stats(rep.stats, g.want, g.name);
     EXPECT_EQ(rep.stats.liveness, g.want.liveness);
     EXPECT_EQ(rep.stats.graph_states, g.want.graph_states);
@@ -403,6 +442,74 @@ TEST(GoldenSearchTest, StatsBlocksArePinned) {
     EXPECT_FALSE(rep.cex.has_value());
     EXPECT_EQ(rep.fair_cycle_checked, g.want.liveness);
     EXPECT_TRUE(rep.conservative_payloads.empty());
+  }
+}
+
+// The seeded crash-wedge liveness bug (explore/seeded_bug.h) at depth 7:
+// the crash-composed state graph and the lasso the fair-cycle search
+// reports (unshrunk), pinned. The explorer observes each step once —
+// replayed prefixes skip re-fingerprinting and re-recording — so a
+// transition lost or mis-attributed while skipping moves these counts,
+// the lasso or the saved graph's digest.
+TEST(GoldenSearchTest, CrashLivenessGraphAndLassoArePinned) {
+  SearchConfig cfg = golden_config(
+      {"--problem=consensus-crash-live-bug", "--n=3", "--crash=explore",
+       "--crashes=1", "--liveness=termination", "--fd=static",
+       "--reduction=none", "--depth=7"});
+  cfg.save_path = testing::TempDir() + "wfd_golden_crash_live.wfds";
+  const ExploreReport rep = explore(cfg);
+  expect_same_stats(rep.stats,
+                    golden_stats(12290, 36681, 239551, 0, 23995, 0, 0, 0,
+                                 27169),
+                    "crash-live-bug d7");
+  EXPECT_EQ(rep.stats.graph_states, 9984u);
+  EXPECT_EQ(rep.stats.graph_edges, 21958u);
+  EXPECT_EQ(rep.stats.graph_truncated, 5154u);
+  EXPECT_TRUE(rep.fair_cycle_checked);
+  EXPECT_TRUE(rep.lasso_error.empty()) << rep.lasso_error;
+  ASSERT_TRUE(rep.cex.has_value());
+  EXPECT_EQ(rep.cex->decisions, (sim::DecisionLog{0, 0, 0, 2, 2, 4, 6, 0, 1}));
+  EXPECT_EQ(rep.cex->loop, (sim::DecisionLog{0, 1}));
+  ASSERT_TRUE(rep.save_error.empty()) << rep.save_error;
+  EXPECT_EQ(graph_digest(cfg.save_path), 15844492909837552755ull);
+  std::remove(cfg.save_path.c_str());
+}
+
+// A seeded safety bug searched without stopping at the first violation,
+// with and without reduction: every violating run is counted, and the
+// first counterexample found is pinned. A skipped invariant check that
+// hid a violation, or reported one at another step, moves the count or
+// the decisions.
+TEST(GoldenSearchTest, SeededBugViolationsArePinned) {
+  struct Case {
+    const char* name;
+    std::vector<std::string> flags;
+    ExploreStats want;
+    std::uint64_t violations;
+    sim::DecisionLog first;
+  };
+  const Case cases[] = {
+      {"consensus-bug n=3 d10 dpor",
+       {"--problem=consensus-bug", "--n=3", "--depth=10"},
+       golden_stats(285, 586, 4031, 4027, 527, 151, 1890, 0, 0), 48,
+       {0, 2, 6, 1, 3}},
+      {"consensus-bug n=3 d10 none",
+       {"--problem=consensus-bug", "--n=3", "--reduction=none",
+        "--depth=10"},
+       golden_stats(612, 4160, 30464, 0, 2766, 0, 0, 0, 0), 830,
+       {1, 0, 0, 0, 1, 1, 2, 0, 1, 3}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SearchConfig cfg = golden_config(c.flags);
+    cfg.stop_at_first = false;
+    const ExploreReport rep = explore(cfg);
+    ExploreStats want = c.want;
+    want.violations = c.violations;
+    expect_same_stats(rep.stats, want, c.name);
+    ASSERT_TRUE(rep.cex.has_value());
+    EXPECT_EQ(rep.cex->violation.property, "agreement(decide)");
+    EXPECT_EQ(rep.cex->decisions, c.first);
   }
 }
 

@@ -75,6 +75,12 @@ done
 a=$(jstr "$single" coverage)
 b=$(jstr "$LOOP_OUT" coverage)
 [ -n "$a" ] && [ "$a" = "$b" ] || fail "register coverage: $a vs $b"
+# The replay share is per invocation (not persisted): some but not all
+# of a search's steps only rebuild a state.
+a=$(jnum "$single" replayed_steps)
+b=$(jnum "$single" steps)
+[ -n "$a" ] && [ "$a" -gt 0 ] && [ "$a" -lt "$b" ] ||
+  fail "register replayed_steps=$a not within steps=$b"
 
 # --- 2. seeded bug: same violation either way ------------------------------
 bug_single=$("$CHECK" $BUG_ARGS)

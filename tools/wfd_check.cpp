@@ -433,7 +433,8 @@ int run_exhaustive(const Args& a) {
         "\"status\":\"%s\",\"coverage\":\"%s\","
         "\"resumed\":%s,\"resume_generation\":%llu,"
         "\"elapsed_ms\":%llu,\"states_per_sec\":%.0f,"
-        "\"steps_per_state\":%.2f,\"config\":%s%s}\n",
+        "\"steps_per_state\":%.2f,\"replayed_steps\":%llu,"
+        "\"config\":%s%s}\n",
         static_cast<unsigned long long>(st.nodes),
         static_cast<unsigned long long>(st.runs),
         static_cast<unsigned long long>(st.steps),
@@ -451,8 +452,9 @@ int run_exhaustive(const Args& a) {
                        : "budget",
         cov.c_str(), rep.resumed ? "true" : "false",
         static_cast<unsigned long long>(rep.resume_generation), elapsed_ms,
-        states_per_sec, steps_per_state, explore::config_to_json(cfg).c_str(),
-        liveness_json.c_str());
+        states_per_sec, steps_per_state,
+        static_cast<unsigned long long>(rep.replayed_steps),
+        explore::config_to_json(cfg).c_str(), liveness_json.c_str());
     if (save_failed) return kExitUsage;
     return budget_left ? kExitBudget : kExitClean;
   }
@@ -463,13 +465,14 @@ int run_exhaustive(const Args& a) {
                   static_cast<unsigned long long>(rep.resume_generation));
     }
     std::printf(
-        "explored %llu states across %llu runs (%llu steps, "
+        "explored %llu states across %llu runs (%llu steps, %llu replayed, "
         "%llu sleep-set skips, %llu fp prunes, %llu hb races, "
         "%llu backtrack points, %llu commute skips): %s [coverage: %s] "
         "in %.3f s (%.0f states/s, %.1f steps/state)\n",
         static_cast<unsigned long long>(st.nodes),
         static_cast<unsigned long long>(st.runs),
         static_cast<unsigned long long>(st.steps),
+        static_cast<unsigned long long>(rep.replayed_steps),
         static_cast<unsigned long long>(st.sleep_skips),
         static_cast<unsigned long long>(st.fp_prunes),
         static_cast<unsigned long long>(st.hb_races),
