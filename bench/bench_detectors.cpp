@@ -9,7 +9,7 @@
 #include "bench_util.h"
 #include "fd/classic_oracles.h"
 #include "fd/history_checker.h"
-#include "fd/omega_heartbeat.h"
+#include "fd/heartbeat_omega.h"
 #include "sim/fd_sampler.h"
 #include "sim/process.h"
 
@@ -70,7 +70,7 @@ double heartbeat_omega_witness(Time gst, std::uint64_t seed) {
   std::vector<sim::FdSampleRecord> samples;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    auto& om = host.add_module<fd::OmegaHeartbeatModule>("omega");
+    auto& om = host.add_module<fd::HeartbeatOmegaModule>("omega");
     host.add_module<sim::FdSamplerModule>("sampler", &om, &samples, 32);
   }
   s.set_halt_on_done(false);

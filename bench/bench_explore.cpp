@@ -70,17 +70,16 @@ BENCHMARK(BM_ExplorerDfsNoReduction);
 // dependence + fingerprint pruning, one thread) and every other lever
 // index changes exactly ONE knob away from that baseline, so a row's
 // delta against its scenario's baseline row is that lever's isolated
-// contribution. Downgrade levers (sleep-sets, process dependence,
-// no-fault-dep, no-fingerprints) show their win as the growth of the
-// ablated tree; symmetry is opt-in, so its row turns it ON and shows
-// its win as shrinkage; threads=4 must show exact state parity (the
-// wave schedule is thread-invariant — and on this project's 1-CPU
-// reference box it cannot show wall-clock wins, so parity is the whole
-// claim). The interesting numbers are the per-scenario counters:
-// states explored, runs, prunes, races, backtrack points; wall time is
-// the benchmark's own metric. Depths and static detector histories are
-// chosen so every case exhausts within the state cap under every
-// lever.
+// contribution. Downgrade levers (sleep-sets, no-fingerprints) show
+// their win as the growth of the ablated tree; symmetry is opt-in, so
+// its row turns it ON and shows its win as shrinkage; threads=4 must
+// show exact state parity (the wave schedule is thread-invariant — and
+// on this project's 1-CPU reference box it cannot show wall-clock wins,
+// so parity is the whole claim). The interesting numbers are the
+// per-scenario counters: states explored, runs, prunes, races,
+// backtrack points; wall time is the benchmark's own metric. Depths and
+// static detector histories are chosen so every case exhausts within
+// the state cap under every lever.
 struct AblationCase {
   const char* name;
   ScenarioOptions opt;
@@ -147,7 +146,7 @@ const std::vector<AblationCase>& ablation_cases() {
       v->push_back(c);
     }
     {
-      // Explored crash timing: the fault-dependence lever's home turf
+      // Explored crash timing: the sparse fault relation's home turf
       // (every step grows a crash branch; sparse fault dependence is
       // what keeps sleep sets alive across those edges).
       AblationCase c{"crash-explore-n3", {}};
@@ -167,8 +166,6 @@ const std::vector<AblationCase>& ablation_cases() {
 enum Lever : int {
   kLeverBaseline = 0,
   kLeverSleepSets,       ///< Reduction downgraded to sleep sets only.
-  kLeverProcessDep,      ///< Dependence coarsened to process-level.
-  kLeverNoFaultDep,      ///< Fault labels dependent with everything.
   kLeverNoFingerprints,  ///< State-fingerprint pruning off.
   kLeverSymmetry,        ///< Canonicalize under process renaming (ON).
   kLeverThreads4,        ///< threads=4; must reproduce baseline states.
@@ -179,8 +176,6 @@ const char* lever_name(int lever) {
   switch (lever) {
     case kLeverBaseline: return "baseline";
     case kLeverSleepSets: return "sleep-sets";
-    case kLeverProcessDep: return "process-dep";
-    case kLeverNoFaultDep: return "no-fault-dep";
     case kLeverNoFingerprints: return "no-fingerprints";
     case kLeverSymmetry: return "symmetry";
     case kLeverThreads4: return "threads-4";
@@ -199,12 +194,6 @@ void BM_ReductionAblation(benchmark::State& state) {
   switch (lever) {
     case kLeverSleepSets:
       eo.reduction = Reduction::kSleepSets;
-      break;
-    case kLeverProcessDep:
-      eo.dependence = Dependence::kProcess;
-      break;
-    case kLeverNoFaultDep:
-      eo.fault_dependence = false;
       break;
     case kLeverNoFingerprints:
       eo.state_fingerprints = false;
@@ -247,9 +236,8 @@ void BM_ReductionAblation(benchmark::State& state) {
 }
 BENCHMARK(BM_ReductionAblation)
     ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7},
-                   {kLeverBaseline, kLeverSleepSets, kLeverProcessDep,
-                    kLeverNoFaultDep, kLeverNoFingerprints, kLeverSymmetry,
-                    kLeverThreads4}})
+                   {kLeverBaseline, kLeverSleepSets, kLeverNoFingerprints,
+                    kLeverSymmetry, kLeverThreads4}})
     ->Unit(benchmark::kMillisecond);
 
 // Fault-injection cost: the same exhaustible consensus instance with no
@@ -258,9 +246,8 @@ BENCHMARK(BM_ReductionAblation)
 // dependence relation of sim/dependence.h (DESIGN.md §12) — a fault
 // commutes with steps of processes it does not touch — so the
 // interesting counters are how much the tree still grows relative to
-// row 0 and how many adversary moves actually execute (the
-// no-fault-dep lever of BM_ReductionAblation prices the relation
-// itself).
+// row 0 and how many adversary moves actually execute (DESIGN.md §10
+// prices the relation itself).
 void BM_FaultInjection(benchmark::State& state) {
   ScenarioOptions opt = consensus_options(3, 14);
   opt.fd_per_query = false;

@@ -2,17 +2,18 @@
 //
 // The oracle detectors elsewhere in the examples are *specifications*;
 // this example shows a real message-passing implementation: heartbeats
-// with adaptive timeouts elect the smallest trusted id. Before GST the
-// leader can flap; after GST every surviving process converges to the
-// same correct leader — the Omega behaviour that (with Sigma) is the
-// weakest thing consensus needs.
+// with adaptive timeouts pick the smallest trusted id, which claims a
+// lease. Before GST the leader can flap; after GST every surviving
+// process converges to the same correct leader — the Omega behaviour
+// that (with Sigma) is the weakest thing consensus needs. It is the
+// same module the replicated KV service runs (fd/heartbeat_omega.h).
 //
 // Build & run:   ./build/examples/leader_election
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "fd/omega_heartbeat.h"
+#include "fd/heartbeat_omega.h"
 #include "fd/oracle.h"
 #include "sim/module.h"
 #include "sim/scheduler.h"
@@ -35,11 +36,11 @@ int main() {
   sim::Simulator sim(cfg, pattern, std::make_unique<fd::NullOracle>(),
                      std::make_unique<sim::PartialSynchronyScheduler>(kGst));
 
-  std::vector<fd::OmegaHeartbeatModule*> omegas(kN, nullptr);
+  std::vector<fd::HeartbeatOmegaModule*> omegas(kN, nullptr);
   for (int i = 0; i < kN; ++i) {
     auto& host = sim.add_process<sim::ModularProcess>();
     omegas[static_cast<std::size_t>(i)] =
-        &host.add_module<fd::OmegaHeartbeatModule>("omega");
+        &host.add_module<fd::HeartbeatOmegaModule>("omega");
   }
 
   std::printf("heartbeat-based Omega, n=%d, GST at t=%llu\n", kN,

@@ -68,12 +68,10 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
         claim(Counterexample{rec.log(), *v, run_steps});
         continue;
       }
-      if (cfg.check_eventual) {
-        for (auto& ev : sc.eventuals) {
-          if (ev->check_final(*sc.sim).has_value()) {
-            suspects.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
+      for (auto& ev : sc.eventuals) {
+        if (ev->check_final(*sc.sim).has_value()) {
+          suspects.fetch_add(1, std::memory_order_relaxed);
+          break;
         }
       }
     }
@@ -88,8 +86,6 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
   const auto frontier_worker = [&] {
     SearchConfig fc = cfg;
     fc.threads = std::max(cfg.frontier_workers, 1);
-    fc.max_states =
-        cfg.frontier_states != 0 ? cfg.frontier_states : cfg.max_states;
     fc.stop_at_first = true;
     fc.order_seed = mix(cfg.scenario.seed ^ 0xf0f0f0f0ull);
     fc.budget_states = 0;
@@ -103,11 +99,22 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
     if (rep.cex.has_value()) claim(*rep.cex);
   };
 
+  // The frontier can only report what an invariant or a liveness clause
+  // flags. A scenario with neither (a never-halting service such as
+  // omega-impl, checked by its eventual properties alone) would have
+  // it fill the whole horizon for nothing, so ask one built instance.
+  bool frontier_can_find = false;
+  if (cfg.frontier_workers > 0) {
+    sim::FixedChoices probe;
+    const Scenario sc = build(probe);
+    frontier_can_find = !sc.invariants.empty() || !sc.liveness.empty();
+  }
+
   std::vector<std::thread> pool;
   const int walkers = std::max(cfg.threads, 1);
   pool.reserve(static_cast<std::size_t>(walkers) + 1);
   for (int i = 0; i < walkers; ++i) pool.emplace_back(random_worker);
-  if (cfg.frontier_workers > 0) pool.emplace_back(frontier_worker);
+  if (frontier_can_find) pool.emplace_back(frontier_worker);
   for (std::thread& t : pool) t.join();
 
   CampaignReport rep;

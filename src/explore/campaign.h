@@ -42,8 +42,10 @@ struct CampaignReport {
 /// Runs the campaign described by `cfg` (the campaign section plus
 /// scenario/seed/stop_at_first; `threads` is the random-walk worker
 /// count, `frontier_workers` the frontier Explorer's thread count — 0
-/// disables the frontier, `frontier_states` its state cap with 0
-/// falling back to `max_states`). `cfg` must already be valid.
+/// disables the frontier — and `max_states` its state cap). The
+/// frontier also stays off when the scenario has no invariant and no
+/// liveness clause, since it could not report anything. `cfg` must
+/// already be valid.
 CampaignReport run_campaign(const ScenarioBuilder& build,
                             const SearchConfig& cfg);
 

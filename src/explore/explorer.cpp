@@ -155,10 +155,10 @@ struct MsgInfo {
   /// Offset of the sender's vector clock at send (n entries) in the
   /// engine's clock pool; the sends of one step share it.
   std::size_t clock = 0;
-  /// The payload itself (kContent only; shared with the envelope).
+  /// The payload itself (shared with the envelope).
   sim::PayloadPtr payload;
-  /// Content digest when the payload's encoding is complete (kContent
-  /// only); fuels the same-sender identical-copy rule.
+  /// Content digest when the payload's encoding is complete; fuels the
+  /// same-sender identical-copy rule.
   std::optional<std::uint64_t> digest;
 };
 
@@ -169,7 +169,7 @@ struct StepRec {
   std::uint64_t delivered = 0;  ///< Message id; 0 for lambda/start.
   bool is_start = false;
   /// λ step the process declared inert (Process::tick_noop): commutes
-  /// with tick-insensitive deliveries under Dependence::kContent.
+  /// with tick-insensitive deliveries.
   bool tick_inert = false;
 };
 
@@ -454,30 +454,24 @@ class UnitEngine {
       // Inherit the sleep set along the edge from the nearest schedule
       // ancestor g: everything asleep or already explored at g stays
       // asleep here unless it is dependent with the action that just
-      // ran. Under kProcess that means "same process acted"; under
-      // kContent (kDpor only — kSleepSets stays the unchanged ablation
-      // baseline) a sleeping delivery additionally survives a
-      // commuting delivery to the same process. Fault labels use the
-      // sparse relation of sim/dependence.h when fault_dependence is
-      // on: a crash/drop/dup commutes with steps of processes it does
-      // not touch, so sleep survives fault edges and fault labels may
-      // themselves sleep. With the lever off they fall back to the
-      // conservative pre-relation behaviour (dependent with
-      // everything: no inheritance across a fault edge, faults never
-      // sleep).
+      // ran. For kSleepSets that means "same process acted" (it never
+      // consults payload hooks); under kDpor a sleeping delivery
+      // additionally survives a commuting delivery to the same process.
+      // Fault labels use the sparse relation of sim/dependence.h: a
+      // crash/drop/dup commutes with steps of processes it does not
+      // touch, so sleep survives fault edges and fault labels may
+      // themselves sleep.
       for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
         if (it->kind != sim::ChoiceKind::kSchedule) continue;
         const Frame& g = *it;
         const std::uint64_t executed = g.labels[g.chosen];
         const bool exec_fault =
             sim::ReplayScheduler::label_is_fault(executed);
-        if (exec_fault && !cfg_.fault_dependence) break;
         const ProcessId acted =
             sim::ReplayScheduler::label_process(executed);
         for (const auto* set : {&g.sleep, &g.explored}) {
           for (std::uint64_t a : *set) {
             const bool a_fault = sim::ReplayScheduler::label_is_fault(a);
-            if (a_fault && !cfg_.fault_dependence) continue;
             if (contains(f.sleep, a)) continue;
             bool indep;
             if (a_fault || exec_fault) {
@@ -507,7 +501,6 @@ class UnitEngine {
     const std::optional<std::uint32_t> first =
         dpor_schedule ? dpor_default_choice(f)
                       : next_choice(f, /*counting_skips=*/true);
-    const std::size_t idx = frames.size();
     if (first.has_value()) {
       f.chosen = *first;
       // Under DPOR the frame starts out owing only its default child;
@@ -519,9 +512,9 @@ class UnitEngine {
         // any frame whose menu offers a fault is fully expanded
         // instead (soundness over reduction — the fault subtrees, and
         // every ordering against them, are enumerated outright). The
-        // fault_dependence lever does not relax this: it sparsifies
-        // the sleep relation, which is what lets most of these
-        // expanded labels be skipped as already-covered.
+        // sparse fault relation does not relax this: it sparsifies the
+        // sleep relation, which is what lets most of these expanded
+        // labels be skipped as already-covered.
         if (std::any_of(labels.begin(), labels.end(),
                         sim::ReplayScheduler::label_is_fault)) {
           for (std::uint64_t l : labels) {
@@ -695,13 +688,12 @@ class UnitEngine {
     }
   }
 
-  /// Under kContent: true when the two deliveries commute (declared by
-  /// their payloads, or same-sender copies with equal content digests),
-  /// so reordering them cannot be observable. Always false under
-  /// kProcess. Records conservative-default payloads as a side effect.
+  /// True when the two deliveries commute (declared by their payloads,
+  /// or same-sender copies with equal content digests), so reordering
+  /// them cannot be observable. Records conservative-default payloads
+  /// as a side effect.
   [[nodiscard]] bool deliveries_independent(const MsgInfo& a,
                                             const MsgInfo& b) {
-    if (cfg_.dependence != Dependence::kContent) return false;
     if (a.payload == nullptr || b.payload == nullptr) return false;
     // Same-sender copies with identical content: the channel delivers
     // interchangeable messages, so either order is the same execution.
@@ -736,9 +728,8 @@ class UnitEngine {
           ++res_.delta.commute_skips;
           continue;
         }
-      } else if (ej.tick_inert &&
-                 cfg_.dependence == Dependence::kContent &&
-                 mi.payload != nullptr && mi.payload->tick_insensitive()) {
+      } else if (ej.tick_inert && mi.payload != nullptr &&
+                 mi.payload->tick_insensitive()) {
         // An inert lambda (every module tick a declared no-op) commutes
         // with a tick-insensitive delivery: neither side observes the
         // one-step time shift the reorder causes.
@@ -758,13 +749,10 @@ class UnitEngine {
   /// before it. Once the reordered branch runs, its own lambda re-races
   /// with the next delivery down, so the single-step rule covers every
   /// depth. An *inert* lambda further commutes backward past
-  /// tick-insensitive deliveries and other inert lambdas under
-  /// Dependence::kContent, so the scan continues through those until
-  /// the first genuinely dependent event.
+  /// tick-insensitive deliveries and other inert lambdas, so the scan
+  /// continues through those until the first genuinely dependent event.
   void race_lambda(ProcessId p, bool inert) {
     const auto& events = proc_events_[static_cast<std::size_t>(p)];
-    const bool skip_inert =
-        inert && cfg_.dependence == Dependence::kContent;
     for (std::size_t j = events.size(); j-- > 0;) {
       const StepRec& ej = events[j];
       if (ej.is_start) return;
@@ -772,10 +760,10 @@ class UnitEngine {
         // λ after λ needs no backtrack (same label, same schedule) —
         // but an inert lambda commutes with earlier inert lambdas, so
         // keep looking for the delivery it may still race with.
-        if (skip_inert && ej.tick_inert) continue;
+        if (inert && ej.tick_inert) continue;
         return;
       }
-      if (skip_inert) {
+      if (inert) {
         const MsgInfo* ei = msg_info(ej.delivered);
         if (ei != nullptr && ei->payload != nullptr &&
             ei->payload->tick_insensitive()) {
@@ -861,9 +849,8 @@ class UnitEngine {
     // events. Two steps of different processes always commute (a step
     // consumes only its own pending messages and appends sends), so
     // dependence — and hence every race — is within one process's
-    // event sequence; under Dependence::kContent, race_delivery
-    // further exempts same-process delivery pairs whose payloads
-    // commute.
+    // event sequence; race_delivery further exempts same-process
+    // delivery pairs whose payloads commute.
     if (!ls.was_start && ls.delivered != 0) {
       if (const MsgInfo* mi = msg_info(ls.delivered)) {
         race_delivery(ls.p, ls.delivered, *mi);
@@ -885,10 +872,9 @@ class UnitEngine {
     proc_events_[p].push_back(
         StepRec{frame, step_time, ls.delivered, ls.was_start, ls.tick_noop});
 
-    // Every message sent during this step carries the sender's clock;
-    // under kContent also its payload and content digest, so dependence
-    // can be decided at race time without the (possibly consumed)
-    // envelope.
+    // Every message sent during this step carries the sender's clock,
+    // its payload and its content digest, so dependence can be decided
+    // at race time without the (possibly consumed) envelope.
     const sim::Network& net = sim.network();
     const std::uint64_t total = net.total_sent();
     const std::size_t clock = msg_clocks_.size();
@@ -896,19 +882,17 @@ class UnitEngine {
       msg_clocks_.insert(msg_clocks_.end(), cp.begin(), cp.end());
     }
     for (std::uint64_t id = prev_sent_ + 1; id <= total; ++id) {
-      MsgInfo info{ls.p, step_time, clock, nullptr, std::nullopt};
-      if (cfg_.dependence == Dependence::kContent) {
-        info.payload = net.get(id).payload;
-        if (info.payload != nullptr) {
-          if (info.payload->kind().empty()) {
-            res_.conservative.insert(info.payload->identity());
-          }
-          // The network's cached encoding: the state fingerprints of
-          // this run reuse it.
-          const sim::StateEncoder::Partial& content = net.content(id);
-          if (content.complete) {
-            info.digest = sim::StateEncoder::digest(content);
-          }
+      MsgInfo info{ls.p, step_time, clock, net.get(id).payload,
+                   std::nullopt};
+      if (info.payload != nullptr) {
+        if (info.payload->kind().empty()) {
+          res_.conservative.insert(info.payload->identity());
+        }
+        // The network's cached encoding: the state fingerprints of this
+        // run reuse it.
+        const sim::StateEncoder::Partial& content = net.content(id);
+        if (content.complete) {
+          info.digest = sim::StateEncoder::digest(content);
         }
       }
       msgs_.push_back(std::move(info));
@@ -1625,7 +1609,6 @@ ExploreReport Explorer::run() {
         stats.nodes - base_total >= cfg_.budget_states) {
       break;
     }
-    if (cfg_.max_runs != 0 && stats.runs >= cfg_.max_runs) break;
   }
 
   if (liveness) {

@@ -40,20 +40,24 @@
 // Reductions (SearchConfig::reduction) are unchanged in spirit from
 // the serial explorer: kDpor layers dynamic partial-order reduction
 // and sleep sets over the schedule choices, kSleepSets keeps only the
-// static sleep-set approximation, kNone enumerates everything. Two
-// levers refine the dependence relation the reduction consumes:
-//  * fault_dependence (on by default): crash/drop/duplicate labels use
-//    the sparse relation of sim/dependence.h — a fault commutes with
-//    steps of processes it does not touch — instead of being dependent
-//    with everything. Frames whose menu offers a fault are still fully
-//    expanded (soundness over reduction); the lever lets fault labels
-//    participate in sleep sets and lets sleep sets survive fault
-//    edges, which is where the crash-exploration blowup lived.
-//  * symmetry (opt-in): state fingerprints are canonicalized under
-//    process renaming within ScenarioFactory::symmetry_classes — the
-//    stored fingerprint is the minimum digest over the scenario's
-//    symmetry group, so runs that differ only by a renaming of
-//    interchangeable processes merge.
+// static sleep-set approximation, kNone enumerates everything. The
+// dependence relation they consume is fixed:
+//  * deliveries: under kDpor, two deliveries to one process are
+//    independent when their payloads commute (sim/payload.h) or they
+//    are same-sender copies with equal content, and an inert λ step
+//    commutes with tick-insensitive deliveries; kSleepSets uses the
+//    process-level relation only and never consults payload hooks.
+//  * faults: crash/drop/duplicate labels use the sparse relation of
+//    sim/dependence.h — a fault commutes with steps of processes it
+//    does not touch. Frames whose menu offers a fault are still fully
+//    expanded (soundness over reduction); the relation lets fault
+//    labels participate in sleep sets and lets sleep sets survive
+//    fault edges, which is where the crash-exploration blowup lived.
+// Symmetry (opt-in) canonicalizes state fingerprints under process
+// renaming within ScenarioFactory::symmetry_classes — the stored
+// fingerprint is the minimum digest over the scenario's symmetry
+// group, so runs that differ only by a renaming of interchangeable
+// processes merge.
 //
 // Coverage is reported honestly (coverage()): complete, complete
 // modulo fingerprint equivalence, or budget-capped. A capped search
@@ -100,7 +104,7 @@ struct ExploreStats {
   std::uint64_t hb_races = 0;     ///< Racing event pairs detected (DPOR).
   std::uint64_t backtrack_points = 0;  ///< Labels added to backtrack sets.
   /// Delivery pairs exempted from race insertion because their payloads
-  /// commute (Dependence::kContent only).
+  /// commute (kDpor only).
   std::uint64_t commute_skips = 0;
   /// Adversary moves executed across all completed runs (fault
   /// injection; see src/inject/).
@@ -118,7 +122,7 @@ struct ExploreStats {
 
 /// How completely the choice tree was covered.
 enum class Coverage {
-  kBudget,              ///< Ran out of max_states / max_runs.
+  kBudget,              ///< Not exhausted: a state cap hit, or cancelled.
   kComplete,            ///< Every branch visited, no fingerprint cuts.
   kModuloFingerprints,  ///< Every branch visited or cut at a state whose
                         ///< subtree was explored from an equivalent
@@ -149,7 +153,7 @@ struct ExploreReport {
   std::string lasso_error;
   /// Identities of payload types observed in flight that still ship the
   /// conservative commutes_with default (empty kind()): the audit
-  /// backlog of Dependence::kContent. Sorted for stable output.
+  /// backlog of the content-aware relation. Sorted for stable output.
   std::set<std::string> conservative_payloads;
   /// True when the search was seeded from SearchConfig::resume_path.
   bool resumed = false;

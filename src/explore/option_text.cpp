@@ -69,13 +69,11 @@ void scenario_to_text(std::ostream& out, const ScenarioOptions& o) {
   out << "seed=" << o.seed << "\n";
   out << "stabilization=" << time_to_text(o.stabilization) << "\n";
   out << "fd_per_query=" << (o.fd_per_query ? 1 : 0) << "\n";
-  out << "record_fd_samples=" << (o.record_fd_samples ? 1 : 0) << "\n";
   out << "nbac_no_voter=" << o.nbac_no_voter << "\n";
   out << "reg_ops=" << o.reg_ops << "\n";
   out << "reg_readers=" << o.reg_readers << "\n";
   out << "abcast_senders=" << o.abcast_senders << "\n";
   out << "oldest_per_channel=" << (o.oldest_per_channel ? 1 : 0) << "\n";
-  out << "lambda_always=" << (o.lambda_always ? 1 : 0) << "\n";
   out << "liveness=" << o.liveness << "\n";
 }
 
@@ -107,8 +105,6 @@ bool scenario_apply(ScenarioOptions& o, const std::string& key,
     *ok = parse_time(val, &o.stabilization);
   } else if (key == "fd_per_query") {
     *ok = parse_bool(val, &o.fd_per_query);
-  } else if (key == "record_fd_samples") {
-    *ok = parse_bool(val, &o.record_fd_samples);
   } else if (key == "nbac_no_voter") {
     *ok = parse_int(val, &o.nbac_no_voter);
   } else if (key == "reg_ops") {
@@ -119,8 +115,6 @@ bool scenario_apply(ScenarioOptions& o, const std::string& key,
     *ok = parse_int(val, &o.abcast_senders);
   } else if (key == "oldest_per_channel") {
     *ok = parse_bool(val, &o.oldest_per_channel);
-  } else if (key == "lambda_always") {
-    *ok = parse_bool(val, &o.lambda_always);
   } else if (key == "liveness") {
     o.liveness = val;  // Clause-name validity is ScenarioFactory::validate's.
   } else {

@@ -76,35 +76,23 @@ ScenarioFactory::ScenarioFactory(ScenarioOptions opt) : opt_(std::move(opt)) {
   WFD_CHECK_MSG(validate(opt_).empty(), "invalid scenario options");
 }
 
-const std::vector<ProblemSpec>& ScenarioFactory::problems() {
-  static const std::vector<ProblemSpec> kProblems = {
-      {"consensus"}, {"consensus-bug"},    {"consensus-crash-bug"},
-      {"consensus-live-bug"},               {"consensus-crash-live-bug"},
-      {"qc"},        {"nbac"},             {"sigma"},
-      {"register"},  {"register-regular"}, {"abcast"},
-      {"rb"},
+const std::vector<std::string>& ScenarioFactory::problems() {
+  static const std::vector<std::string> kProblems = {
+      "consensus", "consensus-bug", "consensus-crash-bug",
+      "consensus-live-bug", "consensus-crash-live-bug",
+      "qc", "nbac", "sigma",
+      "register", "register-regular", "abcast",
+      "rb",
       // The implementable heartbeat Omega is a service: its modules are
       // never done, so bounded-safety exhaustion has no halting states
-      // to prune and fills the horizon everywhere. Exhaustive mode
-      // exists for --liveness=fd-completeness (fair-cycle search over
-      // the depth-bounded state graph, with truncation reported);
-      // campaign (randomized liveness) and replay remain the scalable
-      // modes.
-      {"omega-impl"},
+      // to prune and it carries no invariant. Exhaustive mode checks
+      // --liveness=fd-completeness (fair-cycle search over the
+      // depth-bounded state graph, with truncation reported); campaign
+      // mode checks its eventual leadership on random walks only (see
+      // run_campaign).
+      "omega-impl",
   };
   return kProblems;
-}
-
-bool ScenarioFactory::supports_mode(const std::string& problem,
-                                    const std::string& mode) {
-  for (const ProblemSpec& p : problems()) {
-    if (p.name != problem) continue;
-    if (mode == "exhaustive") return p.exhaustive;
-    if (mode == "campaign") return p.campaign;
-    if (mode == "replay") return p.replay;
-    return false;
-  }
-  return false;
 }
 
 std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
@@ -138,9 +126,10 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     return "fd_adversarial defers convergence past the horizon and "
            "requires stabilization == kNever";
   }
-  bool known = false;
-  for (const ProblemSpec& p : problems()) known = known || p.name == opt.problem;
-  if (!known) return "unknown problem '" + opt.problem + "'";
+  const std::vector<std::string>& known = problems();
+  if (std::find(known.begin(), known.end(), opt.problem) == known.end()) {
+    return "unknown problem '" + opt.problem + "'";
+  }
   if (opt.nbac_no_voter != kNoProcess &&
       (opt.nbac_no_voter < 0 || opt.nbac_no_voter >= opt.n)) {
     return "nbac_no_voter out of range";
@@ -176,10 +165,6 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     if (opt.stabilization != kNever) {
       return "liveness checking folds convergence into the static "
              "history itself; stabilization must stay unset";
-    }
-    if (!opt.lambda_always) {
-      return "liveness fairness quantifies over tick steps and needs "
-             "lambda_always";
     }
     if (opt.n > kLiveChannelStride) {
       return "liveness checking tracks communication fairness per "
@@ -327,8 +312,9 @@ sim::FailurePattern ScenarioFactory::make_pattern(
 Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   Scenario out;
   const sim::FailurePattern pattern = make_pattern(choices);
+  // FD samples feed SigmaIntersectionInvariant and FdPrefixInvariant.
   const sim::SimConfig cfg{opt_.n, opt_.max_steps, opt_.seed,
-                           opt_.record_fd_samples};
+                           /*record_fd_samples=*/true};
 
   ChoiceOracle::Options oo;
   oo.per_query = opt_.fd_per_query;
@@ -375,7 +361,6 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
 
   sim::ReplayScheduler::Options so;
   so.oldest_per_channel = opt_.oldest_per_channel;
-  so.lambda_always = opt_.lambda_always;
   so.faults = faults.get();
 
   std::unique_ptr<fd::Oracle> oracle;
@@ -394,8 +379,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   // Under injection the detector history must stay legal for the pattern
   // the run actually reconstructs — cross-check the prefix-checkable
   // clauses of the enabled components via fd/history_checker.
-  if ((opt_.fd_adversarial || crash_explore) && opt_.record_fd_samples &&
-      (oo.fs || oo.psi)) {
+  if ((opt_.fd_adversarial || crash_explore) && (oo.fs || oo.psi)) {
     out.invariants.push_back(
         std::make_unique<FdPrefixInvariant>(oo.fs, oo.psi));
   }
@@ -430,9 +414,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     out.invariants.push_back(std::make_unique<AgreementInvariant>("decide"));
     out.invariants.push_back(
         std::make_unique<ValidityInvariant>("decide", proposals(opt_.n)));
-    if (opt_.record_fd_samples) {
-      out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-    }
+    out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
     out.eventuals.push_back(
         std::make_unique<EventualDecisionProperty>("decide"));
   } else if (opt_.problem == "consensus-bug") {
@@ -474,9 +456,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     out.invariants.push_back(
         std::make_unique<ValidityInvariant>("qc-decide", std::move(allowed)));
     out.invariants.push_back(std::make_unique<QuitValidityInvariant>());
-    if (opt_.record_fd_samples) {
-      out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-    }
+    out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
     out.eventuals.push_back(
         std::make_unique<EventualDecisionProperty>("qc-decide"));
   } else if (opt_.problem == "nbac") {
@@ -528,9 +508,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
       host.add_module<reg::RegisterWorkloadModule>("client", &r, hist, wo);
     }
     out.invariants.push_back(std::move(inv));
-    if (opt_.record_fd_samples) {
-      out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-    }
+    out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
   } else if (opt_.problem == "abcast") {
     // Chandra-Toueg atomic broadcast over (Omega, Sigma) consensus
     // rounds; the first abcast_senders processes each broadcast one

@@ -57,8 +57,6 @@ struct ScenarioOptions {
   /// false: one static detector history per run instead of per-query
   /// choices — a much smaller tree.
   bool fd_per_query = true;
-  /// Retain FD samples so SigmaIntersectionInvariant can see quorums.
-  bool record_fd_samples = true;
   /// For nbac: the process voting No, or kNoProcess for unanimous Yes.
   ProcessId nbac_no_voter = kNoProcess;
   /// For register problems: operations per client (process 0 writes,
@@ -72,16 +70,16 @@ struct ScenarioOptions {
   int reg_readers = 0;
   /// For abcast: how many processes broadcast one message each.
   int abcast_senders = 2;
-  // ReplayScheduler reductions (see its Options).
+  /// ReplayScheduler::Options::oldest_per_channel (per-channel FIFO
+  /// deliveries); --all-pending turns it off.
   bool oldest_per_channel = true;
-  bool lambda_always = true;
   /// Liveness clause to check by fair-cycle search over the explored
   /// state graph (empty = bounded safety checking only). Clause names
   /// and per-problem availability: ScenarioFactory::liveness_clauses.
   /// Liveness mode constrains the rest of the scenario (static converged
-  /// detector histories, no scripted crashes, lambda_always) — see
-  /// validate() — so that every infinite unrolling of a graph cycle is a
-  /// run of the modelled system under a *legal* detector-history limit.
+  /// detector histories, no scripted crashes) — see validate() — so that
+  /// every infinite unrolling of a graph cycle is a run of the modelled
+  /// system under a *legal* detector-history limit.
   std::string liveness;
 };
 
@@ -107,29 +105,15 @@ struct Scenario {
 /// source. Copyable and cheap; the explorer re-invokes it per run.
 using ScenarioBuilder = std::function<Scenario(sim::ChoiceSource&)>;
 
-/// Registry entry: a problem name plus the driver modes it supports.
-struct ProblemSpec {
-  std::string name;
-  bool exhaustive = true;
-  bool campaign = true;
-  bool replay = true;
-};
-
 class ScenarioFactory {
  public:
   explicit ScenarioFactory(ScenarioOptions opt);
 
   [[nodiscard]] const ScenarioOptions& options() const { return opt_; }
 
-  /// Every problem build() understands, with its supported modes. All
-  /// current scenarios support the full --exhaustive/--campaign/--replay
-  /// triple; drivers must consult this and reject an unsupported
-  /// combination explicitly (exit 2 in wfd_check) rather than silently
-  /// falling back to another mode.
-  [[nodiscard]] static const std::vector<ProblemSpec>& problems();
-  /// mode is "exhaustive", "campaign" or "replay".
-  [[nodiscard]] static bool supports_mode(const std::string& problem,
-                                          const std::string& mode);
+  /// Every problem build() understands. Each runs in every wfd_check
+  /// mode (--exhaustive, --campaign, --replay).
+  [[nodiscard]] static const std::vector<std::string>& problems();
 
   /// Empty string when the options are valid, else a diagnosis.
   [[nodiscard]] static std::string validate(const ScenarioOptions& opt);

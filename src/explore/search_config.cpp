@@ -104,21 +104,6 @@ bool parse_reduction(const std::string& s, Reduction* out) {
   return true;
 }
 
-std::string dependence_to_text(Dependence d) {
-  return d == Dependence::kContent ? "content" : "process";
-}
-
-bool parse_dependence(const std::string& s, Dependence* out) {
-  if (s == "content") {
-    *out = Dependence::kContent;
-  } else if (s == "process") {
-    *out = Dependence::kProcess;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::string validate(const SearchConfig& cfg) {
   const std::string why = ScenarioFactory::validate(cfg.scenario);
   if (!why.empty()) return why;
@@ -213,24 +198,14 @@ CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg) {
   if (auto v = val("abcast-senders")) {
     return as(parse_int(*v, &s.abcast_senders));
   }
-  if (arg == "--no-lambda") {
-    s.lambda_always = false;
-    return CliResult::kApplied;
-  }
   if (arg == "--all-pending") {
     s.oldest_per_channel = false;
     return CliResult::kApplied;
   }
   // Search surface.
   if (auto v = val("max-states")) return as(parse_u64(*v, &cfg.max_states));
-  if (auto v = val("max-runs")) return as(parse_u64(*v, &cfg.max_runs));
   if (auto v = val("reduction")) {
     return as(parse_reduction(*v, &cfg.reduction));
-  }
-  if (auto v = val("dep")) return as(parse_dependence(*v, &cfg.dependence));
-  if (arg == "--no-fault-dep") {
-    cfg.fault_dependence = false;
-    return CliResult::kApplied;
   }
   if (arg == "--symmetry") {
     cfg.symmetry = true;
@@ -273,10 +248,9 @@ std::string cli_flags_help() {
          "  --depth=T --seed=S --stab=T --fd=flap|static|adversarial\n"
          "  --liveness=termination|leadership|fd-completeness\n"
          "  --nbac-no-voter=P --reg-ops=N --reg-readers=N\n"
-         "  --abcast-senders=N --no-lambda --all-pending\n"
-         "  --max-states=N --max-runs=N --threads=N\n"
-         "  --reduction=dpor|sleep-sets|none --dep=content|process\n"
-         "  --no-fault-dep --symmetry --no-fingerprints --order-seed=S\n"
+         "  --abcast-senders=N --all-pending\n"
+         "  --max-states=N --threads=N --reduction=dpor|sleep-sets|none\n"
+         "  --symmetry --no-fingerprints --order-seed=S\n"
          "  --budget-states=N --save-state=FILE --resume=FILE\n"
          "  --runs=N --frontier=N --no-shrink\n";
 }
@@ -284,8 +258,6 @@ std::string cli_flags_help() {
 void search_header_to_text(std::ostream& out, const SearchConfig& cfg) {
   detail::scenario_to_text(out, cfg.scenario);
   out << "reduction=" << reduction_to_text(cfg.reduction) << "\n";
-  out << "dependence=" << dependence_to_text(cfg.dependence) << "\n";
-  out << "fault_dependence=" << (cfg.fault_dependence ? 1 : 0) << "\n";
   out << "symmetry=" << (cfg.symmetry ? 1 : 0) << "\n";
   out << "state_fingerprints=" << (cfg.state_fingerprints ? 1 : 0) << "\n";
   out << "order_seed=" << cfg.order_seed << "\n";
@@ -297,10 +269,6 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
   if (detail::scenario_apply(cfg.scenario, key, val, ok)) return true;
   if (key == "reduction") {
     *ok = parse_reduction(val, &cfg.reduction);
-  } else if (key == "dependence") {
-    *ok = parse_dependence(val, &cfg.dependence);
-  } else if (key == "fault_dependence") {
-    *ok = parse_bool(val, &cfg.fault_dependence);
   } else if (key == "symmetry") {
     *ok = parse_bool(val, &cfg.symmetry);
   } else if (key == "state_fingerprints") {
@@ -324,11 +292,8 @@ std::string config_to_json(const SearchConfig& cfg) {
       << ",\"depth\":" << s.max_steps << ",\"seed\":" << s.seed
       << ",\"fd_per_query\":" << (s.fd_per_query ? "true" : "false")
       << ",\"liveness\":\"" << json_escape(s.liveness) << "\""
-      << ",\"max_states\":" << cfg.max_states
-      << ",\"max_runs\":" << cfg.max_runs << ",\"reduction\":\""
-      << reduction_to_text(cfg.reduction) << "\",\"dependence\":\""
-      << dependence_to_text(cfg.dependence) << "\",\"fault_dependence\":"
-      << (cfg.fault_dependence ? "true" : "false") << ",\"symmetry\":"
+      << ",\"max_states\":" << cfg.max_states << ",\"reduction\":\""
+      << reduction_to_text(cfg.reduction) << "\",\"symmetry\":"
       << (cfg.symmetry ? "true" : "false") << ",\"state_fingerprints\":"
       << (cfg.state_fingerprints ? "true" : "false")
       << ",\"order_seed\":" << cfg.order_seed

@@ -14,8 +14,8 @@
 //
 // The snapshot header (search_header_to_text / search_header_apply)
 // intentionally renders ONLY the fields a stored frontier's soundness
-// depends on: the scenario plus reduction, dependence, fault_dependence,
-// symmetry, state_fingerprints and order_seed. Execution-shape knobs —
+// depends on: the scenario plus reduction, symmetry, state_fingerprints
+// and order_seed. Execution-shape knobs —
 // threads, budgets, save/resume paths, stop_at_first — are absent by
 // design, so resuming a snapshot with a different thread count or budget
 // is legal (the wave-scheduled search is deterministic in those), while
@@ -39,27 +39,14 @@ enum class Reduction {
   kDpor,       ///< Dynamic partial-order reduction + sleep sets.
 };
 
-/// What makes two deliveries to the same process dependent.
-enum class Dependence {
-  kProcess,  ///< Same target process = dependent (classic).
-  kContent,  ///< Payload-level commutativity refines kProcess.
-};
-
 struct SearchConfig {
   ScenarioOptions scenario;
 
   // --- Exhaustive search -------------------------------------------------
-  /// Cumulative cap on materialized choice points. 0 = unlimited.
+  /// Cumulative cap on materialized choice points (also the campaign
+  /// frontier's cap). 0 = unlimited.
   std::uint64_t max_states = 100000;
-  /// Cap on completed runs. 0 = unlimited.
-  std::uint64_t max_runs = 0;
   Reduction reduction = Reduction::kDpor;
-  Dependence dependence = Dependence::kContent;
-  /// Give crash/drop/duplicate labels a real dependence relation
-  /// (sim/dependence.h) instead of treating every fault label as
-  /// dependent with everything. Sound per DESIGN.md §12; turn off to
-  /// compare against the conservative behaviour.
-  bool fault_dependence = true;
   /// Canonicalize state fingerprints under process renaming within the
   /// scenario's symmetry classes (ScenarioFactory::symmetry_classes).
   /// Opt-in; validate() rejects it for scenarios whose initial
@@ -95,10 +82,6 @@ struct SearchConfig {
   /// (0 = random walks only). The frontier is one wave-parallel
   /// Explorer, not independent per-seed DFS workers.
   int frontier_workers = 2;
-  /// State cap of the campaign frontier search (0 = use max_states).
-  std::uint64_t frontier_states = 0;
-  /// Evaluate EventualProperties at the end of each completed run.
-  bool check_eventual = true;
 };
 
 /// Empty when the configuration is valid (scenario included), else a
@@ -140,7 +123,5 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
 
 [[nodiscard]] std::string reduction_to_text(Reduction r);
 [[nodiscard]] bool parse_reduction(const std::string& s, Reduction* out);
-[[nodiscard]] std::string dependence_to_text(Dependence d);
-[[nodiscard]] bool parse_dependence(const std::string& s, Dependence* out);
 
 }  // namespace wfd::explore

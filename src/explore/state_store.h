@@ -10,12 +10,12 @@
 //
 //  * the search header (explore/search_config.h): the scenario options
 //    plus the reduction levers the stored frontier is only sound under
-//    (reduction, dependence, fault_dependence, symmetry, fingerprint
-//    pruning, order seed). Validated on load so a snapshot can never be
-//    resumed against a different scenario or reduction configuration.
-//    Execution-shape knobs (threads, budgets) are deliberately absent:
-//    resuming with a different thread count or budget is legal and
-//    changes nothing about what is explored.
+//    (reduction, symmetry, fingerprint pruning, order seed). Validated
+//    on load so a snapshot can never be resumed against a different
+//    scenario or reduction configuration. Execution-shape knobs
+//    (threads, budgets) are deliberately absent: resuming with a
+//    different thread count or budget is legal and changes nothing
+//    about what is explored.
 //  * the unit queue: every pending unit's id, floor, path-pending flag
 //    and frame stack — each frame with its full menu, the decision
 //    taken (the frames' `chosen` entries ARE the decision-log prefix of
@@ -115,8 +115,14 @@ struct StateSnapshot {
   /// bits from per-receiver to per-directed-channel (bit sender*8 +
   /// receiver) and added the s= sender field to gedge= lines; v4's
   /// receiver-granular bits and sender-less edges are unsound to reuse,
-  /// so v4 graphs are refused like any other version mismatch.
-  static constexpr std::uint32_t kVersion = 5;
+  /// so v4 graphs are refused like any other version mismatch. v6
+  /// dropped the dependence / fault_dependence header levers (the
+  /// content-aware and sparse fault relations are now the only ones)
+  /// and the record_fd_samples / lambda_always scenario fields (always
+  /// on); the parser ignores unknown keys, so a v5 frontier saved under
+  /// --dep=process or --no-fault-dep would otherwise resume silently
+  /// under the other relation.
+  static constexpr std::uint32_t kVersion = 6;
   std::uint32_t version = kVersion;
 
   /// Only the search-header fields (scenario + reduction levers) are

@@ -15,12 +15,13 @@
 // after a leader crash the next leader emerges within
 // (timeout + lease + period) host time units.
 //
-// Unlike fd/omega_heartbeat.h (own-step counters, simulator only), all
-// deadlines here are in *host time* (ModuleHost::now()), so the same
-// module is Omega for the simulator (time = step index; model-checkable
-// by the explorer, scenario "omega-impl") and for the runtime host
-// (time = milliseconds on the monotonic clock; the detector behind the
-// replicated KV service). In fully asynchronous runs the output may
+// All deadlines are in *host time* (ModuleHost::now()), not in a
+// process's own steps, so the same module is Omega for the simulator
+// (time = step index; model-checkable by the explorer, scenario
+// "omega-impl"; the leader-election example and the oracle-free
+// consensus test run it under partial synchrony) and for the runtime
+// host (time = milliseconds on the monotonic clock; the detector behind
+// the replicated KV service). In fully asynchronous runs the output may
 // oscillate forever — the Chandra-Toueg impossibility boundary.
 #pragma once
 

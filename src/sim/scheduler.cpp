@@ -165,7 +165,6 @@ StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
       offer(StepChoice{p, 0});
       continue;
     }
-    bool any_delivery = false;
     std::uint64_t seen_channels = 0;  // Senders already offered (bitmask).
     for (const Network::Pending& m : net.pending(p)) {
       if (opt_.oldest_per_channel) {
@@ -174,9 +173,10 @@ StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
         seen_channels |= bit;
       }
       offer(StepChoice{p, m.id});
-      any_delivery = true;
     }
-    if (opt_.lambda_always || !any_delivery) offer(StepChoice{p, 0});
+    // A lambda step is always on the menu: timeout-driven protocols
+    // need it even while messages are pending.
+    offer(StepChoice{p, 0});
   }
   if (opt_.faults != nullptr) {
     // Adversary moves go after the normal labels so default (index-0)

@@ -169,10 +169,6 @@ class ReplayScheduler : public Scheduler {
     /// deliveries only. Cuts the branching factor from "all pending" to
     /// "one per sender" at the cost of cross-channel reorderings only.
     bool oldest_per_channel = true;
-    /// Offer a lambda step even when messages are pending. Required for
-    /// protocols that act on timeouts; disable to focus on
-    /// message-driven branching.
-    bool lambda_always = true;
     /// Borrowed fault ledger; when set (and its plan allows anything) the
     /// menu additionally offers adversary moves — crash labels for
     /// processes the budget permits crashing, drop/duplicate labels for

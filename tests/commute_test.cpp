@@ -6,20 +6,27 @@
 // real protocols: random walks surface schedule frames whose menu
 // offers two deliveries to one process; whenever the payload relation
 // declares the pair commuting, both orders are replayed and their
-// composed state fingerprints must coincide. It also checks that DPOR
-// under Dependence::kContent reaches the same verdicts as under
-// kProcess — finding the seeded bug, staying clean on the correct
-// protocols — while exploring no more states.
+// composed state fingerprints must coincide. It also checks that DPOR,
+// which consumes that relation, reaches the same verdicts as unreduced
+// search — finding the seeded bug, staying clean on the correct
+// protocols — while exploring no more states, and that none,
+// sleep-sets and dpor reach the same outcomes (the differential oracle
+// at the end).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "explore/explorer.h"
+#include "explore/property.h"
 #include "explore/scenario.h"
+#include "explore/search_config.h"
 #include "sim/choice.h"
 #include "sim/dependence.h"
 #include "sim/network.h"
@@ -337,36 +344,44 @@ TEST(CommuteSoundnessTest, BroadcastEchoPairsReachEqualStates) {
 }
 
 // ---------------------------------------------------------------------
-// DPOR equivalence: kContent must reach the same verdicts as kProcess.
+// DPOR under the content-aware relation against unreduced search: the
+// same verdicts, never more states. `none` consults no dependence
+// relation at all, so it is the reference an audit can be checked
+// against. Both trees are exhausted with stop_at_first off, so the
+// state counts do not depend on visit order.
 
 TEST(DependenceEquivalenceTest, ContentModeStillFindsSeededBug) {
   ScenarioOptions opt;
   opt.problem = "consensus-bug";
   opt.n = 3;
-  opt.max_steps = 30;
+  opt.max_steps = 10;
   const ScenarioBuilder build = ScenarioFactory(opt).builder();
 
-  SearchConfig process;
-  process.scenario = opt;
-  process.dependence = Dependence::kProcess;
-  SearchConfig content = process;
-  content.dependence = Dependence::kContent;
+  SearchConfig none;
+  none.scenario = opt;
+  none.reduction = Reduction::kNone;
+  none.stop_at_first = false;
+  none.max_states = 0;
+  SearchConfig content = none;
+  content.reduction = Reduction::kDpor;
 
-  Explorer pe(build, process);
+  Explorer ne(build, none);
   Explorer ce(build, content);
-  const ExploreReport pr = pe.run();
+  const ExploreReport nr = ne.run();
   const ExploreReport cr = ce.run();
-  ASSERT_TRUE(pr.cex.has_value());
+  ASSERT_TRUE(nr.stats.exhausted);
+  ASSERT_TRUE(cr.stats.exhausted);
+  ASSERT_TRUE(nr.cex.has_value());
   ASSERT_TRUE(cr.cex.has_value());
-  EXPECT_EQ(pr.cex->violation.property, cr.cex->violation.property);
-  EXPECT_LE(cr.stats.nodes, pr.stats.nodes);
+  EXPECT_EQ(nr.cex->violation.property, cr.cex->violation.property);
+  EXPECT_LE(cr.stats.nodes, nr.stats.nodes);
 }
 
 TEST(DependenceEquivalenceTest, ContentModeStaysCleanAndExhaustsFaster) {
   // NBAC rather than consensus: its vote slots are the codebase's
   // commuting-traffic workhorse, so content mode demonstrably skips
   // races here, while consensus at this depth has no equal-content
-  // pairs in flight and the two modes coincide.
+  // pairs in flight.
   ScenarioOptions opt;
   opt.problem = "nbac";
   opt.n = 3;
@@ -374,26 +389,235 @@ TEST(DependenceEquivalenceTest, ContentModeStaysCleanAndExhaustsFaster) {
   opt.fd_per_query = false;
   const ScenarioBuilder build = ScenarioFactory(opt).builder();
 
-  SearchConfig process;
-  process.scenario = opt;
-  process.dependence = Dependence::kProcess;
-  process.state_fingerprints = false;
-  process.stop_at_first = false;
-  process.max_states = 500000;
-  SearchConfig content = process;
-  content.dependence = Dependence::kContent;
+  SearchConfig none;
+  none.scenario = opt;
+  none.reduction = Reduction::kNone;
+  none.stop_at_first = false;
+  none.max_states = 0;
+  SearchConfig content = none;
+  content.reduction = Reduction::kDpor;
 
-  Explorer pe(build, process);
+  Explorer ne(build, none);
   Explorer ce(build, content);
-  const ExploreReport pr = pe.run();
+  const ExploreReport nr = ne.run();
   const ExploreReport cr = ce.run();
-  EXPECT_EQ(pr.stats.violations, 0u);
+  EXPECT_EQ(nr.stats.violations, 0u);
   EXPECT_EQ(cr.stats.violations, 0u);
-  ASSERT_TRUE(pr.stats.exhausted);
+  ASSERT_TRUE(nr.stats.exhausted);
   ASSERT_TRUE(cr.stats.exhausted);
-  EXPECT_LE(cr.stats.nodes, pr.stats.nodes);
+  EXPECT_LE(cr.stats.nodes, nr.stats.nodes);
   EXPECT_GT(cr.stats.commute_skips, 0u);
-  EXPECT_EQ(pr.stats.commute_skips, 0u);
+  EXPECT_EQ(nr.stats.commute_skips, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Differential outcome oracle: every reduction must reach the outcomes
+// unreduced search reaches.
+//
+// An outcome is what a halted run leaves behind: the per-process
+// `decide` values and a digest of every invariant's carried history
+// (URB delivery logs, register history, quorums seen, ...). Halted
+// *states* are not compared: a run halts on all_alive_done() while
+// messages may still be in flight, so a halted state is a prefix of a
+// trace, and partial-order reduction does not preserve prefixes (rb
+// n=3 d12 halts in 152 distinct states under none, 88 under sleep-sets
+// and 4 under dpor). What the processes decided and delivered does not
+// depend on those in-flight messages.
+
+struct Outcome {
+  std::vector<std::int64_t> decide;  ///< Per process; kUndecided if none.
+  std::uint64_t history = 0;         ///< Digest of the invariants' state.
+
+  static constexpr std::int64_t kUndecided = -1000;
+
+  bool operator<(const Outcome& o) const {
+    return std::tie(decide, history) < std::tie(o.decide, o.history);
+  }
+  bool operator==(const Outcome& o) const {
+    return decide == o.decide && history == o.history;
+  }
+};
+
+/// Wraps an invariant unchanged (name, verdicts and encoding forward)
+/// and notes the name of every property it finds violated.
+class VerdictRecorder final : public Invariant {
+ public:
+  VerdictRecorder(std::unique_ptr<Invariant> inner,
+                  std::set<std::string>* violated)
+      : inner_(std::move(inner)), violated_(violated) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  std::optional<Violation> check(const sim::Simulator& sim) override {
+    std::optional<Violation> v = inner_->check(sim);
+    if (v.has_value()) violated_->insert(v->property);
+    return v;
+  }
+  void encode_state(sim::StateEncoder& enc) const override {
+    inner_->encode_state(enc);
+  }
+
+ private:
+  std::unique_ptr<Invariant> inner_;
+  std::set<std::string>* violated_;
+};
+
+/// Appended after a scenario's own invariants. Never fires and encodes
+/// nothing, so the search it rides is unchanged; at every state where
+/// every alive process is done it records that run's Outcome.
+class OutcomeRecorder final : public Invariant {
+ public:
+  OutcomeRecorder(std::vector<const Invariant*> others,
+                  std::set<Outcome>* halted)
+      : others_(std::move(others)), halted_(halted) {}
+  [[nodiscard]] std::string name() const override { return "outcome"; }
+  std::optional<Violation> check(const sim::Simulator& sim) override {
+    if (!sim.all_alive_done()) return std::nullopt;
+    Outcome o;
+    o.decide.assign(static_cast<std::size_t>(sim.n()), Outcome::kUndecided);
+    for (const sim::EventRecord& e : sim.trace().events()) {
+      if (e.kind == "decide") {
+        o.decide[static_cast<std::size_t>(e.p)] = e.value;
+      }
+    }
+    sim::StateEncoder enc;
+    for (std::size_t i = 0; i < others_.size(); ++i) {
+      enc.push("invariant", i);
+      others_[i]->encode_state(enc);
+      enc.pop();
+    }
+    EXPECT_TRUE(enc.complete());
+    o.history = enc.digest();
+    halted_->insert(std::move(o));
+    return std::nullopt;
+  }
+
+ private:
+  std::vector<const Invariant*> others_;
+  std::set<Outcome>* halted_;
+};
+
+struct Outcomes {
+  std::set<Outcome> halted;
+  std::set<std::string> violated;
+  std::uint64_t states = 0;
+};
+
+/// Exhausts `cfg`'s tree under `reduction` with the recorders attached.
+Outcomes explore_outcomes(SearchConfig cfg, Reduction reduction) {
+  cfg.reduction = reduction;
+  cfg.stop_at_first = false;
+  cfg.max_states = 0;
+  Outcomes out;
+  const ScenarioBuilder plain = ScenarioFactory(cfg.scenario).builder();
+  const ScenarioBuilder build = [plain, &out](sim::ChoiceSource& choices) {
+    Scenario sc = plain(choices);
+    std::vector<const Invariant*> others;
+    for (std::unique_ptr<Invariant>& inv : sc.invariants) {
+      inv = std::make_unique<VerdictRecorder>(std::move(inv), &out.violated);
+      others.push_back(inv.get());
+    }
+    sc.invariants.push_back(
+        std::make_unique<OutcomeRecorder>(std::move(others), &out.halted));
+    return sc;
+  };
+  Explorer ex(build, cfg);
+  const ExploreReport rep = ex.run();
+  EXPECT_TRUE(rep.stats.exhausted) << reduction_to_text(reduction);
+  out.states = rep.stats.nodes;
+  return out;
+}
+
+struct OracleCase {
+  std::vector<std::string> flags;  ///< wfd_check scenario flags.
+  bool fingerprints = true;
+  /// Empty: the tree is clean. Otherwise the property its seeded bug
+  /// violates, which every reduction must find.
+  std::string bug;
+  /// Runs halt within the depth, so halted outcomes are compared;
+  /// otherwise only verdicts are.
+  bool halts = true;
+};
+
+void expect_same_outcomes(const OracleCase& c) {
+  SearchConfig cfg;
+  std::string label;
+  for (const std::string& f : c.flags) {
+    ASSERT_EQ(apply_cli_flag(cfg, f), CliResult::kApplied) << f;
+    label += f + " ";
+  }
+  cfg.state_fingerprints = c.fingerprints;
+  if (!c.fingerprints) label += "--no-fingerprints ";
+  ASSERT_EQ(validate(cfg), "") << label;
+
+  const Outcomes none = explore_outcomes(cfg, Reduction::kNone);
+  const std::set<std::string> want =
+      c.bug.empty() ? std::set<std::string>{} : std::set<std::string>{c.bug};
+  EXPECT_EQ(none.violated, want) << label;
+  EXPECT_EQ(!none.halted.empty(), c.halts) << label;
+  for (const Reduction r : {Reduction::kSleepSets, Reduction::kDpor}) {
+    const std::string under = label + "under " + reduction_to_text(r);
+    const Outcomes red = explore_outcomes(cfg, r);
+    EXPECT_EQ(red.violated, none.violated) << under;
+    EXPECT_EQ(red.halted.size(), none.halted.size()) << under;
+    EXPECT_TRUE(red.halted == none.halted) << under;
+    EXPECT_LE(red.states, none.states) << under;
+  }
+}
+
+// One test per lane, so ctest runs them in parallel.
+
+TEST(ReductionOutcomeTest, ConsensusStaticD14) {
+  expect_same_outcomes(
+      {{"--problem=consensus", "--n=3", "--fd=static", "--depth=14"}});
+}
+
+TEST(ReductionOutcomeTest, ConsensusBugD10) {
+  expect_same_outcomes({{"--problem=consensus-bug", "--n=3", "--depth=10"},
+                        true,
+                        "agreement(decide)"});
+}
+
+TEST(ReductionOutcomeTest, CrashBugUnderExploredCrashesD12) {
+  expect_same_outcomes({{"--problem=consensus-crash-bug", "--n=3",
+                         "--crash=explore", "--crashes=1", "--depth=12"},
+                        true,
+                        "agreement(decide)"});
+}
+
+TEST(ReductionOutcomeTest, RbEchoStormD12) {
+  expect_same_outcomes(
+      {{"--problem=rb", "--n=3", "--abcast-senders=2", "--depth=12"}});
+}
+
+TEST(ReductionOutcomeTest, RegisterD20) {
+  expect_same_outcomes({{"--problem=register", "--n=3", "--reg-ops=1",
+                         "--reg-readers=1", "--fd=static", "--depth=20"}});
+}
+
+TEST(ReductionOutcomeTest, WithoutFingerprints) {
+  // Without fingerprints or stop-at-first the unreduced trees grow
+  // fast: consensus-bug runs at d7 (d8 agrees too, at ~10 s). rb is
+  // left to RbEchoStormD12: its unreduced tree is 260k states at d9
+  // (where the outcomes agree), and at d8 dpor reaches neither of the
+  // two halted outcomes unreduced search finds right at the depth
+  // bound (ROADMAP, reduction item (a)).
+  expect_same_outcomes({{"--problem=consensus-bug", "--n=3", "--depth=7"},
+                        false,
+                        "agreement(decide)"});
+  expect_same_outcomes({{"--problem=consensus-crash-bug", "--n=3",
+                         "--crash=explore", "--crashes=1", "--depth=8"},
+                        false,
+                        "agreement(decide)"});
+}
+
+TEST(ReductionOutcomeTest, QcAndNbacAgreeOnVerdicts) {
+  // QC and NBAC runs do not halt within depths that exhaust quickly, so
+  // only their verdicts are compared.
+  expect_same_outcomes(
+      {{"--problem=qc", "--n=3", "--fd=static", "--depth=10"}, true, "",
+       false});
+  expect_same_outcomes(
+      {{"--problem=nbac", "--n=3", "--fd=static", "--depth=10"}, true, "",
+       false});
 }
 
 }  // namespace

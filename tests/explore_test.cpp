@@ -248,27 +248,27 @@ TEST(ReplayTest, RoundTripsEveryProblemAndAwkwardNotes) {
       "carriage\r\nreturns",
   };
   std::size_t combos = 0;
-  for (const ProblemSpec& spec : ScenarioFactory::problems()) {
+  for (const std::string& problem : ScenarioFactory::problems()) {
     for (const std::string& note : notes) {
       ReplayFile f;
-      f.scenario.problem = spec.name;
+      f.scenario.problem = problem;
       f.scenario.n = 3;
       f.scenario.max_steps = 17;
       f.scenario.seed = 99;
       f.scenario.stabilization = (combos % 2 == 0) ? kNever : Time{12};
       f.scenario.fd_per_query = combos % 3 != 0;
-      if (spec.name == "nbac") f.scenario.nbac_no_voter = 1;
+      if (problem == "nbac") f.scenario.nbac_no_voter = 1;
       f.decisions = {0, 3, 1, 4, 1, 5, 9, 2, 6};
       f.note = note;
-      ASSERT_EQ(ScenarioFactory::validate(f.scenario), "") << spec.name;
+      ASSERT_EQ(ScenarioFactory::validate(f.scenario), "") << problem;
       std::string error;
       const auto p = parse_replay(to_text(f), &error);
-      ASSERT_TRUE(p.has_value()) << spec.name << ": " << error;
-      EXPECT_EQ(p->note, f.note) << spec.name;
-      EXPECT_EQ(p->decisions, f.decisions) << spec.name;
+      ASSERT_TRUE(p.has_value()) << problem << ": " << error;
+      EXPECT_EQ(p->note, f.note) << problem;
+      EXPECT_EQ(p->decisions, f.decisions) << problem;
       // Rendering covers every scenario field, so text equality is
       // full-struct equality.
-      EXPECT_EQ(to_text(*p), to_text(f)) << spec.name;
+      EXPECT_EQ(to_text(*p), to_text(f)) << problem;
       ++combos;
     }
   }
@@ -281,7 +281,7 @@ TEST(CampaignTest, FindsSeededBugAndShrinksIt) {
   co.threads = 4;
   co.runs = 2000;
   co.frontier_workers = 2;
-  co.frontier_states = 2000;
+  co.max_states = 2000;
   const ScenarioBuilder build = ScenarioFactory(bug_options()).builder();
   const CampaignReport rep = run_campaign(build, co);
   ASSERT_TRUE(rep.cex.has_value());
@@ -320,7 +320,7 @@ class OneShotInvariant : public Invariant {
 TEST(CampaignTest, StopFlagCancelsFrontierWorkers) {
   // Regression: frontier workers used to ignore the campaign's stop
   // flag, so under stop_at_first each one kept grinding its full
-  // frontier_states budget after the counterexample was already claimed.
+  // max_states budget after the counterexample was already claimed.
   // The budgets below are sized so that an un-cancelled worker would
   // materialize millions of nodes (minutes of work); with the flag
   // plumbed through SearchConfig::cancel the campaign returns almost
@@ -341,15 +341,37 @@ TEST(CampaignTest, StopFlagCancelsFrontierWorkers) {
   co.threads = 2;
   co.runs = 1000000;
   co.frontier_workers = 2;
-  co.frontier_states = 10000000;
+  co.max_states = 10000000;
   co.shrink = false;  // The one-shot violation cannot re-reproduce.
-  co.check_eventual = false;
   const CampaignReport rep = run_campaign(build, co);
   ASSERT_TRUE(rep.cex.has_value());
   EXPECT_EQ(rep.cex->violation.property, "one-shot");
   EXPECT_EQ(rep.violations, 1u);
-  EXPECT_LT(rep.nodes, co.frontier_states / 10);
+  EXPECT_LT(rep.nodes, co.max_states / 10);
   EXPECT_LT(rep.runs, co.runs / 10);
+}
+
+// Regression: the never-halting omega-impl service carries no invariant
+// and no liveness clause, so the campaign's exhaustive frontier can
+// report nothing there; run anyway, it fills the horizon (108,163
+// states and ~3.7 GB at this configuration, the wfd_check_omega_impl
+// lane). The random walks still check eventual leadership.
+TEST(CampaignTest, ServiceScenarioRunsNoFrontier) {
+  SearchConfig co;
+  co.scenario.problem = "omega-impl";
+  co.scenario.n = 3;
+  co.scenario.max_steps = 500;
+  co.scenario.seed = 1;
+  co.runs = 40;
+  ASSERT_EQ(validate(co), "");
+  ASSERT_GT(co.frontier_workers, 0);
+  const CampaignReport rep =
+      run_campaign(ScenarioFactory(co.scenario).builder(), co);
+  EXPECT_EQ(rep.nodes, 0u);
+  EXPECT_EQ(rep.runs, 40u);
+  EXPECT_EQ(rep.violations, 0u);
+  EXPECT_EQ(rep.liveness_suspects, 0u);
+  EXPECT_FALSE(rep.cex.has_value());
 }
 
 // Legality sweeps: the correct protocols with choice-driven (adversarial
@@ -374,6 +396,8 @@ TEST(CampaignTest, CorrectProtocolsStayClean) {
         << rep.cex->violation.message;
     EXPECT_EQ(rep.violations, 0u) << problem;
     EXPECT_EQ(rep.runs, 300u) << problem;
+    // Each has invariants, so the exhaustive frontier runs alongside.
+    EXPECT_GT(rep.nodes, 0u) << problem;
   }
 }
 

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "fd/fs_heartbeat.h"
+#include "fd/heartbeat_omega.h"
 #include "fd/history_checker.h"
-#include "fd/omega_heartbeat.h"
 #include "fd/sigma_majority.h"
 #include "sim/fd_sampler.h"
 #include "test_util.h"
@@ -64,7 +64,7 @@ TEST_P(FdImplSweep, OmegaHeartbeatConvergesUnderPartialSynchrony) {
   std::vector<sim::FdSampleRecord> samples;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    auto& om = host.add_module<fd::OmegaHeartbeatModule>("omega");
+    auto& om = host.add_module<fd::HeartbeatOmegaModule>("omega");
     host.add_module<sim::FdSamplerModule>("sampler", &om, &samples,
                                           /*period=*/32);
   }

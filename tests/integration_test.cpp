@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "consensus/omega_sigma_consensus.h"
-#include "fd/omega_heartbeat.h"
+#include "fd/heartbeat_omega.h"
 #include "fd/sigma_majority.h"
 #include "nbac/nbac_from_qc.h"
 #include "qc/psi_qc.h"
@@ -45,9 +45,10 @@ TEST_P(OracleFreeSweep, ConsensusWithImplementedDetectorsOnly) {
                    std::make_unique<sim::PartialSynchronyScheduler>(20000));
   std::vector<std::optional<int>> decisions(n);
   std::vector<std::unique_ptr<sim::MergedFdSource>> sources;
+  std::vector<const consensus::OmegaSigmaConsensusModule<int>*> conses;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    auto& omega = host.add_module<fd::OmegaHeartbeatModule>("omega");
+    auto& omega = host.add_module<fd::HeartbeatOmegaModule>("omega");
     auto& sigma = host.add_module<fd::SigmaMajorityModule>("sigma");
     sources.push_back(std::make_unique<sim::MergedFdSource>(&omega, &sigma));
     auto& cons =
@@ -56,9 +57,16 @@ TEST_P(OracleFreeSweep, ConsensusWithImplementedDetectorsOnly) {
     cons.propose(i % 2, [&decisions, i](const int& d) {
       decisions[static_cast<std::size_t>(i)] = d;
     });
+    conses.push_back(&cons);
   }
-  const auto res = s.run();
-  EXPECT_TRUE(res.all_done);
+  s.run();
+  // The heartbeat Omega is a service and never reports done(), so the
+  // run goes to the horizon; what must be done is consensus, at every
+  // process still alive.
+  for (int i = 0; i < n; ++i) {
+    if (!f.alive(i, s.now())) continue;
+    EXPECT_TRUE(conses[static_cast<std::size_t>(i)]->done()) << "p" << i;
+  }
   std::optional<int> agreed;
   for (int i = 0; i < n; ++i) {
     if (f.correct().contains(i)) {

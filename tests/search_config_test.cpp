@@ -50,10 +50,9 @@ SearchConfig apply_header(const std::string& text) {
 TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   const SearchConfig cfg = from_flags(
       {"--problem=nbac", "--n=4", "--depth=18", "--crash=explore",
-       "--fd=static", "--seed=11", "--reduction=sleep-sets", "--dep=process",
-       "--no-fault-dep", "--symmetry", "--no-fingerprints", "--order-seed=9",
-       "--threads=8", "--max-states=0", "--budget-states=123",
-       "--save-state=/tmp/never-written.snap"});
+       "--fd=static", "--seed=11", "--reduction=sleep-sets", "--symmetry",
+       "--no-fingerprints", "--order-seed=9", "--threads=8", "--max-states=0",
+       "--budget-states=123", "--save-state=/tmp/never-written.snap"});
   EXPECT_EQ(validate(cfg), "");
 
   const std::string header = header_text(cfg);
@@ -69,8 +68,6 @@ TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   EXPECT_EQ(back.scenario.seed, 11u);
   EXPECT_FALSE(back.scenario.fd_per_query);
   EXPECT_EQ(back.reduction, Reduction::kSleepSets);
-  EXPECT_EQ(back.dependence, Dependence::kProcess);
-  EXPECT_FALSE(back.fault_dependence);
   EXPECT_TRUE(back.symmetry);
   EXPECT_FALSE(back.state_fingerprints);
   EXPECT_EQ(back.order_seed, 9u);
@@ -88,12 +85,11 @@ TEST(SearchConfigTest, JsonCarriesEverySoundnessLever) {
   const SearchConfig cfg = from_flags(
       {"--problem=register", "--n=3", "--reg-ops=1", "--reg-readers=1",
        "--loss=drop:2,dup:1", "--depth=20", "--reduction=dpor",
-       "--dep=content", "--threads=4", "--order-seed=5"});
+       "--threads=4", "--order-seed=5"});
   const std::string json = config_to_json(cfg);
   for (const char* needle :
        {"\"problem\":\"register\"", "\"n\":3", "\"loss_drops\":2",
         "\"loss_dups\":1", "\"depth\":20", "\"reduction\":\"dpor\"",
-        "\"dependence\":\"content\"", "\"fault_dependence\":true",
         "\"symmetry\":false", "\"state_fingerprints\":true",
         "\"order_seed\":5", "\"threads\":4"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
@@ -122,6 +118,16 @@ TEST(SearchConfigTest, CliFlagOutcomes) {
   // Not SearchConfig flags: the caller (wfd_check) layers these on top.
   EXPECT_EQ(apply_cli_flag(cfg, "--exhaustive"), CliResult::kUnknown);
   EXPECT_EQ(apply_cli_flag(cfg, "--json"), CliResult::kUnknown);
+  // Retired options must be refused, not silently accepted.
+  for (const char* retired :
+       {"--dep=content", "--dep=process", "--no-fault-dep", "--max-runs=1",
+        "--no-lambda"}) {
+    EXPECT_EQ(apply_cli_flag(cfg, retired), CliResult::kUnknown) << retired;
+  }
+  for (const char* gone : {"--dep=", "--no-fault-dep", "--max-runs",
+                           "--no-lambda"}) {
+    EXPECT_EQ(cli_flags_help().find(gone), std::string::npos) << gone;
+  }
   // Recognized flag, unparseable value.
   EXPECT_EQ(apply_cli_flag(cfg, "--n=banana"), CliResult::kBadValue);
   EXPECT_EQ(apply_cli_flag(cfg, "--reduction=fast"), CliResult::kBadValue);

@@ -30,8 +30,6 @@ StateSnapshot sample_snapshot() {
   s.config.scenario.n = 3;
   s.config.scenario.max_steps = 30;
   s.config.reduction = Reduction::kDpor;
-  s.config.dependence = Dependence::kContent;
-  s.config.fault_dependence = true;
   s.config.symmetry = true;
   s.config.order_seed = 7;
   s.resume_generation = 3;
@@ -92,8 +90,6 @@ TEST(StateStoreTest, TextRoundTripsEveryField) {
   EXPECT_EQ(p->config.scenario.n, s.config.scenario.n);
   EXPECT_EQ(p->config.scenario.max_steps, s.config.scenario.max_steps);
   EXPECT_EQ(p->config.reduction, s.config.reduction);
-  EXPECT_EQ(p->config.dependence, s.config.dependence);
-  EXPECT_EQ(p->config.fault_dependence, s.config.fault_dependence);
   EXPECT_EQ(p->config.symmetry, s.config.symmetry);
   EXPECT_EQ(p->config.state_fingerprints, s.config.state_fingerprints);
   EXPECT_EQ(p->config.order_seed, s.config.order_seed);
@@ -332,12 +328,16 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
   // dl= bits from per-receiver to per-directed-channel and added the
   // gedge sender field: a v4 graph read under v5 semantics would
   // mistake receiver bits for sender-0 channel bits and carry
-  // sender-less delivery edges, so it is refused the same way.
+  // sender-less delivery edges, so it is refused the same way. The
+  // v5->v6 bump dropped the dependence / fault_dependence header
+  // levers: the parser ignores unknown keys, so a v5 frontier saved
+  // under --dep=process or --no-fault-dep would otherwise resume
+  // silently under the content-aware, sparse-fault relation.
   const std::string tag =
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::string want_current =
       "version " + std::to_string(StateSnapshot::kVersion);
-  for (const int old_version : {2, 3, 4}) {
+  for (const int old_version : {2, 3, 4, 5}) {
     std::string old = to_text(sample_snapshot());
     const std::size_t at = old.find(tag);
     ASSERT_NE(at, std::string::npos);
@@ -386,14 +386,6 @@ TEST(StateStoreTest, ResumeMismatchNamesTheField) {
   SearchConfig red = cfg;
   red.reduction = Reduction::kNone;
   EXPECT_NE(resume_mismatch(snap, red).find("reduction"), std::string::npos);
-  SearchConfig dep = cfg;
-  dep.dependence = Dependence::kProcess;
-  EXPECT_NE(resume_mismatch(snap, dep).find("dependence"),
-            std::string::npos);
-  SearchConfig fdep = cfg;
-  fdep.fault_dependence = false;
-  EXPECT_NE(resume_mismatch(snap, fdep).find("fault_dependence"),
-            std::string::npos);
   SearchConfig sym = cfg;
   sym.symmetry = false;
   EXPECT_NE(resume_mismatch(snap, sym).find("symmetry"), std::string::npos);
@@ -632,9 +624,9 @@ TEST(ResumeTest, MismatchedScenarioIsRejected) {
 }
 
 TEST(ResumeTest, OldFormatSnapshotIsRejectedAsIncompatible) {
-  // End-to-end exit-2 contract: Explorer resume from a v2 file sets
-  // resume_rejected (wfd_check maps that to the incompatible-snapshot
-  // exit code) and runs nothing.
+  // End-to-end exit-2 contract: Explorer resume from a file of the
+  // previous format version (v5) sets resume_rejected (wfd_check maps
+  // that to the incompatible-snapshot exit code) and runs nothing.
   const ScenarioOptions scenario = bug_options();
   const std::string path = testing::TempDir() + "wfd_resume_oldver.wfds";
   SearchConfig save = scenario_config(scenario);
@@ -657,7 +649,7 @@ TEST(ResumeTest, OldFormatSnapshotIsRejectedAsIncompatible) {
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::size_t at = text.find(tag);
   ASSERT_NE(at, std::string::npos);
-  text.replace(at, tag.size(), "snapshot_version=2");
+  text.replace(at, tag.size(), "snapshot_version=5");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

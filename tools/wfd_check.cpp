@@ -23,9 +23,8 @@
 //
 // A found safety violation is shrunk to a minimal decision sequence,
 // printed, optionally saved with --save=FILE, and exits with status 3;
-// a clean exploration exits 0; usage or setup errors exit 1; a
-// problem/mode combination the scenario registry does not support exits
-// 2 (never a silent fallback to another mode).
+// a clean exploration exits 0; usage or setup errors (an unknown
+// problem among them) exit 1.
 //
 // --liveness=<clause> switches the exhaustive search from bounded
 // safety to liveness: the explorer records the state graph it visits
@@ -77,7 +76,9 @@ namespace {
 
 constexpr int kExitClean = 0;
 constexpr int kExitUsage = 1;
-constexpr int kExitUnsupported = 2;
+/// --resume named a snapshot of another scenario, search configuration
+/// or format version.
+constexpr int kExitIncompatible = 2;
 constexpr int kExitViolation = 3;
 constexpr int kExitBudget = 4;
 /// The fair-cycle search found a witness SCC but could not pin its lasso
@@ -102,10 +103,9 @@ struct Args {
 
 void usage() {
   std::string problems;
-  for (const explore::ProblemSpec& p :
-       explore::ScenarioFactory::problems()) {
+  for (const std::string& p : explore::ScenarioFactory::problems()) {
     if (!problems.empty()) problems += "|";
-    problems += p.name;
+    problems += p;
   }
   std::printf(
       "usage: wfd_check [--exhaustive | --campaign | --replay=FILE]\n"
@@ -137,8 +137,8 @@ void usage() {
       "complete (--max-states stays the cap on the cumulative total).\n"
       "\n"
       "exit status: 0 no violation, 3 violation found, 1 usage error,\n"
-      "             2 problem/mode combination not supported (or a\n"
-      "               resume snapshot from a different scenario),\n"
+      "             2 resume snapshot incompatible (different scenario,\n"
+      "               search configuration or format version),\n"
       "             4 state budget exhausted, frontier saved,\n"
       "             5 fair-cycle witness found but its lasso could not\n"
       "               be concretized (internal error; diagnostic on\n"
@@ -376,7 +376,7 @@ int run_exhaustive(const Args& a) {
     // Incompatible snapshot (different scenario / search configuration)
     // is the "combination not supported" case; corrupt or unreadable
     // input is a plain usage error.
-    return rep.resume_rejected ? kExitUnsupported : kExitUsage;
+    return rep.resume_rejected ? kExitIncompatible : kExitUsage;
   }
   const auto& st = rep.stats;
   const std::string cov = explore::coverage_name(explore::coverage(st));
@@ -530,16 +530,7 @@ int run_exhaustive(const Args& a) {
 int run_campaign_mode(const Args& a) {
   const explore::ScenarioBuilder build =
       explore::ScenarioFactory(a.cfg.scenario).builder();
-  explore::SearchConfig cfg = a.cfg;
-  // The frontier search only makes sense for problems whose runs halt;
-  // on service scenarios (never-done modules, e.g. omega-impl) a DFS
-  // never reaches a terminal state and would just burn its whole
-  // budget.
-  if (!explore::ScenarioFactory::supports_mode(a.cfg.scenario.problem,
-                                               "exhaustive")) {
-    cfg.frontier_workers = 0;
-  }
-  const explore::CampaignReport rep = explore::run_campaign(build, cfg);
+  const explore::CampaignReport rep = explore::run_campaign(build, a.cfg);
   if (a.json && !rep.cex.has_value()) {
     std::printf(
         "{\"verdict\":\"clean\",\"mode\":\"campaign\",\"runs\":%llu,"
@@ -685,18 +676,6 @@ int main(int argc, char** argv) {
                  "--save-state/--resume/--budget-states/--deadline-ms "
                  "require --exhaustive\n");
     return kExitUsage;
-  }
-  // Every registered problem/mode combination must be declared supported;
-  // refusing here (exit 2) beats silently running a different mode.
-  const char* mode_name = a.mode == Args::Mode::kExhaustive ? "exhaustive"
-                          : a.mode == Args::Mode::kCampaign ? "campaign"
-                                                            : "replay";
-  if (a.mode != Args::Mode::kReplay &&
-      !explore::ScenarioFactory::supports_mode(a.cfg.scenario.problem,
-                                               mode_name)) {
-    std::fprintf(stderr, "problem '%s' does not support --%s\n",
-                 a.cfg.scenario.problem.c_str(), mode_name);
-    return kExitUnsupported;
   }
   switch (a.mode) {
     case Args::Mode::kExhaustive:
