@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "explore/explorer.h"
+#include "common/check.h"
 #include "explore/shrink.h"
 #include "sim/choice.h"
 
@@ -24,10 +24,11 @@ std::uint64_t mix(std::uint64_t x) {
 
 CampaignReport run_campaign(const ScenarioBuilder& build,
                             const SearchConfig& cfg) {
+  WFD_CHECK_MSG(cfg.scenario.liveness.empty(),
+                "the campaign checks no liveness clause; use the explorer");
   std::atomic<std::uint64_t> next_run{0};
   std::atomic<std::uint64_t> runs{0};
   std::atomic<std::uint64_t> steps{0};
-  std::atomic<std::uint64_t> nodes{0};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> suspects{0};
   std::atomic<bool> stop{false};
@@ -35,16 +36,7 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
   // Written by the single thread that wins `claimed`, read after join.
   std::optional<Counterexample> cex;
 
-  const auto claim = [&](Counterexample candidate) {
-    violations.fetch_add(1, std::memory_order_relaxed);
-    if (cfg.stop_at_first) stop.store(true, std::memory_order_relaxed);
-    bool expected = false;
-    if (claimed.compare_exchange_strong(expected, true)) {
-      cex = std::move(candidate);
-    }
-  };
-
-  const auto random_worker = [&] {
+  const auto worker = [&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const std::uint64_t i =
           next_run.fetch_add(1, std::memory_order_relaxed);
@@ -56,16 +48,18 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
       std::uint64_t run_steps = 0;
       while (sc.sim->step()) {
         ++run_steps;
-        for (auto& inv : sc.invariants) {
-          v = inv->check(*sc.sim);
-          if (v.has_value()) break;
-        }
+        v = check_invariants(sc);
         if (v.has_value()) break;
       }
       steps.fetch_add(run_steps, std::memory_order_relaxed);
       runs.fetch_add(1, std::memory_order_relaxed);
       if (v.has_value()) {
-        claim(Counterexample{rec.log(), *v, run_steps});
+        violations.fetch_add(1, std::memory_order_relaxed);
+        if (cfg.stop_at_first) stop.store(true, std::memory_order_relaxed);
+        bool expected = false;
+        if (claimed.compare_exchange_strong(expected, true)) {
+          cex = Counterexample{rec.log(), *v, run_steps};
+        }
         continue;
       }
       for (auto& ev : sc.eventuals) {
@@ -77,50 +71,15 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
     }
   };
 
-  // The frontier is one wave-parallel exhaustive search, not N
-  // independent per-seed DFS workers: its frontier_workers threads
-  // cooperate on a single deterministic frontier instead of racing
-  // into overlapping subtrees. Cooperative cancel couples it to the
-  // walkers: when either side claims a counterexample under
-  // stop_at_first, the other stops within one step.
-  const auto frontier_worker = [&] {
-    SearchConfig fc = cfg;
-    fc.threads = std::max(cfg.frontier_workers, 1);
-    fc.stop_at_first = true;
-    fc.order_seed = mix(cfg.scenario.seed ^ 0xf0f0f0f0ull);
-    fc.budget_states = 0;
-    fc.save_path.clear();
-    fc.resume_path.clear();
-    fc.cancel = &stop;
-    Explorer ex(build, fc);
-    const ExploreReport rep = ex.run();
-    steps.fetch_add(rep.stats.steps, std::memory_order_relaxed);
-    nodes.fetch_add(rep.stats.nodes, std::memory_order_relaxed);
-    if (rep.cex.has_value()) claim(*rep.cex);
-  };
-
-  // The frontier can only report what an invariant or a liveness clause
-  // flags. A scenario with neither (a never-halting service such as
-  // omega-impl, checked by its eventual properties alone) would have
-  // it fill the whole horizon for nothing, so ask one built instance.
-  bool frontier_can_find = false;
-  if (cfg.frontier_workers > 0) {
-    sim::FixedChoices probe;
-    const Scenario sc = build(probe);
-    frontier_can_find = !sc.invariants.empty() || !sc.liveness.empty();
-  }
-
   std::vector<std::thread> pool;
-  const int walkers = std::max(cfg.threads, 1);
-  pool.reserve(static_cast<std::size_t>(walkers) + 1);
-  for (int i = 0; i < walkers; ++i) pool.emplace_back(random_worker);
-  if (frontier_can_find) pool.emplace_back(frontier_worker);
+  const int workers = std::max(cfg.threads, 1);
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
 
   CampaignReport rep;
   rep.runs = runs.load();
   rep.steps = steps.load();
-  rep.nodes = nodes.load();
   rep.violations = violations.load();
   rep.liveness_suspects = suspects.load();
   rep.cex = std::move(cex);

@@ -54,24 +54,6 @@ ChainKey advance_key(const ChainKey& k, sim::ChoiceKind kind,
                   mix(k[1] + mix(e ^ 0xd1b54a32d192ed03ull))};
 }
 
-/// One choice point on a unit's DFS path.
-struct Frame {
-  sim::ChoiceKind kind{};
-  std::vector<std::uint64_t> labels;
-  std::uint32_t chosen = 0;
-  std::uint32_t start = 0;  ///< Rotation offset of the visit order.
-  std::vector<std::uint64_t> sleep;     ///< Labels asleep at this node.
-  std::vector<std::uint64_t> explored;  ///< Labels fully explored here.
-  /// DPOR: the labels this schedule frame must (still) explore. Seeded
-  /// with the default child; grown by race insertion and by the
-  /// conservative prune expansion.
-  std::vector<std::uint64_t> backtrack;
-  bool blocked = false;  ///< Every option was asleep on arrival.
-  /// DPOR: `backtrack` holds the whole menu, so a fingerprint prune has
-  /// nothing left to re-arm here. Derived state, never persisted.
-  bool armed = false;
-};
-
 /// One work unit: a fixed path prefix (frames[0, floor) never change;
 /// backtracking stops at floor) plus the unit's private DFS frontier
 /// above it. keys[d] is the chain key of the node at depth d, kept for
@@ -83,7 +65,7 @@ struct Unit {
   /// The current path has not been executed to completion (fresh unit):
   /// continuing means re-executing it, not backtracking past it.
   bool path_pending = true;
-  std::vector<Frame> frames;
+  std::vector<FrameState> frames;
   std::vector<ChainKey> keys;  ///< Size floor + 1.
 };
 
@@ -142,8 +124,6 @@ struct WaveContext {
   const std::vector<std::vector<ProcessId>>* perms = nullptr;
   /// Fingerprints committed at the wave start (frozen for the wave).
   const std::unordered_map<std::uint64_t, std::uint64_t>* fps = nullptr;
-  /// Committed node count at the wave start (order_seed mixing).
-  std::uint64_t base_nodes = 0;
   /// Per-unit cap on nodes materialized this wave.
   std::uint64_t wave_budget = 0;
 };
@@ -313,10 +293,7 @@ class UnitEngine {
 #endif
           continue;
         }
-        for (auto& inv : sc.invariants) {
-          violation = inv->check(*sc.sim);
-          if (violation.has_value()) break;
-        }
+        violation = check_invariants(sc);
         if (violation.has_value()) break;
 
         // Liveness mode: record the step's transition. A backtrack
@@ -432,21 +409,17 @@ class UnitEngine {
                      const std::vector<std::uint64_t>& labels,
                      std::size_t& pos) {
     WFD_CHECK_MSG(labels.size() >= 2, "forced move reached choose()");
-    std::vector<Frame>& frames = u_->frames;
+    std::vector<FrameState>& frames = u_->frames;
     if (pos < frames.size()) {
-      Frame& f = frames[pos];
+      FrameState& f = frames[pos];
       WFD_CHECK_MSG(f.kind == kind && f.labels == labels,
                     "scenario is not a pure function of its decisions");
       ++pos;
       return f.chosen;
     }
-    Frame f;
+    FrameState f;
     f.kind = kind;
     f.labels = labels;
-    if (cfg_.order_seed != 0) {
-      f.start = static_cast<std::uint32_t>(
-          mix(cfg_.order_seed ^ node_counter()) % labels.size());
-    }
     const bool dpor_schedule = kind == sim::ChoiceKind::kSchedule &&
                                cfg_.reduction == Reduction::kDpor;
     if (kind == sim::ChoiceKind::kSchedule &&
@@ -463,7 +436,7 @@ class UnitEngine {
       // themselves sleep.
       for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
         if (it->kind != sim::ChoiceKind::kSchedule) continue;
-        const Frame& g = *it;
+        const FrameState& g = *it;
         const std::uint64_t executed = g.labels[g.chosen];
         const bool exec_fault =
             sim::ReplayScheduler::label_is_fault(executed);
@@ -499,8 +472,7 @@ class UnitEngine {
       }
     }
     const std::optional<std::uint32_t> first =
-        dpor_schedule ? dpor_default_choice(f)
-                      : next_choice(f, /*counting_skips=*/true);
+        dpor_schedule ? dpor_default_choice(f) : next_choice(f);
     if (first.has_value()) {
       f.chosen = *first;
       // Under DPOR the frame starts out owing only its default child;
@@ -540,17 +512,16 @@ class UnitEngine {
     return frames.back().chosen;
   }
 
-  std::optional<std::uint32_t> next_choice(Frame& f, bool counting_skips) {
-    const std::size_t k = f.labels.size();
+  std::optional<std::uint32_t> next_choice(FrameState& f) {
+    const auto k = static_cast<std::uint32_t>(f.labels.size());
     const bool dpor_schedule = f.kind == sim::ChoiceKind::kSchedule &&
                                cfg_.reduction == Reduction::kDpor;
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto idx = static_cast<std::uint32_t>((f.start + i) % k);
+    for (std::uint32_t idx = 0; idx < k; ++idx) {
       const std::uint64_t label = f.labels[idx];
       if (dpor_schedule && !contains(f.backtrack, label)) continue;
       if (contains(f.explored, label)) continue;
       if (contains(f.sleep, label)) {
-        if (counting_skips) ++res_.delta.sleep_skips;
+        ++res_.delta.sleep_skips;
         continue;
       }
       return idx;
@@ -558,25 +529,19 @@ class UnitEngine {
     return std::nullopt;
   }
 
-  std::optional<std::uint32_t> dpor_default_choice(Frame& f) {
+  std::optional<std::uint32_t> dpor_default_choice(FrameState& f) {
     // Round-robin fairness: prefer the successor of the process that
     // acted at the nearest schedule ancestor. A greedy "first label"
     // default would keep stepping process 0 and push everyone else's
     // turns into backtrack churn; rotating actors keeps default runs
     // representative and the backtrack sets small.
     int pref = 0;
-    if (cfg_.order_seed != 0) {
-      pref = static_cast<int>(mix(cfg_.order_seed ^ node_counter()) %
-                              kMaxProcesses);
-    } else {
-      for (auto it = u_->frames.rbegin(); it != u_->frames.rend(); ++it) {
-        if (it->kind != sim::ChoiceKind::kSchedule) continue;
-        pref =
-            (sim::ReplayScheduler::label_process(it->labels[it->chosen]) +
-             1) %
-            kMaxProcesses;
-        break;
-      }
+    for (auto it = u_->frames.rbegin(); it != u_->frames.rend(); ++it) {
+      if (it->kind != sim::ChoiceKind::kSchedule) continue;
+      pref = (sim::ReplayScheduler::label_process(it->labels[it->chosen]) +
+              1) %
+             kMaxProcesses;
+      break;
     }
     std::optional<std::uint32_t> best;
     std::uint64_t bf = 0, bd = 0, bl = 0, bm = 0;
@@ -623,7 +588,7 @@ class UnitEngine {
       }
       return false;
     }
-    Frame& f = u_->frames[idx];
+    FrameState& f = u_->frames[idx];
     if (contains(f.backtrack, label)) return false;
     f.backtrack.push_back(label);
     ++res_.delta.backtrack_points;
@@ -637,7 +602,7 @@ class UnitEngine {
   /// label was added locally.
   bool insert_backtrack(std::size_t idx, ProcessId receiver,
                         std::uint64_t msg, ProcessId sender) {
-    const Frame& f = u_->frames[idx];
+    const FrameState& f = u_->frames[idx];
     const std::uint64_t want = sim::ReplayScheduler::label(receiver, msg);
     if (contains(f.labels, want)) {
       return add_backtrack(idx, want, /*race=*/true);
@@ -677,7 +642,7 @@ class UnitEngine {
   /// wave, so each is re-armed once; later prunes skip it.
   void expand_path_on_prune() {
     for (std::size_t idx = 0; idx < u_->frames.size(); ++idx) {
-      Frame& f = u_->frames[idx];
+      FrameState& f = u_->frames[idx];
       if (f.kind != sim::ChoiceKind::kSchedule) continue;
       bool& armed = idx < u_->floor ? deferred_at_[idx].whole_menu : f.armed;
       if (armed) continue;
@@ -904,10 +869,9 @@ class UnitEngine {
   /// alternative; false when the unit's whole subtree has been visited.
   bool backtrack() {
     while (u_->frames.size() > u_->floor) {
-      Frame& f = u_->frames.back();
+      FrameState& f = u_->frames.back();
       if (!f.blocked) f.explored.push_back(f.labels[f.chosen]);
-      const std::optional<std::uint32_t> next =
-          next_choice(f, /*counting_skips=*/true);
+      const std::optional<std::uint32_t> next = next_choice(f);
       if (next.has_value()) {
         f.chosen = *next;
         f.blocked = false;
@@ -921,7 +885,7 @@ class UnitEngine {
   [[nodiscard]] sim::DecisionLog decisions() const {
     sim::DecisionLog log;
     log.reserve(u_->frames.size());
-    for (const Frame& f : u_->frames) log.push_back(f.chosen);
+    for (const FrameState& f : u_->frames) log.push_back(f.chosen);
     return log;
   }
 
@@ -932,23 +896,10 @@ class UnitEngine {
   /// unsound).
   [[nodiscard]] std::optional<std::uint64_t> fingerprint(
       const Scenario& sc) const {
-    const auto one = [&sc](const std::vector<ProcessId>* perm)
-        -> std::optional<std::uint64_t> {
-      sim::StateEncoder enc(perm);
-      sc.sim->encode_state(enc);
-      std::size_t i = 0;
-      for (const auto& inv : sc.invariants) {
-        enc.push("invariant", i++);
-        inv->encode_state(enc);
-        enc.pop();
-      }
-      if (!enc.complete()) return std::nullopt;
-      return enc.digest();
-    };
-    std::optional<std::uint64_t> fp = one(nullptr);
+    std::optional<std::uint64_t> fp = scenario_fingerprint(sc);
     if (!fp.has_value()) return std::nullopt;
     for (const auto& perm : *ctx_.perms) {
-      const std::optional<std::uint64_t> alt = one(&perm);
+      const std::optional<std::uint64_t> alt = scenario_fingerprint(sc, &perm);
       if (!alt.has_value()) return std::nullopt;
       fp = std::min(*fp, *alt);
     }
@@ -980,7 +931,7 @@ class UnitEngine {
     std::uint64_t label = 0;
     bool have_label = false;
     for (std::size_t j = pos_before; j < pos_after; ++j) {
-      const Frame& f = u_->frames[j];
+      const FrameState& f = u_->frames[j];
       e.choices.push_back(f.chosen);
       if (f.kind == sim::ChoiceKind::kSchedule) {
         label = f.labels[f.chosen];
@@ -1040,13 +991,11 @@ class UnitEngine {
   /// catches up on the skipped prefix and must find nothing, and in
   /// liveness mode the state must fingerprint to what the previous run
   /// recorded there.
-  void check_skipped_prefix(const Scenario& sc, std::size_t pos,
+  void check_skipped_prefix(Scenario& sc, std::size_t pos,
                             const StepObs& seen) {
     WFD_CHECK_MSG(pos == seen.pos, "skipped prefix consumed other frames");
-    for (auto& inv : sc.invariants) {
-      WFD_CHECK_MSG(!inv->check(*sc.sim).has_value(),
-                    "skipped prefix violates an invariant");
-    }
+    WFD_CHECK_MSG(!check_invariants(sc).has_value(),
+                  "skipped prefix violates an invariant");
     if (liveness_) {
       WFD_CHECK_MSG(fingerprint(sc) == seen.fp,
                     "skipped prefix reached another state");
@@ -1057,14 +1006,6 @@ class UnitEngine {
   [[nodiscard]] bool cancel_requested() const {
     return cfg_.cancel != nullptr &&
            cfg_.cancel->load(std::memory_order_relaxed);
-  }
-
-  /// Node counter for order_seed mixing: committed total at the wave
-  /// start plus this unit's local delta — deterministic and
-  /// thread-independent (the serial explorer used the global cumulative
-  /// count; any deterministic stream works, the seed only diversifies).
-  [[nodiscard]] std::uint64_t node_counter() const {
-    return ctx_.base_nodes + res_.delta.nodes;
   }
 
   ScenarioBuilder build_;
@@ -1123,32 +1064,6 @@ std::uint64_t wave_budget(std::uint64_t wave) {
   return std::min<std::uint64_t>(b, 256);
 }
 
-Frame frame_from_state(const FrameState& fs) {
-  Frame f;
-  f.kind = fs.kind;
-  f.chosen = fs.chosen;
-  f.start = fs.start;
-  f.blocked = fs.blocked;
-  f.labels = fs.labels;
-  f.sleep = fs.sleep;
-  f.explored = fs.explored;
-  f.backtrack = fs.backtrack;
-  return f;
-}
-
-FrameState frame_to_state(const Frame& f) {
-  FrameState fs;
-  fs.kind = f.kind;
-  fs.chosen = f.chosen;
-  fs.start = f.start;
-  fs.blocked = f.blocked;
-  fs.labels = f.labels;
-  fs.sleep = f.sleep;
-  fs.explored = f.explored;
-  fs.backtrack = f.backtrack;
-  return fs;
-}
-
 /// Chain keys are recomputed from the frames, never trusted from the
 /// wire (the parser has already validated floor <= frames.size() and
 /// chosen < labels.size()).
@@ -1157,14 +1072,11 @@ Unit unit_from_state(const UnitState& us) {
   u.id = us.id;
   u.floor = static_cast<std::size_t>(us.floor);
   u.path_pending = us.path_pending;
-  u.frames.reserve(us.frames.size());
-  for (const FrameState& fs : us.frames) {
-    u.frames.push_back(frame_from_state(fs));
-  }
+  u.frames = us.frames;
   u.keys.reserve(u.floor + 1);
   u.keys.push_back(kRootKey);
   for (std::size_t i = 0; i < u.floor; ++i) {
-    const Frame& f = u.frames[i];
+    const FrameState& f = u.frames[i];
     u.keys.push_back(advance_key(u.keys[i], f.kind, f.labels[f.chosen]));
   }
   return u;
@@ -1175,8 +1087,7 @@ UnitState unit_to_state(const Unit& u) {
   us.id = u.id;
   us.floor = static_cast<std::uint64_t>(u.floor);
   us.path_pending = u.path_pending;
-  us.frames.reserve(u.frames.size());
-  for (const Frame& f : u.frames) us.frames.push_back(frame_to_state(f));
+  us.frames = u.frames;
   return us;
 }
 
@@ -1246,8 +1157,8 @@ void merge_stats(ExploreStats& into, const ExploreStats& d) {
 
 /// Splits a budget-stopped unit's subtree across fresh units — the
 /// work-stealing move. Every frame of the final path donates its
-/// unvisited-but-owed labels (rotation order from the frame's start
-/// offset; under DPOR only labels in the backtrack set are owed): each
+/// unvisited-but-owed labels (in menu order; under DPOR only labels in
+/// the backtrack set are owed): each
 /// donated label becomes a unit whose floor pins the path down to and
 /// including that label. The node is simultaneously entered into the
 /// registry with the full assignment order, explored + chosen + sleep
@@ -1266,11 +1177,11 @@ void decompose(const Unit& u, const SearchConfig& cfg,
   std::vector<ChainKey> keys = u.keys;
   keys.reserve(u.frames.size() + 1);
   for (std::size_t j = u.floor; j < u.frames.size(); ++j) {
-    const Frame& f = u.frames[j];
+    const FrameState& f = u.frames[j];
     keys.push_back(advance_key(keys[j], f.kind, f.labels[f.chosen]));
   }
   for (std::size_t j = u.floor; j < u.frames.size(); ++j) {
-    const Frame& f = u.frames[j];
+    const FrameState& f = u.frames[j];
     NodeReg reg;
     if (f.blocked) {
       // Every option was asleep: covered elsewhere, nothing to steal —
@@ -1286,9 +1197,7 @@ void decompose(const Unit& u, const SearchConfig& cfg,
       }
       const bool dpor_schedule = f.kind == sim::ChoiceKind::kSchedule &&
                                  cfg.reduction == Reduction::kDpor;
-      const std::size_t k = f.labels.size();
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::uint64_t l = f.labels[(f.start + i) % k];
+      for (const std::uint64_t l : f.labels) {
         if (dpor_schedule && !contains(f.backtrack, l)) continue;
         if (contains(reg.assigned, l)) continue;
         Unit child;
@@ -1297,7 +1206,7 @@ void decompose(const Unit& u, const SearchConfig& cfg,
         child.frames.assign(u.frames.begin(),
                             u.frames.begin() +
                                 static_cast<std::ptrdiff_t>(j) + 1);
-        Frame& cf = child.frames.back();
+        FrameState& cf = child.frames.back();
         cf.chosen = index_of(f.labels, l);
         cf.explored = reg.assigned;
         cf.blocked = false;
@@ -1339,7 +1248,7 @@ void apply_deferred(const Unit& du, const DeferredOp& op,
   child.frames.assign(du.frames.begin(),
                       du.frames.begin() +
                           static_cast<std::ptrdiff_t>(op.depth) + 1);
-  Frame& cf = child.frames.back();
+  FrameState& cf = child.frames.back();
   cf.chosen = index_of(cf.labels, op.label);
   cf.explored = reg.assigned;
   cf.blocked = false;
@@ -1476,8 +1385,8 @@ ExploreReport Explorer::run() {
     std::vector<Unit> pristine;
     if (cfg_.cancel != nullptr) pristine = batch;
 
-    const WaveContext ctx{&cfg_,  pattern_sensitive, &perms,
-                          &fps,   stats.nodes,       wave_budget(wave)};
+    const WaveContext ctx{&cfg_, pattern_sensitive, &perms, &fps,
+                          wave_budget(wave)};
 
     // Execute the wave. Workers pull slots from an atomic dispenser;
     // results land by slot, so the merge below sees canonical unit

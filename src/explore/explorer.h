@@ -29,8 +29,10 @@
 // across units.
 //
 // Every decision that shapes the search — wave composition, per-wave
-// budgets, decomposition order, deferred-insertion order — is a pure
-// function of the committed search state, never of thread timing.
+// budgets, decomposition order, deferred-insertion order, and the visit
+// order at a node (menu order; under kDpor the round-robin default
+// child first) — is a pure function of the committed search state and
+// the configuration, never of thread timing.
 // Results (states, coverage, violations, snapshots) are therefore
 // identical for every SearchConfig::threads value; threads only buy
 // wall clock. Cooperative cancellation discards the entire in-flight

@@ -371,15 +371,11 @@ std::optional<Counterexample> find_fair_lasso(
     Scenario sc = probe.build(src);
     for (std::uint64_t s = 0; s < pinned; ++s) {
       if (!sc.sim->step()) return false;
-      for (auto& inv : sc.invariants) {
-        if (inv->check(*sc.sim).has_value()) return false;
-      }
+      if (check_invariants(sc).has_value()) return false;
     }
     if (src.consumed() != log.size()) return false;
     if (!sc.sim->step()) return false;
-    for (auto& inv : sc.invariants) {
-      if (inv->check(*sc.sim).has_value()) return false;
-    }
+    if (check_invariants(sc).has_value()) return false;
     if (src.consumed() != full.size()) return false;
     const std::uint64_t ex = src.executed();
     if (sim::ReplayScheduler::label_is_fault(ex) != want.fault) return false;

@@ -135,10 +135,8 @@ ReplayOutcome run_replay(const ScenarioBuilder& build,
   ReplayOutcome out;
   while (sc.sim->step()) {
     ++out.steps;
-    for (auto& inv : sc.invariants) {
-      out.violation = inv->check(*sc.sim);
-      if (out.violation.has_value()) return out;
-    }
+    out.violation = check_invariants(sc);
+    if (out.violation.has_value()) return out;
   }
   out.all_done = sc.sim->all_alive_done();
   return out;
@@ -160,11 +158,8 @@ LassoOutcome run_lasso(const ScenarioBuilder& build,
   const LivenessClause& clause = *sc.liveness.front();
 
   const auto check_safety = [&]() {
-    for (auto& inv : sc.invariants) {
-      out.violation = inv->check(*sc.sim);
-      if (out.violation.has_value()) return true;
-    }
-    return false;
+    out.violation = check_invariants(sc);
+    return out.violation.has_value();
   };
 
   // Stem: run to the decision boundary. The boundary must fall between

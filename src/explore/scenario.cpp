@@ -88,8 +88,7 @@ const std::vector<std::string>& ScenarioFactory::problems() {
       // to prune and it carries no invariant. Exhaustive mode checks
       // --liveness=fd-completeness (fair-cycle search over the
       // depth-bounded state graph, with truncation reported); campaign
-      // mode checks its eventual leadership on random walks only (see
-      // run_campaign).
+      // mode checks its eventual leadership on random walks.
       "omega-impl",
   };
   return kProblems;
@@ -594,11 +593,9 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   return out;
 }
 
-std::optional<std::uint64_t> scenario_fingerprint(const Scenario& sc) {
-  // Must stay bit-identical to the explorer's no-renaming fingerprint:
-  // the explorer keys liveness graph nodes with it and run_lasso checks
-  // loop closure against it.
-  sim::StateEncoder enc;
+std::optional<std::uint64_t> scenario_fingerprint(
+    const Scenario& sc, const std::vector<ProcessId>* renaming) {
+  sim::StateEncoder enc(renaming);
   sc.sim->encode_state(enc);
   std::size_t i = 0;
   for (const auto& inv : sc.invariants) {
@@ -608,6 +605,14 @@ std::optional<std::uint64_t> scenario_fingerprint(const Scenario& sc) {
   }
   if (!enc.complete()) return std::nullopt;
   return enc.digest();
+}
+
+std::optional<Violation> check_invariants(Scenario& sc) {
+  for (auto& inv : sc.invariants) {
+    std::optional<Violation> v = inv->check(*sc.sim);
+    if (v.has_value()) return v;
+  }
+  return std::nullopt;
 }
 
 ScenarioBuilder ScenarioFactory::builder() const {

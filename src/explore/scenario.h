@@ -93,13 +93,20 @@ struct Scenario {
   std::vector<std::unique_ptr<LivenessClause>> liveness;
 };
 
-/// The state digest liveness checking keys graph nodes on: the
-/// simulator's complete encoded state plus every invariant's carried
-/// history, with no symmetry canonicalization (liveness forbids
-/// --symmetry: per-process fairness bookkeeping does not survive
-/// renaming). nullopt when any component is opaque.
+/// The state digest: the simulator's complete encoded state plus every
+/// invariant's carried history, with process identities read through
+/// `renaming` when given (sim::StateEncoder). nullopt when any component
+/// is opaque. Liveness checking keys graph nodes on the plain digest
+/// (liveness forbids --symmetry: per-process fairness bookkeeping does
+/// not survive renaming); the explorer's symmetry reduction takes the
+/// minimum over its renaming group.
 [[nodiscard]] std::optional<std::uint64_t> scenario_fingerprint(
-    const Scenario& sc);
+    const Scenario& sc, const std::vector<ProcessId>* renaming = nullptr);
+
+/// Checks every invariant of `sc` against the run so far, in order, and
+/// returns the first violation; later invariants are not checked, so
+/// their cursors stay where they were (Invariant::check).
+[[nodiscard]] std::optional<Violation> check_invariants(Scenario& sc);
 
 /// Builds a fresh instance whose nondeterminism is drawn from the given
 /// source. Copyable and cheap; the explorer re-invokes it per run.

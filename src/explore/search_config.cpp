@@ -110,10 +110,6 @@ std::string validate(const SearchConfig& cfg) {
   if (cfg.threads < 1 || cfg.threads > 64) {
     return "threads must be in [1, 64], got " + std::to_string(cfg.threads);
   }
-  if (cfg.frontier_workers < 0 || cfg.frontier_workers > 64) {
-    return "frontier workers must be in [0, 64], got " +
-           std::to_string(cfg.frontier_workers);
-  }
   if (!cfg.scenario.liveness.empty()) {
     // The fair-cycle search needs the explored graph to be the complete
     // transition system: every reachable state expanded over its full
@@ -215,7 +211,6 @@ CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg) {
     cfg.state_fingerprints = false;
     return CliResult::kApplied;
   }
-  if (auto v = val("order-seed")) return as(parse_u64(*v, &cfg.order_seed));
   if (auto v = val("threads")) {
     return as(parse_int(*v, &cfg.threads) && cfg.threads >= 1);
   }
@@ -236,9 +231,6 @@ CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg) {
     cfg.shrink = false;
     return CliResult::kApplied;
   }
-  if (auto v = val("frontier")) {
-    return as(parse_int(*v, &cfg.frontier_workers));
-  }
   return CliResult::kUnknown;
 }
 
@@ -246,13 +238,15 @@ std::string cli_flags_help() {
   return "  --problem=NAME --n=N --crashes=K --crash-time=T\n"
          "  --crash=script|explore --loss=drop:N[,dup:M]\n"
          "  --depth=T --seed=S --stab=T --fd=flap|static|adversarial\n"
-         "  --liveness=termination|leadership|fd-completeness\n"
          "  --nbac-no-voter=P --reg-ops=N --reg-readers=N\n"
-         "  --abcast-senders=N --all-pending\n"
-         "  --max-states=N --threads=N --reduction=dpor|sleep-sets|none\n"
-         "  --symmetry --no-fingerprints --order-seed=S\n"
+         "  --abcast-senders=N --all-pending --threads=N\n"
+         " exhaustive only:\n"
+         "  --liveness=termination|leadership|fd-completeness\n"
+         "  --max-states=N --reduction=dpor|sleep-sets|none\n"
+         "  --symmetry --no-fingerprints\n"
          "  --budget-states=N --save-state=FILE --resume=FILE\n"
-         "  --runs=N --frontier=N --no-shrink\n";
+         " campaign only:\n"
+         "  --runs=N --no-shrink\n";
 }
 
 void search_header_to_text(std::ostream& out, const SearchConfig& cfg) {
@@ -260,7 +254,6 @@ void search_header_to_text(std::ostream& out, const SearchConfig& cfg) {
   out << "reduction=" << reduction_to_text(cfg.reduction) << "\n";
   out << "symmetry=" << (cfg.symmetry ? 1 : 0) << "\n";
   out << "state_fingerprints=" << (cfg.state_fingerprints ? 1 : 0) << "\n";
-  out << "order_seed=" << cfg.order_seed << "\n";
 }
 
 bool search_header_apply(SearchConfig& cfg, const std::string& key,
@@ -273,8 +266,6 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
     *ok = parse_bool(val, &cfg.symmetry);
   } else if (key == "state_fingerprints") {
     *ok = parse_bool(val, &cfg.state_fingerprints);
-  } else if (key == "order_seed") {
-    *ok = parse_u64(val, &cfg.order_seed);
   } else {
     return false;
   }
@@ -296,7 +287,6 @@ std::string config_to_json(const SearchConfig& cfg) {
       << reduction_to_text(cfg.reduction) << "\",\"symmetry\":"
       << (cfg.symmetry ? "true" : "false") << ",\"state_fingerprints\":"
       << (cfg.state_fingerprints ? "true" : "false")
-      << ",\"order_seed\":" << cfg.order_seed
       << ",\"threads\":" << cfg.threads
       << ",\"budget_states\":" << cfg.budget_states << "}";
   return out.str();

@@ -14,13 +14,17 @@
 //
 // The snapshot header (search_header_to_text / search_header_apply)
 // intentionally renders ONLY the fields a stored frontier's soundness
-// depends on: the scenario plus reduction, symmetry, state_fingerprints
-// and order_seed. Execution-shape knobs —
-// threads, budgets, save/resume paths, stop_at_first — are absent by
-// design, so resuming a snapshot with a different thread count or budget
-// is legal (the wave-scheduled search is deterministic in those), while
-// resuming under a different reduction configuration is rejected field
-// by field (state_store::resume_mismatch diffs the rendered headers).
+// depends on: the scenario plus reduction, symmetry and
+// state_fingerprints. Execution-shape knobs — threads, budgets,
+// save/resume paths, stop_at_first — are absent by design, so resuming
+// a snapshot with a different thread count or budget is legal (the
+// wave-scheduled search is deterministic in those), while resuming
+// under a different reduction configuration is rejected field by field
+// (state_store::resume_mismatch diffs the rendered headers).
+//
+// The campaign (explore/campaign.h) reads the scenario, threads,
+// stop_at_first and its own section; every other search field is
+// exhaustive-only, and cli_flags_help says so.
 #pragma once
 
 #include <atomic>
@@ -43,8 +47,7 @@ struct SearchConfig {
   ScenarioOptions scenario;
 
   // --- Exhaustive search -------------------------------------------------
-  /// Cumulative cap on materialized choice points (also the campaign
-  /// frontier's cap). 0 = unlimited.
+  /// Cumulative cap on materialized choice points. 0 = unlimited.
   std::uint64_t max_states = 100000;
   Reduction reduction = Reduction::kDpor;
   /// Canonicalize state fingerprints under process renaming within the
@@ -54,13 +57,13 @@ struct SearchConfig {
   bool symmetry = false;
   /// Prune states whose fingerprint was already fully explored.
   bool state_fingerprints = true;
-  /// Stop at the first violation instead of collecting all of them.
+  /// Stop at the first violation instead of collecting all of them
+  /// (the campaign too).
   bool stop_at_first = true;
-  /// Rotates per-node child visit order (0 = canonical order).
-  std::uint64_t order_seed = 0;
   /// Worker threads of the wave-scheduled exhaustive search. Results
   /// (states, coverage, violations, snapshots) are identical for every
-  /// value — threads only buy wall clock.
+  /// value — threads only buy wall clock. In the campaign: the
+  /// random-walk worker count.
   int threads = 1;
   /// Cap on NEW states this invocation (0 = off); with save_path this
   /// yields resumable installments (exit 4 contract in wfd_check).
@@ -78,10 +81,6 @@ struct SearchConfig {
   std::uint64_t runs = 10000;
   /// Shrink a claimed counterexample before reporting it.
   bool shrink = true;
-  /// Threads of the campaign's shared exhaustive frontier search
-  /// (0 = random walks only). The frontier is one wave-parallel
-  /// Explorer, not independent per-seed DFS workers.
-  int frontier_workers = 2;
 };
 
 /// Empty when the configuration is valid (scenario included), else a
@@ -100,7 +99,8 @@ enum class CliResult {
 /// only mode/output flags (--exhaustive, --json, --save, ...) on top.
 CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg);
 
-/// The flag reference for usage text, one line per flag.
+/// The flag reference for usage text: the flags every mode reads, then
+/// the exhaustive-only and the campaign-only ones.
 [[nodiscard]] std::string cli_flags_help();
 
 /// Renders the soundness-relevant header (scenario + reduction levers)

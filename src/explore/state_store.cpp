@@ -43,11 +43,11 @@ bool parse_labels(const std::string& s, std::vector<std::uint64_t>* out) {
   return true;
 }
 
-// frame=k=<kind>;c=<chosen>;s=<start>;b=<blocked>;l=<labels>;sl=<sleep>;
+// frame=k=<kind>;c=<chosen>;b=<blocked>;l=<labels>;sl=<sleep>;
 //       ex=<explored>;bt=<backtrack>
 void frame_to_text(std::ostream& out, const FrameState& f) {
   out << "frame=k=" << static_cast<int>(f.kind) << ";c=" << f.chosen
-      << ";s=" << f.start << ";b=" << (f.blocked ? 1 : 0) << ";";
+      << ";b=" << (f.blocked ? 1 : 0) << ";";
   labels_to_text(out, "l", f.labels);
   out << ";";
   labels_to_text(out, "sl", f.sleep);
@@ -74,9 +74,6 @@ bool parse_frame(const std::string& s, FrameState* f) {
     } else if (key == "c") {
       if (!parse_u64(val, &v) || v > UINT32_MAX) return false;
       f->chosen = static_cast<std::uint32_t>(v);
-    } else if (key == "s") {
-      if (!parse_u64(val, &v) || v > UINT32_MAX) return false;
-      f->start = static_cast<std::uint32_t>(v);
     } else if (key == "b") {
       bool b = false;
       if (!parse_bool(val, &b)) return false;
@@ -96,8 +93,7 @@ bool parse_frame(const std::string& s, FrameState* f) {
   }
   // Choice points always carry at least two options (forced moves never
   // materialize frames), and the indices must address the menu.
-  return saw_labels && f->labels.size() >= 2 && f->chosen < f->labels.size() &&
-         f->start < f->labels.size();
+  return saw_labels && f->labels.size() >= 2 && f->chosen < f->labels.size();
 }
 
 // unit=id=<id>;floor=<floor>;pending=<0|1>;frames=<count> — the next
@@ -387,6 +383,15 @@ std::optional<StateSnapshot> parse_snapshot(const std::string& text,
     if (error != nullptr) *error = "bad snapshot: " + why;
     return std::nullopt;
   };
+  const auto refuse_version =
+      [&](std::uint64_t v) -> std::optional<StateSnapshot> {
+    if (wrong_version != nullptr) *wrong_version = true;
+    return fail("unsupported snapshot_version " + std::to_string(v) +
+                " (this build reads and writes version " +
+                std::to_string(StateSnapshot::kVersion) +
+                "; stored frontiers are not sound across format versions — "
+                "restart the search without --resume)");
+  };
   StateSnapshot s;
   s.version = 0;
   std::istringstream in(text);
@@ -419,6 +424,9 @@ std::optional<StateSnapshot> parse_snapshot(const std::string& text,
     } else if (key == "snapshot_version") {
       std::uint64_t v = 0;
       ok = parse_u64(val, &v) && v <= UINT32_MAX;
+      // The rest of another version's file follows another grammar:
+      // refuse it here, before one of its lines fails as corrupt.
+      if (ok && v != StateSnapshot::kVersion) return refuse_version(v);
       if (ok) s.version = static_cast<std::uint32_t>(v);
     } else if (key == "resume_generation") {
       ok = parse_u64(val, &s.resume_generation);
@@ -519,14 +527,7 @@ std::optional<StateSnapshot> parse_snapshot(const std::string& text,
     // Unknown keys are ignored for forward compatibility.
     if (!ok) return fail("bad value for " + key + ": " + val);
   }
-  if (s.version != StateSnapshot::kVersion) {
-    if (wrong_version != nullptr) *wrong_version = true;
-    return fail("unsupported snapshot_version " + std::to_string(s.version) +
-                " (this build reads and writes version " +
-                std::to_string(StateSnapshot::kVersion) +
-                "; stored frontiers are not sound across format versions — "
-                "restart the search without --resume)");
-  }
+  if (s.version != StateSnapshot::kVersion) return refuse_version(s.version);
   if (!saw_end) return fail("truncated (missing end marker)");
   if (frames_owed != 0) return fail("unit with missing frames");
   if (!units_total.has_value() || *units_total != s.units.size()) {

@@ -10,9 +10,9 @@
 //
 //  * the search header (explore/search_config.h): the scenario options
 //    plus the reduction levers the stored frontier is only sound under
-//    (reduction, symmetry, fingerprint pruning, order seed). Validated
-//    on load so a snapshot can never be resumed against a different
-//    scenario or reduction configuration. Execution-shape knobs
+//    (reduction, symmetry, fingerprint pruning). Validated on load so
+//    a snapshot can never be resumed against a different scenario or
+//    reduction configuration. Execution-shape knobs
 //    (threads, budgets) are deliberately absent: resuming with a
 //    different thread count or budget is legal and changes nothing
 //    about what is explored.
@@ -60,17 +60,23 @@
 
 namespace wfd::explore {
 
-/// One DFS choice point of a stored unit (the wire twin of the
-/// explorer's internal Frame).
+/// One DFS choice point of a unit: the explorer's working frame and,
+/// minus `armed`, its stored form.
 struct FrameState {
   sim::ChoiceKind kind = sim::ChoiceKind::kSchedule;
   std::uint32_t chosen = 0;
-  std::uint32_t start = 0;
-  bool blocked = false;
+  bool blocked = false;  ///< Every option was asleep on arrival.
   std::vector<std::uint64_t> labels;
-  std::vector<std::uint64_t> sleep;
-  std::vector<std::uint64_t> explored;
+  std::vector<std::uint64_t> sleep;     ///< Labels asleep at this node.
+  std::vector<std::uint64_t> explored;  ///< Labels fully explored here.
+  /// DPOR: the labels this schedule frame must (still) explore. Seeded
+  /// with the default child; grown by race insertion and by the
+  /// conservative prune expansion.
   std::vector<std::uint64_t> backtrack;
+  /// DPOR: `backtrack` holds the whole menu, so a fingerprint prune has
+  /// nothing left to re-arm here. Derived state, never serialized: a
+  /// loaded frame starts unarmed, and re-arming it adds no label.
+  bool armed = false;
 };
 
 /// One pending work unit: frames[0, floor) are the fixed prefix the
@@ -121,8 +127,11 @@ struct StateSnapshot {
   /// and the record_fd_samples / lambda_always scenario fields (always
   /// on); the parser ignores unknown keys, so a v5 frontier saved under
   /// --dep=process or --no-fault-dep would otherwise resume silently
-  /// under the other relation.
-  static constexpr std::uint32_t kVersion = 6;
+  /// under the other relation. v7 dropped the order_seed header lever
+  /// and the frames' s= rotation offset: children are visited in menu
+  /// order only, so a v6 frontier saved under a rotated order would
+  /// otherwise resume in another order than it was split in.
+  static constexpr std::uint32_t kVersion = 7;
   std::uint32_t version = kVersion;
 
   /// Only the search-header fields (scenario + reduction levers) are

@@ -51,7 +51,7 @@ TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   const SearchConfig cfg = from_flags(
       {"--problem=nbac", "--n=4", "--depth=18", "--crash=explore",
        "--fd=static", "--seed=11", "--reduction=sleep-sets", "--symmetry",
-       "--no-fingerprints", "--order-seed=9", "--threads=8", "--max-states=0",
+       "--no-fingerprints", "--threads=8", "--max-states=0",
        "--budget-states=123", "--save-state=/tmp/never-written.snap"});
   EXPECT_EQ(validate(cfg), "");
 
@@ -70,7 +70,6 @@ TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   EXPECT_EQ(back.reduction, Reduction::kSleepSets);
   EXPECT_TRUE(back.symmetry);
   EXPECT_FALSE(back.state_fingerprints);
-  EXPECT_EQ(back.order_seed, 9u);
 
   // ...while execution-shape knobs are intentionally absent from the
   // header (resuming with different threads or budgets is legal), so
@@ -85,13 +84,13 @@ TEST(SearchConfigTest, JsonCarriesEverySoundnessLever) {
   const SearchConfig cfg = from_flags(
       {"--problem=register", "--n=3", "--reg-ops=1", "--reg-readers=1",
        "--loss=drop:2,dup:1", "--depth=20", "--reduction=dpor",
-       "--threads=4", "--order-seed=5"});
+       "--threads=4"});
   const std::string json = config_to_json(cfg);
   for (const char* needle :
        {"\"problem\":\"register\"", "\"n\":3", "\"loss_drops\":2",
         "\"loss_dups\":1", "\"depth\":20", "\"reduction\":\"dpor\"",
         "\"symmetry\":false", "\"state_fingerprints\":true",
-        "\"order_seed\":5", "\"threads\":4"}) {
+        "\"threads\":4"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << needle << " missing from " << json;
   }
@@ -121,11 +120,11 @@ TEST(SearchConfigTest, CliFlagOutcomes) {
   // Retired options must be refused, not silently accepted.
   for (const char* retired :
        {"--dep=content", "--dep=process", "--no-fault-dep", "--max-runs=1",
-        "--no-lambda"}) {
+        "--no-lambda", "--order-seed=1", "--frontier=2"}) {
     EXPECT_EQ(apply_cli_flag(cfg, retired), CliResult::kUnknown) << retired;
   }
   for (const char* gone : {"--dep=", "--no-fault-dep", "--max-runs",
-                           "--no-lambda"}) {
+                           "--no-lambda", "--order-seed", "--frontier"}) {
     EXPECT_EQ(cli_flags_help().find(gone), std::string::npos) << gone;
   }
   // Recognized flag, unparseable value.
@@ -148,10 +147,6 @@ TEST(SearchConfigTest, ValidateRejectsWhatDriversMustNotRun) {
   SearchConfig threads = cfg;
   threads.threads = 65;
   EXPECT_NE(validate(threads).find("threads"), std::string::npos);
-
-  SearchConfig frontier = cfg;
-  frontier.frontier_workers = -1;
-  EXPECT_NE(validate(frontier).find("frontier"), std::string::npos);
 
   // Scripted crashes pin concrete process ids, so no symmetry classes
   // exist and enabling the reduction must be refused, not ignored.

@@ -31,7 +31,6 @@ StateSnapshot sample_snapshot() {
   s.config.scenario.max_steps = 30;
   s.config.reduction = Reduction::kDpor;
   s.config.symmetry = true;
-  s.config.order_seed = 7;
   s.resume_generation = 3;
   s.wave = 2;
   s.next_unit_id = 6;
@@ -49,7 +48,6 @@ StateSnapshot sample_snapshot() {
   f0.kind = sim::ChoiceKind::kSchedule;
   f0.labels = {10, 20, 30};
   f0.chosen = 1;
-  f0.start = 2;
   f0.sleep = {10};
   f0.explored = {20};
   f0.backtrack = {20, 30};
@@ -92,7 +90,6 @@ TEST(StateStoreTest, TextRoundTripsEveryField) {
   EXPECT_EQ(p->config.reduction, s.config.reduction);
   EXPECT_EQ(p->config.symmetry, s.config.symmetry);
   EXPECT_EQ(p->config.state_fingerprints, s.config.state_fingerprints);
-  EXPECT_EQ(p->config.order_seed, s.config.order_seed);
   EXPECT_EQ(p->resume_generation, s.resume_generation);
   EXPECT_EQ(p->wave, s.wave);
   EXPECT_EQ(p->next_unit_id, s.next_unit_id);
@@ -118,7 +115,6 @@ TEST(StateStoreTest, TextRoundTripsEveryField) {
       const FrameState& b = s.units[i].frames[j];
       EXPECT_EQ(a.kind, b.kind) << i << "/" << j;
       EXPECT_EQ(a.chosen, b.chosen) << i << "/" << j;
-      EXPECT_EQ(a.start, b.start) << i << "/" << j;
       EXPECT_EQ(a.blocked, b.blocked) << i << "/" << j;
       EXPECT_EQ(a.labels, b.labels) << i << "/" << j;
       EXPECT_EQ(a.sleep, b.sleep) << i << "/" << j;
@@ -302,7 +298,7 @@ TEST(StateStoreTest, ParseRejectsCorruption) {
   std::string orphan = good;
   const std::size_t u = orphan.find("unit=");
   ASSERT_NE(u, std::string::npos);
-  orphan.insert(u, "frame=k=0;c=0;s=0;b=0;l=1,2;sl=;ex=;bt=\n");
+  orphan.insert(u, "frame=k=0;c=0;b=0;l=1,2;sl=;ex=;bt=\n");
   EXPECT_FALSE(parse_snapshot(orphan, &error).has_value());
   EXPECT_NE(error.find("owning unit"), std::string::npos) << error;
 
@@ -332,12 +328,15 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
   // v5->v6 bump dropped the dependence / fault_dependence header
   // levers: the parser ignores unknown keys, so a v5 frontier saved
   // under --dep=process or --no-fault-dep would otherwise resume
-  // silently under the content-aware, sparse-fault relation.
+  // silently under the content-aware, sparse-fault relation. The v6->v7
+  // bump dropped the order_seed lever and the frames' s= rotation
+  // offset: a v6 frontier split in a rotated visit order would otherwise
+  // resume in menu order.
   const std::string tag =
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::string want_current =
       "version " + std::to_string(StateSnapshot::kVersion);
-  for (const int old_version : {2, 3, 4, 5}) {
+  for (const int old_version : {2, 3, 4, 5, 6}) {
     std::string old = to_text(sample_snapshot());
     const std::size_t at = old.find(tag);
     ASSERT_NE(at, std::string::npos);
@@ -355,6 +354,30 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
         << error;
     EXPECT_NE(error.find(want_current), std::string::npos) << error;
     EXPECT_NE(error.find("--resume"), std::string::npos) << error;
+  }
+
+  // A v6 file as a v6 build wrote it: an order_seed= header line and an
+  // s= field in every frame, which this build's frame grammar rejects —
+  // so the version line must refuse the file before a frame line can
+  // fail it as corrupt.
+  std::string v6 = to_text(sample_snapshot());
+  const std::size_t at = v6.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  v6.replace(at, tag.size(), "snapshot_version=6");
+  const std::size_t header_end = v6.find('\n', v6.find("state_fingerprints="));
+  ASSERT_NE(header_end, std::string::npos);
+  v6.insert(header_end + 1, "order_seed=0\n");
+  for (std::size_t f = v6.find("frame=k="); f != std::string::npos;
+       f = v6.find("frame=k=", f + 1)) {
+    v6.insert(v6.find(";b=", f), ";s=0");
+  }
+  {
+    std::string error;
+    bool wrong_version = false;
+    EXPECT_FALSE(parse_snapshot(v6, &error, &wrong_version).has_value());
+    EXPECT_TRUE(wrong_version) << error;
+    EXPECT_NE(error.find("unsupported snapshot_version 6"), std::string::npos)
+        << error;
   }
 
   // Corruption, by contrast, must NOT claim a version mismatch.
@@ -392,10 +415,6 @@ TEST(StateStoreTest, ResumeMismatchNamesTheField) {
   SearchConfig fps = cfg;
   fps.state_fingerprints = false;
   EXPECT_NE(resume_mismatch(snap, fps).find("fingerprint"),
-            std::string::npos);
-  SearchConfig seed = cfg;
-  seed.order_seed = 8;
-  EXPECT_NE(resume_mismatch(snap, seed).find("order_seed"),
             std::string::npos);
 }
 
@@ -625,7 +644,7 @@ TEST(ResumeTest, MismatchedScenarioIsRejected) {
 
 TEST(ResumeTest, OldFormatSnapshotIsRejectedAsIncompatible) {
   // End-to-end exit-2 contract: Explorer resume from a file of the
-  // previous format version (v5) sets resume_rejected (wfd_check maps
+  // previous format version (v6) sets resume_rejected (wfd_check maps
   // that to the incompatible-snapshot exit code) and runs nothing.
   const ScenarioOptions scenario = bug_options();
   const std::string path = testing::TempDir() + "wfd_resume_oldver.wfds";
@@ -649,7 +668,7 @@ TEST(ResumeTest, OldFormatSnapshotIsRejectedAsIncompatible) {
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::size_t at = text.find(tag);
   ASSERT_NE(at, std::string::npos);
-  text.replace(at, tag.size(), "snapshot_version=5");
+  text.replace(at, tag.size(), "snapshot_version=6");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

@@ -20,7 +20,8 @@
 #
 # Plus one watchdog claim: a tree far too large for its deadline must
 # come back as exit 4 with a partial JSON report (status "deadline"),
-# not hang the lane.
+# not hang the lane — and a deadline that is not a positive millisecond
+# count the clock can wait for is refused (exit 1), never run.
 #
 # The script is plain POSIX sh and makes no timing assumptions beyond
 # the deadline watchdog itself, so it runs unchanged under the
@@ -118,5 +119,13 @@ status=$(jstr "$out" status)
 states=$(jnum "$out" states)
 [ -n "$states" ] && [ "$states" -gt 0 ] ||
   fail "deadline run reported no partial progress"
+for bad in 1x -1 18446744073709551615; do
+  rc=0
+  "$CHECK" --problem=consensus --n=3 --exhaustive --json \
+    --deadline-ms="$bad" >"$DIR/bad_deadline.out" 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] || fail "--deadline-ms=$bad exited $rc, want 1"
+  grep -q "bad value: --deadline-ms=$bad" "$DIR/bad_deadline.out" ||
+    fail "--deadline-ms=$bad: no diagnostic: $(cat "$DIR/bad_deadline.out")"
+done
 
 echo "fault matrix OK"

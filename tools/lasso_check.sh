@@ -23,15 +23,18 @@
 #     and a safety-violating lasso replay, a clean replay, a clean
 #     exhaust — prints exactly one JSON object on stdout, with the
 #     violation text escaped.
-#  7. Crash-composed lasso: on consensus-crash-live-bug the search
+#  7. The campaign refuses a liveness clause (exit 1, with a message):
+#     its random walks check no clause, and a stem without its loop
+#     would replay as clean.
+#  8. Crash-composed lasso: on consensus-crash-live-bug the search
 #     composed with --crash=explore finds the crash-wedged lasso
 #     (every crash in the stem, none in the loop), shrinks it, and
 #     --replay re-validates it; the crash-free liveness search on the
 #     same problem must stay silent — the bug lives behind a crash
 #     edge only.
 #
-# Plain POSIX sh, no timing assumptions — legs 1-6 run unchanged under
-# the asan/ubsan/tsan presets. Leg 7 explores a ~440k-state tree and
+# Plain POSIX sh, no timing assumptions — legs 1-7 run unchanged under
+# the asan/ubsan/tsan presets. Leg 8 explores a ~440k-state tree and
 # only runs when the second argument is "crash" (a separate ctest lane,
 # kept out of the sanitizer presets like the other heavyweight
 # exhausts).
@@ -149,7 +152,16 @@ $CHECK --replay="$DIR/bug_lasso.wfdr" --json >"$DIR/j_bug.out" 2>/dev/null
 json_one "$DIR/j_bug.out" "lasso replay safety violation" \
   '"property":"agreement(decide)","message":"'
 
-# 7. Crash-composed lasso (only with the "crash" argument): the search
+# 7. --campaign --liveness is refused before anything runs.
+$CHECK --problem=consensus-live-bug --n=2 --campaign --liveness=termination \
+  --fd=static --reduction=none --depth=12 --runs=200 --threads=2 \
+  >"$DIR/campaign.out" 2>&1
+[ $? -eq 1 ] ||
+  fail "--campaign --liveness did not exit 1: $(cat "$DIR/campaign.out")"
+grep -q "^--liveness requires --exhaustive" "$DIR/campaign.out" ||
+  fail "no refusal message: $(cat "$DIR/campaign.out")"
+
+# 8. Crash-composed lasso (only with the "crash" argument): the search
 # composed with --crash=explore finds the crash-wedged lasso on
 # consensus-crash-live-bug, shrinks it, and --replay re-validates it.
 # Replay confirmation also proves every crash sits in the stem: a loop

@@ -10,8 +10,10 @@
 //       results identical for every N; --max-states budget).
 //
 //   wfd_check --problem=qc --n=3 --campaign --runs=20000 --threads=8
-//       Parallel randomized campaign: recorded random walks plus a
-//       shared exhaustive frontier search.
+//       Parallel randomized campaign: recorded random walks, checked
+//       for safety violations and eventual-property suspects. It
+//       samples the tree and reports no coverage; the flags the help
+//       marks exhaustive-only do not apply, and --liveness is refused.
 //
 //   wfd_check --replay=cex.wfdr
 //       Deterministic re-execution of a saved counterexample.
@@ -56,7 +58,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -65,6 +66,7 @@
 
 #include "explore/campaign.h"
 #include "explore/explorer.h"
+#include "explore/option_text.h"
 #include "explore/replay_io.h"
 #include "explore/scenario.h"
 #include "explore/search_config.h"
@@ -101,6 +103,23 @@ struct Args {
   bool json = false;
 };
 
+/// --deadline-ms=N: a positive millisecond count the watchdog's
+/// steady_clock wait can represent. The wait ends at now() + N, so N may
+/// take half the clock's range (about 146 years) and leave the other
+/// half to now(), which counts from boot.
+bool parse_deadline_ms(const std::string& v, std::uint64_t* out) {
+  const auto max_ms = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::duration::max() / 2)
+          .count());
+  std::uint64_t ms = 0;
+  if (!explore::detail::parse_u64(v, &ms) || ms == 0 || ms > max_ms) {
+    return false;
+  }
+  *out = ms;
+  return true;
+}
+
 void usage() {
   std::string problems;
   for (const std::string& p : explore::ScenarioFactory::problems()) {
@@ -130,7 +149,8 @@ void usage() {
       "\n"
       "--threads=N runs the wave-scheduled exhaustive search on N worker\n"
       "threads (results are identical for every N); in campaign mode it\n"
-      "is the random-walk worker count. --save-state persists a\n"
+      "is the random-walk worker count. The campaign samples random\n"
+      "walks and reports no coverage. --save-state persists a\n"
       "resumable snapshot of an exhaustive search; --resume continues\n"
       "from one; --budget-states=N caps the NEW states explored this\n"
       "invocation, so scripts can loop save/resume until coverage is\n"
@@ -173,8 +193,10 @@ bool parse(int argc, char** argv, Args& a) {
       continue;
     }
     if (auto v = val("deadline-ms")) {
-      a.deadline_ms = std::strtoull(v->c_str(), nullptr, 10);
-      if (a.deadline_ms == 0) return false;
+      if (!parse_deadline_ms(*v, &a.deadline_ms)) {
+        std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+        return false;
+      }
       continue;
     }
     if (arg == "--json") {
@@ -534,19 +556,15 @@ int run_campaign_mode(const Args& a) {
   if (a.json && !rep.cex.has_value()) {
     std::printf(
         "{\"verdict\":\"clean\",\"mode\":\"campaign\",\"runs\":%llu,"
-        "\"steps\":%llu,\"frontier_states\":%llu,"
-        "\"liveness_suspects\":%llu}\n",
+        "\"steps\":%llu,\"liveness_suspects\":%llu}\n",
         static_cast<unsigned long long>(rep.runs),
         static_cast<unsigned long long>(rep.steps),
-        static_cast<unsigned long long>(rep.nodes),
         static_cast<unsigned long long>(rep.liveness_suspects));
     return kExitClean;
   }
   std::printf(
-      "campaign: %llu random runs, %llu frontier states, %llu steps, "
-      "%llu liveness suspects\n",
+      "campaign: %llu random runs, %llu steps, %llu liveness suspects\n",
       static_cast<unsigned long long>(rep.runs),
-      static_cast<unsigned long long>(rep.nodes),
       static_cast<unsigned long long>(rep.steps),
       static_cast<unsigned long long>(rep.liveness_suspects));
   if (rep.cex.has_value()) {
@@ -662,13 +680,6 @@ int main(int argc, char** argv) {
     usage();
     return kExitUsage;
   }
-  if (a.mode != Args::Mode::kReplay) {
-    const std::string why = explore::validate(a.cfg);
-    if (!why.empty()) {
-      std::fprintf(stderr, "invalid configuration: %s\n", why.c_str());
-      return kExitUsage;
-    }
-  }
   if (a.mode != Args::Mode::kExhaustive &&
       (!a.cfg.save_path.empty() || !a.cfg.resume_path.empty() ||
        a.cfg.budget_states != 0 || a.deadline_ms != 0)) {
@@ -676,6 +687,20 @@ int main(int argc, char** argv) {
                  "--save-state/--resume/--budget-states/--deadline-ms "
                  "require --exhaustive\n");
     return kExitUsage;
+  }
+  // The campaign's random walks check invariants and eventual
+  // properties, never a liveness clause: a fair-cycle verdict needs the
+  // explorer's complete state graph.
+  if (a.mode == Args::Mode::kCampaign && !a.cfg.scenario.liveness.empty()) {
+    std::fprintf(stderr, "--liveness requires --exhaustive\n");
+    return kExitUsage;
+  }
+  if (a.mode != Args::Mode::kReplay) {
+    const std::string why = explore::validate(a.cfg);
+    if (!why.empty()) {
+      std::fprintf(stderr, "invalid configuration: %s\n", why.c_str());
+      return kExitUsage;
+    }
   }
   switch (a.mode) {
     case Args::Mode::kExhaustive:
