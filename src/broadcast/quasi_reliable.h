@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -92,6 +93,12 @@ class QuasiReliableModule : public sim::Module, public sim::ModuleTransport {
   /// timer whenever frames are pending, and the frames set is written by
   /// handlers (acks, wrapped sends), so no sound inertness claim exists.
   [[nodiscard]] bool tick_noop() const override { return false; }
+
+  /// The wrapped modules' transport pointers are re-pointed by their
+  /// host (ModuleHost::clone_modules); this module borrows nothing.
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<QuasiReliableModule>(*this);
+  }
 
   [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
   [[nodiscard]] std::size_t unacked() const { return pending_.size(); }

@@ -19,6 +19,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "common/check.h"
@@ -212,6 +213,10 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
 
   void on_start() override { enc_n_ = n(); }
 
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return clone_as<OmegaSigmaConsensusModule>();
+  }
+
   // Uses the process count cached at on_start: the encoder runs outside
   // any step, where the host environment (n()) is unreachable. Before
   // on_start every round member is still 0, which encode_round renders
@@ -234,6 +239,17 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
     sim::encode_field(enc, "chosen", chosen_);
     enc.field("decided", decided_);
     sim::encode_field(enc, "decision", decision_);
+  }
+
+ protected:
+  /// clone() of this class and of its option-preset subclasses: a copy
+  /// of the dynamic type `Self`, or null while a decide callback is
+  /// pending (a copied std::function would still act on the source's
+  /// caller).
+  template <typename Self>
+  [[nodiscard]] std::unique_ptr<sim::Module> clone_as() const {
+    if (cb_) return nullptr;
+    return std::make_unique<Self>(static_cast<const Self&>(*this));
   }
 
  private:

@@ -32,7 +32,6 @@ void ChoiceOracle::begin_run(const sim::FailurePattern& f, std::uint64_t seed,
   const ProcessSet correct = f.correct();
   WFD_CHECK_MSG(!correct.empty(), "no correct process in pattern");
 
-  majorities_.clear();
   majority_labels_.clear();
   const int m = n_ / 2 + 1;
   if (opt_.sigma || opt_.psi) {
@@ -40,7 +39,6 @@ void ChoiceOracle::begin_run(const sim::FailurePattern& f, std::uint64_t seed,
                   "Sigma exploration requires a majority-correct pattern");
     for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n_); ++mask) {
       if (__builtin_popcountll(mask) != m) continue;
-      majorities_.push_back(ProcessSet::from_raw(mask));
       majority_labels_.push_back(mask);
     }
     ProcessSet star;
@@ -64,24 +62,24 @@ void ChoiceOracle::begin_run(const sim::FailurePattern& f, std::uint64_t seed,
     }
     if (opt_.sigma || opt_.psi) {
       std::vector<std::uint64_t> labels;
-      for (const ProcessSet& q : majorities_) {
-        if (q.is_subset_of(correct)) labels.push_back(q.raw());
+      for (const std::uint64_t q : majority_labels_) {
+        if (ProcessSet::from_raw(q).is_subset_of(correct)) labels.push_back(q);
       }
       WFD_CHECK(!labels.empty());
       static_sigma_ = ProcessSet::from_raw(labels[pick(labels)]);
     }
   }
 
-  fs_red_.assign(static_cast<std::size_t>(n_), false);
-  psi_fs_red_.assign(static_cast<std::size_t>(n_), false);
-  psi_switched_.assign(static_cast<std::size_t>(n_), false);
+  fs_red_ = ProcessSet{};
+  psi_fs_red_ = ProcessSet{};
+  psi_switched_ = ProcessSet{};
   psi_branch_ = PsiBranch::kUndecided;
   if (opt_.psi && opt_.psi_converged) {
     // Converged-from-the-start Psi: adopt the always-legal
     // (Omega, Sigma) branch immediately (the FS branch presumes a
     // failure, which a converged limit cannot).
     psi_branch_ = PsiBranch::kOmegaSigma;
-    psi_switched_.assign(static_cast<std::size_t>(n_), true);
+    psi_switched_ = ProcessSet::full(n_);
   }
 }
 
@@ -124,8 +122,8 @@ void ChoiceOracle::on_crash(ProcessId p, Time t) {
     }
     if ((opt_.sigma || opt_.psi) && !static_sigma_.is_subset_of(correct)) {
       std::vector<std::uint64_t> labels;
-      for (const ProcessSet& q : majorities_) {
-        if (q.is_subset_of(correct)) labels.push_back(q.raw());
+      for (const std::uint64_t q : majority_labels_) {
+        if (ProcessSet::from_raw(q).is_subset_of(correct)) labels.push_back(q);
       }
       WFD_CHECK(!labels.empty());
       static_sigma_ = ProcessSet::from_raw(labels[pick(labels)]);
@@ -152,27 +150,26 @@ ProcessSet ChoiceOracle::sigma_value(Time t) {
   return ProcessSet::from_raw(majority_labels_[pick(majority_labels_)]);
 }
 
-fd::FsColor ChoiceOracle::fs_value(std::vector<bool>& red_latch, ProcessId p,
+fd::FsColor ChoiceOracle::fs_value(ProcessSet& red_latch, ProcessId p,
                                    Time t) {
   if (!f_.failure_by(t)) return fd::FsColor::kGreen;
-  auto latched = red_latch[static_cast<std::size_t>(p)];
-  if (latched) return fd::FsColor::kRed;
+  if (red_latch.contains(p)) return fd::FsColor::kRed;
   if (t < opt_.stabilization && pick(kFsLabels) == 0) {
     return fd::FsColor::kGreen;
   }
-  red_latch[static_cast<std::size_t>(p)] = true;
+  red_latch.insert(p);
   return fd::FsColor::kRed;
 }
 
 fd::PsiValue ChoiceOracle::psi_value(ProcessId p, Time t) {
-  if (!psi_switched_[static_cast<std::size_t>(p)]) {
+  if (!psi_switched_.contains(p)) {
     if (t >= opt_.stabilization) {
       // Forced convergence: adopt the global branch, defaulting to the
       // always-legal (Omega, Sigma) behaviour.
       if (psi_branch_ == PsiBranch::kUndecided) {
         psi_branch_ = PsiBranch::kOmegaSigma;
       }
-      psi_switched_[static_cast<std::size_t>(p)] = true;
+      psi_switched_.insert(p);
     } else {
       // 0 = stay bottom, 1 = (Omega, Sigma), 2 = FS. The first switcher
       // fixes the branch for everyone (the paper's Psi switches modes
@@ -186,7 +183,7 @@ fd::PsiValue ChoiceOracle::psi_value(ProcessId p, Time t) {
       const std::uint64_t sel = labels[pick(labels)];
       if (sel == 0) return fd::PsiValue::bottom();
       psi_branch_ = (sel == 1) ? PsiBranch::kOmegaSigma : PsiBranch::kFs;
-      psi_switched_[static_cast<std::size_t>(p)] = true;
+      psi_switched_.insert(p);
     }
   }
   if (psi_branch_ == PsiBranch::kOmegaSigma) {
@@ -207,11 +204,11 @@ void ChoiceOracle::encode_state(sim::StateEncoder& enc, Time now) const {
   }
   enc.pid_field("static-omega", static_omega_);
   enc.field("static-sigma", static_sigma_);
-  for (std::size_t p = 0; p < fs_red_.size(); ++p) {
-    enc.push_proc("proc", static_cast<ProcessId>(p));
-    enc.field("fs-red", static_cast<bool>(fs_red_[p]));
-    enc.field("psi-fs-red", static_cast<bool>(psi_fs_red_[p]));
-    enc.field("psi-switched", static_cast<bool>(psi_switched_[p]));
+  for (ProcessId p = 0; p < n_; ++p) {
+    enc.push_proc("proc", p);
+    enc.field("fs-red", fs_red_.contains(p));
+    enc.field("psi-fs-red", psi_fs_red_.contains(p));
+    enc.field("psi-switched", psi_switched_.contains(p));
     enc.pop();
   }
   enc.field("psi-branch", psi_branch_);

@@ -22,6 +22,7 @@
 // exploring Sigma therefore requires a majority-correct pattern.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,12 +79,18 @@ class ChoiceOracle : public fd::Oracle {
   void on_crash(ProcessId p, Time t) override;
   [[nodiscard]] std::string name() const override { return "choice"; }
   void encode_state(sim::StateEncoder& enc, Time now) const override;
+  [[nodiscard]] std::unique_ptr<fd::Oracle> clone(
+      sim::ChoiceSource& choices) const override {
+    auto copy = std::make_unique<ChoiceOracle>(*this);
+    copy->choices_ = &choices;
+    return copy;
+  }
 
  private:
   [[nodiscard]] std::size_t pick(const std::vector<std::uint64_t>& labels);
   ProcessId omega_value(Time t);
   ProcessSet sigma_value(Time t);
-  fd::FsColor fs_value(std::vector<bool>& red_latch, ProcessId p, Time t);
+  fd::FsColor fs_value(ProcessSet& red_latch, ProcessId p, Time t);
   fd::PsiValue psi_value(ProcessId p, Time t);
 
   sim::ChoiceSource* choices_;
@@ -91,8 +98,7 @@ class ChoiceOracle : public fd::Oracle {
   int n_ = 0;
   sim::FailurePattern f_{1};
 
-  /// All minimal majorities of {0..n-1}, in increasing mask order.
-  std::vector<ProcessSet> majorities_;
+  /// All minimal majorities of {0..n-1} as masks, in increasing order.
   std::vector<std::uint64_t> majority_labels_;
 
   // Canonical converged values (used from `stabilization` on).
@@ -104,12 +110,12 @@ class ChoiceOracle : public fd::Oracle {
   ProcessId static_omega_ = kNoProcess;
   ProcessSet static_sigma_;
 
-  std::vector<bool> fs_red_;      ///< FS component: red is a latch.
-  std::vector<bool> psi_fs_red_;  ///< Psi's FS branch keeps its own latch.
+  ProcessSet fs_red_;      ///< FS component: red is a latch.
+  ProcessSet psi_fs_red_;  ///< Psi's FS branch keeps its own latch.
 
   enum class PsiBranch { kUndecided, kOmegaSigma, kFs };
   PsiBranch psi_branch_ = PsiBranch::kUndecided;
-  std::vector<bool> psi_switched_;
+  ProcessSet psi_switched_;
 };
 
 }  // namespace wfd::explore

@@ -103,6 +103,8 @@ struct UnitResult {
   /// Steps of this wave's runs that ended inside their run's recorded
   /// path: re-executed only to rebuild a state.
   std::uint64_t replayed_steps = 0;
+  /// Steps of this wave's runs that a checkpoint restore skipped.
+  std::uint64_t restored_steps = 0;
 };
 
 /// Registry entry for a node whose frontier was split across units: the
@@ -164,6 +166,19 @@ struct StepRec {
 /// reads from shared state is frozen for the wave, so a unit's result
 /// is a pure function of (unit, committed state): independent of
 /// thread count, scheduling and sibling units.
+///
+/// Checkpointed replay: the engine keeps a stack of scenario copies,
+/// one taken before every step of the current path (every step won the
+/// ablation in DESIGN.md §12 against every second or third one, which
+/// copy less but re-execute more). A run starts from the deepest
+/// checkpoint at or below the flipped frame and re-executes only the
+/// steps from there to the flip; a fresh build is the checkpoint at
+/// position 0, which a run falls back to when none qualifies, e.g.
+/// every run of a scenario with a non-cloneable part (clone_scenario).
+/// Either way the run counts the same: a restore adds the skipped
+/// prefix's steps and commute skips, and truncates the DPOR state to
+/// the checkpoint's lengths — the prefix's events, clocks and message
+/// records are the ones the previous run computed.
 class UnitEngine {
  public:
   UnitEngine(ScenarioBuilder build, const WaveContext& ctx)
@@ -171,6 +186,9 @@ class UnitEngine {
         ctx_(ctx),
         cfg_(*ctx.cfg),
         liveness_(!cfg_.scenario.liveness.empty()) {}
+  // The decision source, and every scenario that asks it, hold `this`.
+  UnitEngine(const UnitEngine&) = delete;
+  UnitEngine& operator=(const UnitEngine&) = delete;
 
   UnitResult run(Unit unit) {
     res_.unit = std::move(unit);
@@ -192,11 +210,12 @@ class UnitEngine {
         res_.outcome = UnitOutcome::kCancelled;
         return std::move(res_);
       }
-      // One re-execution: replay the prefix, extend to a halt. States
-      // reached while the source is still inside the replayed prefix
-      // are re-visits of the previous run's own states — invisible to
-      // fingerprint pruning, or every run would prune itself at step
-      // one.
+      // One run: restore the deepest checkpoint at or below the flipped
+      // frame (or build afresh), replay the prefix from there, extend to
+      // a halt. States reached while the source is still inside the
+      // replayed prefix are re-visits of the previous run's own states —
+      // invisible to fingerprint pruning, or every run would prune
+      // itself at step one.
       const std::size_t replay_len = u_->frames.size();
       // Observe each step once. backtrack() flipped the last frame
       // (replay_len - 1), so a step that consumes only frames below it
@@ -218,48 +237,32 @@ class UnitEngine {
                                }) -
           prev_steps_.begin());
       prev_steps_.resize(skip);
-      DfsSource source(*this);
-      run_blocked_ = false;
-      Scenario sc = build_(source);
-      if (dpor) {
-        // Cleared, not reallocated: the storage serves every run.
-        const auto n = static_cast<std::size_t>(sc.sim->n());
-        proc_events_.resize(n);
-        clock_.resize(n);
-        for (std::size_t p = 0; p < n; ++p) {
-          proc_events_[p].clear();
-          clock_[p].assign(n, 0);
-        }
-        msgs_.clear();
-        msg_clocks_.clear();
-        prev_sent_ = sc.sim->network().total_sent();
-        msgs_base_ = prev_sent_;
+      // A checkpoint past the flipped frame holds a state of the path
+      // before the flip.
+      while (!checkpoints_.empty() &&
+             checkpoints_.back().pos >= replay_len) {
+        checkpoints_.pop_back();
       }
-      // Liveness mode: anchor the run at the initial state. The root
-      // fingerprint is taken before the first step, which is where the
-      // scheduler lazily starts the run (so it precedes the oracle's
-      // begin_run picks and is identical across runs and units).
-      const LivenessClause* goal = nullptr;
+      run_blocked_ = false;
+      // Commute skips this run's steps count, restored prefix included.
+      const std::uint64_t commute_origin = res_.delta.commute_skips;
+      std::uint64_t run_steps = 0;
       std::uint64_t cur_fp = 0;
+      const bool fresh = checkpoints_.empty();
+      source_.restart(fresh ? 0 : checkpoints_.back().pos);
+      Scenario sc = fresh ? build() : restore(run_steps, cur_fp);
+      // The first step count at which this run may take a checkpoint:
+      // a restored boundary has one already, or needs none.
+      const std::uint64_t checkpoint_from = fresh ? 0 : run_steps + 1;
+      const LivenessClause* goal = nullptr;
       if (liveness_) {
         WFD_CHECK_MSG(!sc.liveness.empty(),
                       "liveness scenario built no clause");
         goal = sc.liveness.front().get();
-        const std::optional<std::uint64_t> root = fingerprint(sc);
-        WFD_CHECK_MSG(root.has_value(),
-                      "liveness mode requires a complete state encoding");
-        if (!res_.graph.have_root) {
-          res_.graph.root = *root;
-          res_.graph.have_root = true;
-          res_.graph.at(*root).goal = goal->goal(*sc.sim);
-        } else {
-          WFD_CHECK_MSG(res_.graph.root == *root,
-                        "initial-state fingerprint varies across runs");
-        }
-        cur_fp = *root;
+        // A fresh run is anchored at the initial state.
+        if (fresh) cur_fp = root_fingerprint(sc, *goal);
       }
       std::optional<Violation> violation;
-      std::uint64_t run_steps = 0;
       std::uint64_t run_replayed = 0;
       bool pruned = false;
       while (!run_blocked_) {
@@ -268,7 +271,14 @@ class UnitEngine {
           res_.outcome = UnitOutcome::kCancelled;
           return std::move(res_);
         }
-        const std::size_t pos_before = source.pos();
+        const std::size_t pos_before = source_.pos();
+        // A checkpoint serves flips at or past the floor, so the steps
+        // before the one that can consume the floor frame get none.
+        if (cloneable_ && run_steps >= checkpoint_from &&
+            pos_before + 1 >= u_->floor && !sc.sim->halted()) {
+          take_checkpoint(sc, pos_before, run_steps, cur_fp,
+                          res_.delta.commute_skips - commute_origin);
+        }
         if (!sc.sim->step()) break;
         ++run_steps;
         if (run_blocked_) break;
@@ -276,20 +286,20 @@ class UnitEngine {
           // The schedule frame consumed by this step, if the step was
           // an actual choice (forced moves never reach choose()).
           int frame = -1;
-          for (std::size_t j = pos_before; j < source.pos(); ++j) {
+          for (std::size_t j = pos_before; j < source_.pos(); ++j) {
             if (u_->frames[j].kind == sim::ChoiceKind::kSchedule) {
               frame = static_cast<int>(j);
             }
           }
           observe_step(*sc.sim, frame, run_steps);
         }
-        const bool replaying = source.pos() < replay_len;
+        const bool replaying = source_.pos() < replay_len;
         if (replaying) ++run_replayed;
         if (run_steps <= skip) {
           const StepObs& seen = prev_steps_[run_steps - 1];
           cur_fp = seen.fp;
 #ifndef NDEBUG
-          if (run_steps == skip) check_skipped_prefix(sc, source.pos(), seen);
+          if (run_steps == skip) check_skipped_prefix(sc, source_.pos(), seen);
 #endif
           continue;
         }
@@ -305,10 +315,10 @@ class UnitEngine {
           fp = fingerprint(sc);
           WFD_CHECK_MSG(fp.has_value(),
                         "liveness mode requires a complete state encoding");
-          record_transition(sc, *goal, cur_fp, *fp, pos_before, source.pos());
+          record_transition(sc, *goal, cur_fp, *fp, pos_before, source_.pos());
           cur_fp = *fp;
         }
-        prev_steps_.push_back(StepObs{source.pos(), cur_fp});
+        prev_steps_.push_back(StepObs{source_.pos(), cur_fp});
 
         if (replaying) continue;
         if (!cfg_.state_fingerprints) continue;
@@ -386,6 +396,10 @@ class UnitEngine {
    public:
     explicit DfsSource(UnitEngine& owner) : owner_(&owner) {}
 
+    /// Starts a run at frame `pos` of the recorded path (a restored run
+    /// has already consumed the frames below it).
+    void restart(std::size_t pos) { pos_ = pos; }
+
     std::size_t choose(sim::ChoiceKind kind,
                        const std::vector<std::uint64_t>& labels) override {
       return owner_->choose(kind, labels, pos_);
@@ -404,6 +418,168 @@ class UnitEngine {
     UnitEngine* owner_;
     std::size_t pos_ = 0;
   };
+
+  /// A scenario copy taken before a step of the current path, with what
+  /// the run had computed by then.
+  struct Checkpoint {
+    std::size_t pos = 0;      ///< Frames consumed before the step.
+    std::uint64_t steps = 0;  ///< Steps executed before it.
+    Scenario sc;  ///< Runs only once restore() hands it over.
+    std::uint64_t fp = 0;     ///< Liveness mode: the state's fingerprint.
+    /// Commute skips the run's steps so far counted.
+    std::uint64_t commute_skips = 0;
+    // DPOR's per-run state: the lengths of the append-only records and
+    // the clocks, which steps overwrite.
+    std::vector<std::size_t> proc_events;
+    std::vector<std::uint64_t> clock;  ///< n x n, row-major.
+    std::size_t msgs = 0;
+    std::size_t msg_clocks = 0;
+    std::uint64_t prev_sent = 0;
+  };
+
+  /// The checkpoint at position 0: a fresh build, with the DPOR state
+  /// cleared.
+  Scenario build() {
+    Scenario sc = build_(source_);
+    if (cfg_.reduction == Reduction::kDpor) {
+      // Cleared, not reallocated: the storage serves every run.
+      const auto n = static_cast<std::size_t>(sc.sim->n());
+      proc_events_.resize(n);
+      clock_.resize(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        proc_events_[p].clear();
+        clock_[p].assign(n, 0);
+      }
+      msgs_.clear();
+      msg_clocks_.clear();
+      prev_sent_ = sc.sim->network().total_sent();
+      msgs_base_ = prev_sent_;
+    }
+    return sc;
+  }
+
+  /// Liveness mode: the fingerprint of a freshly built scenario. It is
+  /// taken before the first step, which is where the scheduler lazily
+  /// starts the run (so it precedes the oracle's begin_run picks and is
+  /// identical across runs and units), and recorded as the graph's root
+  /// once per engine; builds without NDEBUG re-take and compare it.
+  std::uint64_t root_fingerprint(const Scenario& sc,
+                                 const LivenessClause& goal) {
+    bool take = !res_.graph.have_root;
+#ifndef NDEBUG
+    take = true;
+#endif
+    if (take) {
+      const std::optional<std::uint64_t> root = fingerprint(sc);
+      WFD_CHECK_MSG(root.has_value(),
+                    "liveness mode requires a complete state encoding");
+      WFD_CHECK_MSG(!res_.graph.have_root || res_.graph.root == *root,
+                    "initial-state fingerprint varies across runs");
+      if (!res_.graph.have_root) {
+        res_.graph.root = *root;
+        res_.graph.have_root = true;
+        res_.graph.at(*root).goal = goal.goal(*sc.sim);
+      }
+    }
+    return res_.graph.root;
+  }
+
+  /// The run's start at the deepest checkpoint, with the run's counters
+  /// and the DPOR state put back to where they stood there: a copy, or
+  /// the checkpoint itself when no frame it covers can be flipped again
+  /// (flippable_from), which saves the copy. Should a later backtrack
+  /// insertion reopen such a frame, that run restores from a shallower
+  /// checkpoint: it re-executes more steps and finds the same states.
+  Scenario restore(std::uint64_t& run_steps, std::uint64_t& cur_fp) {
+    Checkpoint& cp = checkpoints_.back();
+    const bool hand_over = !flippable_from(cp.pos);
+    std::optional<Scenario> sc;
+    if (hand_over) {
+      sc = std::move(cp.sc);
+    } else {
+      sc = clone_scenario(cp.sc, source_);
+      WFD_CHECK_MSG(sc.has_value(), "a checkpoint stopped being cloneable");
+    }
+    run_steps = cp.steps;
+    cur_fp = cp.fp;
+    res_.delta.commute_skips += cp.commute_skips;
+    res_.restored_steps += cp.steps;
+    if (cfg_.reduction == Reduction::kDpor) {
+      // The previous run went past this checkpoint along the same
+      // prefix, so the records hold at least its lengths.
+      const std::size_t n = proc_events_.size();
+      for (std::size_t p = 0; p < n; ++p) {
+        WFD_CHECK(proc_events_[p].size() >= cp.proc_events[p]);
+        proc_events_[p].resize(cp.proc_events[p]);
+        std::copy_n(cp.clock.begin() + static_cast<std::ptrdiff_t>(p * n),
+                    n, clock_[p].begin());
+      }
+      WFD_CHECK(msgs_.size() >= cp.msgs &&
+                msg_clocks_.size() >= cp.msg_clocks);
+      msgs_.resize(cp.msgs);
+      msg_clocks_.resize(cp.msg_clocks);
+      prev_sent_ = cp.prev_sent;
+    }
+#ifndef NDEBUG
+    if (!restore_checked_) {
+      restore_checked_ = true;
+      check_restore(*sc, cp.pos, cp.steps);
+    }
+#endif
+    if (hand_over) checkpoints_.pop_back();
+    return std::move(*sc);
+  }
+
+  /// Whether backtrack() could still flip a frame at or past `pos` to a
+  /// label other than its chosen one: next_choice's test, without
+  /// counting sleep skips.
+  [[nodiscard]] bool flippable_from(std::size_t pos) const {
+    for (std::size_t j = pos; j < u_->frames.size(); ++j) {
+      const FrameState& f = u_->frames[j];
+      const bool dpor_schedule = f.kind == sim::ChoiceKind::kSchedule &&
+                                 cfg_.reduction == Reduction::kDpor;
+      for (std::uint32_t i = 0; i < f.labels.size(); ++i) {
+        const std::uint64_t label = f.labels[i];
+        if (i == f.chosen) continue;
+        if (dpor_schedule && !contains(f.backtrack, label)) continue;
+        if (contains(f.explored, label) || contains(f.sleep, label)) continue;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Pushes a copy of `sc`, about to take step steps + 1 from frame
+  /// `pos`. The first copy that fails marks the scenario not cloneable
+  /// for the rest of the engine.
+  void take_checkpoint(const Scenario& sc, std::size_t pos,
+                       std::uint64_t steps, std::uint64_t fp,
+                       std::uint64_t commute_skips) {
+    std::optional<Scenario> copy = clone_scenario(sc, source_);
+    if (!copy.has_value()) {
+      cloneable_ = false;
+      return;
+    }
+    Checkpoint& cp = checkpoints_.emplace_back();
+    cp.pos = pos;
+    cp.steps = steps;
+    cp.sc = std::move(*copy);
+    cp.fp = fp;
+    cp.commute_skips = commute_skips;
+    if (cfg_.reduction == Reduction::kDpor) {
+      cp.proc_events.reserve(proc_events_.size());
+      for (const auto& events : proc_events_) {
+        cp.proc_events.push_back(events.size());
+      }
+      cp.clock.reserve(proc_events_.size() * proc_events_.size());
+      for (const auto& row : clock_) {
+        cp.clock.insert(cp.clock.end(), row.begin(), row.end());
+      }
+      cp.msgs = msgs_.size();
+      cp.msg_clocks = msg_clocks_.size();
+      cp.prev_sent = prev_sent_;
+    }
+  }
 
   std::size_t choose(sim::ChoiceKind kind,
                      const std::vector<std::uint64_t>& labels,
@@ -986,6 +1162,37 @@ class UnitEngine {
   };
 
 #ifndef NDEBUG
+  /// Builds without NDEBUG, at an engine's first restore: a rebuild
+  /// replayed to the checkpoint's position must match the copy. Both
+  /// sides' invariants catch up first (Invariant::check), since the
+  /// fingerprint folds their state.
+  void check_restore(Scenario& restored, std::size_t pos,
+                     std::uint64_t steps) {
+    sim::FixedChoices replay(decisions());
+    Scenario fresh = build_(replay);
+    for (std::uint64_t i = 0; i < steps; ++i) {
+      WFD_CHECK_MSG(fresh.sim->step(), "rebuild halted before checkpoint");
+    }
+    WFD_CHECK_MSG(replay.consumed() == pos,
+                  "rebuild consumed other frames than the checkpoint");
+    WFD_CHECK_MSG(fresh.sim->trace().to_string() ==
+                      restored.sim->trace().to_string(),
+                  "restored trace differs from a rebuild");
+    WFD_CHECK_MSG(fresh.sim->last_step() == restored.sim->last_step(),
+                  "restored last step differs from a rebuild");
+    WFD_CHECK_MSG(fresh.sim->network().total_sent() ==
+                      restored.sim->network().total_sent(),
+                  "restored network differs from a rebuild");
+    WFD_CHECK_MSG(!check_invariants(fresh).has_value() &&
+                      !check_invariants(restored).has_value(),
+                  "a restored prefix violates an invariant");
+    const std::optional<std::uint64_t> fp = scenario_fingerprint(fresh);
+    if (fp.has_value()) {
+      WFD_CHECK_MSG(scenario_fingerprint(restored) == fp,
+                    "restored state differs from a rebuild");
+    }
+  }
+
   /// Builds without NDEBUG, once per run at the last skipped step: the
   /// step must end where the previous run's did, every invariant
   /// catches up on the skipped prefix and must find nothing, and in
@@ -1012,6 +1219,18 @@ class UnitEngine {
   const WaveContext& ctx_;
   const SearchConfig& cfg_;
   const bool liveness_;  ///< cfg_.scenario.liveness non-empty.
+
+  /// The decision source of every run, and of every checkpoint: a
+  /// stored copy asks it only once a restore hands the copy to a run.
+  DfsSource source_{*this};
+  /// Checkpoints along the current path, shallowest first; at most one
+  /// per step.
+  std::vector<Checkpoint> checkpoints_;
+  /// Cleared by the first failed copy: no checkpoint is taken again.
+  bool cloneable_ = true;
+#ifndef NDEBUG
+  bool restore_checked_ = false;
+#endif
 
   UnitResult res_;
   Unit* u_ = nullptr;  ///< = &res_.unit while run() executes.
@@ -1450,6 +1669,7 @@ ExploreReport Explorer::run() {
     for (UnitResult& r : results) {
       merge_stats(stats, r.delta);
       rep.replayed_steps += r.replayed_steps;
+      rep.restored_steps += r.restored_steps;
       conservative.insert(r.conservative.begin(), r.conservative.end());
       for (const auto& [fp, t] : r.fps_overlay) {
         const auto [it, fresh] = fps.emplace(fp, t);

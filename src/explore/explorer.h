@@ -164,11 +164,15 @@ struct ExploreReport {
   /// stats.nodes carried in from the resumed snapshot (0 = fresh start):
   /// this invocation explored stats.nodes - resumed_nodes states.
   std::uint64_t resumed_nodes = 0;
-  /// Steps of this invocation that ended inside their run's recorded
-  /// path (re-executed only to rebuild a state; the rest of
-  /// stats.steps extended a path). Per invocation, like resumed_nodes:
-  /// not part of ExploreStats or the snapshot.
+  /// Steps of this invocation that were re-executed and ended inside
+  /// their run's recorded path (only to rebuild a state). Per
+  /// invocation, like resumed_nodes: not part of ExploreStats or the
+  /// snapshot.
   std::uint64_t replayed_steps = 0;
+  /// Steps of this invocation's runs that a checkpoint restore skipped
+  /// instead of re-executing (explorer.cpp, UnitEngine). stats.steps =
+  /// restored_steps + replayed_steps + the steps that extended a path.
+  std::uint64_t restored_steps = 0;
   /// Non-empty: resuming failed and nothing ran. resume_rejected
   /// distinguishes an incompatible snapshot (different scenario or
   /// search configuration — the caller's exit-2 case) from an

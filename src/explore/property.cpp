@@ -2,9 +2,38 @@
 
 #include <algorithm>
 
+#include "consensus/omega_sigma_consensus.h"
 #include "fd/history_checker.h"
+#include "sim/module.h"
 
 namespace wfd::explore {
+
+bool LeadershipClause::goal(const sim::Simulator& sim) const {
+  if (sim.all_alive_done()) return true;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(leaders_.size()); ++p) {
+    if (sim.pattern().alive(p, sim.now()) &&
+        leaders_[static_cast<std::size_t>(p)]->is_leading()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::unique_ptr<LivenessClause> LeadershipClause::clone(
+    const sim::Simulator& from, const sim::Simulator& to) const {
+  std::vector<const Leader*> copies;
+  copies.reserve(leaders_.size());
+  for (ProcessId p = 0; p < static_cast<ProcessId>(leaders_.size()); ++p) {
+    const auto* source = dynamic_cast<const sim::ModuleHost*>(&from.process(p));
+    const auto* target = dynamic_cast<const sim::ModuleHost*>(&to.process(p));
+    if (source == nullptr || target == nullptr) return nullptr;
+    const Leader* copy = target->counterpart(
+        *source, leaders_[static_cast<std::size_t>(p)]);
+    if (copy == nullptr) return nullptr;
+    copies.push_back(copy);
+  }
+  return std::make_unique<LeadershipClause>(std::move(copies));
+}
 
 std::optional<Violation> AgreementInvariant::check(const sim::Simulator& sim) {
   const auto& events = sim.trace().events();

@@ -22,8 +22,14 @@
 #include "nbac/nbac_api.h"
 #include "reg/linearizability.h"
 #include "reg/register_client.h"
+#include "sim/clone.h"
 #include "sim/simulator.h"
 #include "sim/state_encoder.h"
+
+namespace wfd::consensus {
+template <typename V>
+class OmegaSigmaConsensusModule;
+}  // namespace wfd::consensus
 
 namespace wfd::explore {
 
@@ -56,6 +62,15 @@ class Invariant {
   /// default is empty: correct for invariants whose verdicts depend only
   /// on simulator state the modules already encode.
   virtual void encode_state(sim::StateEncoder& enc) const { (void)enc; }
+  /// A copy for a cloned scenario (sim/clone.h), cursor included, or
+  /// null — the default — when the invariant cannot be copied. An
+  /// invariant owning an object that modules borrow records the copy's
+  /// object in `map`, so the cloned modules re-point to it.
+  [[nodiscard]] virtual std::unique_ptr<Invariant> clone(
+      sim::CloneMap& map) const {
+    (void)map;
+    return nullptr;
+  }
 };
 
 /// A liveness clause, checked once at the end of a fair, stabilized run.
@@ -64,6 +79,10 @@ class EventualProperty {
   virtual ~EventualProperty() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   virtual std::optional<Violation> check_final(const sim::Simulator& sim) = 0;
+  /// A copy for a cloned scenario, or null (the default).
+  [[nodiscard]] virtual std::unique_ptr<EventualProperty> clone() const {
+    return nullptr;
+  }
 };
 
 /// A liveness clause for fair-cycle checking over the explored state
@@ -85,6 +104,14 @@ class LivenessClause {
   virtual ~LivenessClause() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual bool goal(const sim::Simulator& sim) const = 0;
+  /// A copy reading `to`, a clone of the simulator `from` this clause
+  /// reads, or null — the default — when it cannot be re-pointed.
+  [[nodiscard]] virtual std::unique_ptr<LivenessClause> clone(
+      const sim::Simulator& from, const sim::Simulator& to) const {
+    (void)from;
+    (void)to;
+    return nullptr;
+  }
 };
 
 /// Termination (consensus "decide", QC/NBAC decisions, rb delivery
@@ -97,6 +124,10 @@ class TerminationClause : public LivenessClause {
   [[nodiscard]] bool goal(const sim::Simulator& sim) const override {
     return sim.all_alive_done();
   }
+  [[nodiscard]] std::unique_ptr<LivenessClause> clone(
+      const sim::Simulator&, const sim::Simulator&) const override {
+    return std::make_unique<TerminationClause>();
+  }
 };
 
 /// Omega eventual leadership at the protocol level: eventually, forever,
@@ -104,25 +135,23 @@ class TerminationClause : public LivenessClause {
 /// run has terminated. A fair loop in which no leader ever has a round
 /// open and nobody decides is exactly the "Omega never stabilizes into
 /// an acting leader" failure the paper's liveness argument excludes.
-/// The scenario wires one is-leading accessor per process at build().
+/// The scenario wires each process's consensus module at build().
 class LeadershipClause : public LivenessClause {
  public:
-  explicit LeadershipClause(std::vector<std::function<bool()>> leading)
-      : leading_(std::move(leading)) {}
+  using Leader = consensus::OmegaSigmaConsensusModule<int>;
+  /// `leaders[p]`: the consensus module hosted by process p, read
+  /// through is_leading().
+  explicit LeadershipClause(std::vector<const Leader*> leaders)
+      : leaders_(std::move(leaders)) {}
   [[nodiscard]] std::string name() const override { return "leadership"; }
-  [[nodiscard]] bool goal(const sim::Simulator& sim) const override {
-    if (sim.all_alive_done()) return true;
-    for (ProcessId p = 0; p < static_cast<ProcessId>(leading_.size()); ++p) {
-      if (sim.pattern().alive(p, sim.now()) &&
-          leading_[static_cast<std::size_t>(p)]()) {
-        return true;
-      }
-    }
-    return false;
-  }
+  [[nodiscard]] bool goal(const sim::Simulator& sim) const override;
+  /// Re-points each module to its copy in the same process of `to`, at
+  /// the same position in the host.
+  [[nodiscard]] std::unique_ptr<LivenessClause> clone(
+      const sim::Simulator& from, const sim::Simulator& to) const override;
 
  private:
-  std::vector<std::function<bool()>> leading_;  ///< One per process.
+  std::vector<const Leader*> leaders_;  ///< One per process.
 };
 
 /// Strong completeness of an *implemented* detector (heartbeat Omega):
@@ -176,6 +205,10 @@ class AgreementInvariant : public Invariant {
     enc.field("have-first", have_first_);
     if (have_first_) enc.field("first-value", first_value_);
   }
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<AgreementInvariant>(*this);
+  }
 
  private:
   std::string kind_;
@@ -195,6 +228,10 @@ class ValidityInvariant : public Invariant {
     return "validity(" + kind_ + ")";
   }
   std::optional<Violation> check(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<ValidityInvariant>(*this);
+  }
 
  private:
   std::string kind_;
@@ -244,6 +281,10 @@ class SigmaIntersectionInvariant : public Invariant {
       enc.merge("quorum", sub);
     }
   }
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<SigmaIntersectionInvariant>(*this);
+  }
 
  private:
   std::size_t cursor_ = 0;
@@ -268,6 +309,10 @@ class FdPrefixInvariant : public Invariant {
   FdPrefixInvariant(bool fs, bool psi) : fs_(fs), psi_(psi) {}
   [[nodiscard]] std::string name() const override { return "fd-prefix"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<FdPrefixInvariant>(*this);
+  }
 
  private:
   bool fs_;
@@ -294,6 +339,13 @@ class RegisterAtomicityInvariant : public Invariant {
   /// only, no absolute timestamps — since future verdicts depend on
   /// which past ops overlapped, not on when they ran.
   void encode_state(sim::StateEncoder& enc) const override;
+  /// Records the copy's History in `map` for the clients' relink.
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap& map) const override {
+    auto copy = std::make_unique<RegisterAtomicityInvariant>(*this);
+    map.add(&history_, &copy->history_);
+    return copy;
+  }
 
  private:
   reg::History history_;
@@ -368,6 +420,9 @@ class EventualDecisionProperty : public EventualProperty {
     return "eventual(" + kind_ + ")";
   }
   std::optional<Violation> check_final(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<EventualProperty> clone() const override {
+    return std::make_unique<EventualDecisionProperty>(*this);
+  }
 
  private:
   std::string kind_;

@@ -29,6 +29,10 @@ namespace {
 class FdProbeProcess : public sim::Process {
  public:
   void on_step(sim::Context&, const sim::Envelope*) override {}
+  [[nodiscard]] std::unique_ptr<sim::Process> clone(
+      const sim::CloneMap&) const override {
+    return std::make_unique<FdProbeProcess>();
+  }
 };
 
 /// Keeps an rb run alive until this process has delivered every
@@ -392,7 +396,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
 
   // Per-process views collected while the modules are built, consumed by
   // the liveness-clause wiring at the end.
-  std::vector<std::function<bool()>> leading_fns;
+  std::vector<const LeadershipClause::Leader*> leaders;
   std::vector<FdCompletenessClause::View> fd_views;
 
   if (opt_.problem == "consensus" || opt_.problem == "consensus-live-bug" ||
@@ -408,7 +412,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
                     &host.add_module<GiveUpLeaderConsensusModule>("cons"))
               : &host.add_module<DeferToPromisedConsensusModule>("cons");
       c->propose(i % 2, {});
-      leading_fns.emplace_back([c] { return c->is_leading(); });
+      leaders.push_back(c);
     }
     out.invariants.push_back(std::make_unique<AgreementInvariant>("decide"));
     out.invariants.push_back(
@@ -580,9 +584,9 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     if (opt_.liveness == "termination") {
       out.liveness.push_back(std::make_unique<TerminationClause>());
     } else if (opt_.liveness == "leadership") {
-      WFD_CHECK(!leading_fns.empty());
+      WFD_CHECK(!leaders.empty());
       out.liveness.push_back(
-          std::make_unique<LeadershipClause>(std::move(leading_fns)));
+          std::make_unique<LeadershipClause>(std::move(leaders)));
     } else {
       WFD_CHECK_MSG(opt_.liveness == "fd-completeness" && !fd_views.empty(),
                     "liveness clause survived validate() unwired");
@@ -605,6 +609,33 @@ std::optional<std::uint64_t> scenario_fingerprint(
   }
   if (!enc.complete()) return std::nullopt;
   return enc.digest();
+}
+
+std::optional<Scenario> clone_scenario(const Scenario& sc,
+                                      sim::ChoiceSource& choices) {
+  // Invariants first: one that owns an object modules borrow records its
+  // copy in the map before the modules relink to it.
+  sim::CloneMap map(choices);
+  Scenario out;
+  out.invariants.reserve(sc.invariants.size());
+  for (const auto& inv : sc.invariants) {
+    std::unique_ptr<Invariant> copy = inv->clone(map);
+    if (copy == nullptr) return std::nullopt;
+    out.invariants.push_back(std::move(copy));
+  }
+  out.sim = sc.sim->clone(map);
+  if (out.sim == nullptr) return std::nullopt;
+  for (const auto& ev : sc.eventuals) {
+    std::unique_ptr<EventualProperty> copy = ev->clone();
+    if (copy == nullptr) return std::nullopt;
+    out.eventuals.push_back(std::move(copy));
+  }
+  for (const auto& clause : sc.liveness) {
+    std::unique_ptr<LivenessClause> copy = clause->clone(*sc.sim, *out.sim);
+    if (copy == nullptr) return std::nullopt;
+    out.liveness.push_back(std::move(copy));
+  }
+  return out;
 }
 
 std::optional<Violation> check_invariants(Scenario& sc) {

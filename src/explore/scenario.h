@@ -103,6 +103,14 @@ struct Scenario {
 [[nodiscard]] std::optional<std::uint64_t> scenario_fingerprint(
     const Scenario& sc, const std::vector<ProcessId>* renaming = nullptr);
 
+/// A deep copy of `sc` between steps that continues exactly as `sc`
+/// would, asking `choices` at every choice point (sim/clone.h); `sc`
+/// stays untouched while the copy runs. nullopt when any part — a
+/// process, module, oracle, scheduler, invariant, eventual property or
+/// liveness clause — is not cloneable.
+[[nodiscard]] std::optional<Scenario> clone_scenario(
+    const Scenario& sc, sim::ChoiceSource& choices);
+
 /// Checks every invariant of `sc` against the run so far, in order, and
 /// returns the first violation; later invariants are not checked, so
 /// their cursors stay where they were (Invariant::check).

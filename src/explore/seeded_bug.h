@@ -40,6 +40,8 @@
 // (`wfd_check --problem=consensus-crash-live-bug`).
 #pragma once
 
+#include <memory>
+
 #include "consensus/consensus_api.h"
 #include "consensus/omega_sigma_consensus.h"
 #include "fd/values.h"
@@ -77,6 +79,10 @@ class FirstHeardConsensusModule : public sim::Module {
     enc.field("proposal", proposal_);
     enc.field("decided", decided_);
     enc.field("decision", decision_);
+  }
+
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<FirstHeardConsensusModule>(*this);
   }
 
  private:
@@ -182,6 +188,10 @@ class CrashTimingConsensusModule : public sim::Module {
     enc.field("pending-phase2", pending_phase2_);
   }
 
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<CrashTimingConsensusModule>(*this);
+  }
+
  private:
   static constexpr ProcessId kCoordinator = 0;
 
@@ -231,6 +241,10 @@ class GiveUpLeaderConsensusModule
   GiveUpLeaderConsensusModule()
       : consensus::OmegaSigmaConsensusModule<int>(bug_options()) {}
 
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return clone_as<GiveUpLeaderConsensusModule>();
+  }
+
  private:
   [[nodiscard]] static Options bug_options() {
     Options o;
@@ -255,6 +269,10 @@ class DeferToPromisedConsensusModule
  public:
   DeferToPromisedConsensusModule()
       : consensus::OmegaSigmaConsensusModule<int>(bug_options()) {}
+
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return clone_as<DeferToPromisedConsensusModule>();
+  }
 
  private:
   [[nodiscard]] static Options bug_options() {

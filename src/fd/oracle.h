@@ -16,6 +16,10 @@
 #include "sim/failure_pattern.h"
 #include "sim/state_encoder.h"
 
+namespace wfd::sim {
+class ChoiceSource;
+}  // namespace wfd::sim
+
 namespace wfd::fd {
 
 class Oracle {
@@ -51,6 +55,15 @@ class Oracle {
   virtual void encode_state(sim::StateEncoder& enc, Time now) const {
     (void)now;
     enc.opaque("oracle");
+  }
+
+  /// A copy for a cloned simulator (sim/clone.h) whose choice points, if
+  /// any, ask `choices`; null — the default — when the oracle cannot be
+  /// copied.
+  [[nodiscard]] virtual std::unique_ptr<Oracle> clone(
+      sim::ChoiceSource& choices) const {
+    (void)choices;
+    return nullptr;
   }
 };
 

@@ -16,6 +16,7 @@
 // here, plus all histories only legal for some injected crash timing.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "explore/choice_oracle.h"
@@ -30,6 +31,16 @@ class FdAdversary : public explore::ChoiceOracle {
       : explore::ChoiceOracle(choices, force(opt)) {}
 
   [[nodiscard]] std::string name() const override { return "fd-adversary"; }
+
+  /// Not cloneable (the Oracle default, restored over ChoiceOracle's
+  /// copy, which would drop this type): adversarial searches rebuild
+  /// every run until they get the lockstep coverage of the converted
+  /// problems (tests/checkpoint_test.cpp).
+  [[nodiscard]] std::unique_ptr<fd::Oracle> clone(
+      sim::ChoiceSource& choices) const override {
+    (void)choices;
+    return nullptr;
+  }
 
  private:
   static Options force(Options o) {

@@ -24,6 +24,8 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -53,6 +55,20 @@ struct Stamp {
 enum class QuorumRule {
   kSigma,     ///< Replier set must contain a quorum output by Sigma.
   kMajority,  ///< Replier set must be a strict majority (classical ABD).
+};
+
+/// A module that invokes operations on an AbdRegisterModule of its own
+/// host and learns of their completion through these hooks instead of a
+/// callback. The register keeps the client's position in the host plus
+/// the caller's tag, which a cloned host resolves to the client's copy
+/// (sim/clone.h); a copied std::function would call into the source.
+template <typename V>
+class RegisterClient : public sim::Module {
+ public:
+  /// The write invoked with `tag` completed.
+  virtual void write_done(std::uint64_t tag) = 0;
+  /// The read invoked with `tag` completed, returning `value`.
+  virtual void read_done(std::uint64_t tag, const V& value) = 0;
 };
 
 template <typename V>
@@ -97,6 +113,21 @@ class AbdRegisterModule : public sim::Module {
     pending_is_write_ = false;
     read_cb_ = std::move(cb);
     phase_ = 0;
+  }
+
+  /// As write(v, cb), but completion calls client.write_done(tag);
+  /// `client` must be a module of this register's host.
+  void write(const V& v, const RegisterClient<V>& client, std::uint64_t tag) {
+    write(v, WriteCb{});
+    client_ = client.index();
+    tag_ = tag;
+  }
+
+  /// As read(cb), but completion calls client.read_done(tag, value).
+  void read(const RegisterClient<V>& client, std::uint64_t tag) {
+    read(ReadCb{});
+    client_ = client.index();
+    tag_ = tag;
   }
 
   [[nodiscard]] bool busy() const { return busy_; }
@@ -154,6 +185,13 @@ class AbdRegisterModule : public sim::Module {
   /// request handlers (the tick-insensitive payloads below) never touch
   /// busy_, so the verdict holds on either side of such a delivery.
   [[nodiscard]] bool tick_noop() const override { return !busy_; }
+
+  /// Not cloneable while a completion callback is set: a copied
+  /// std::function would still act on the source's client.
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    if (write_cb_ || read_cb_) return nullptr;
+    return std::make_unique<AbdRegisterModule>(*this);
+  }
 
   void encode_state(sim::StateEncoder& enc) const override {
     sim::encode_field(enc, "value", value_);
@@ -301,9 +339,7 @@ class AbdRegisterModule : public sim::Module {
         // Regular-register ablation: return without writing back.
         busy_ = false;
         ++completed_;
-        auto cb = std::move(read_cb_);
-        read_cb_ = nullptr;
-        if (cb) cb(best_value_);
+        finish_read(best_value_);
       }
       return;
     }
@@ -311,14 +347,36 @@ class AbdRegisterModule : public sim::Module {
     busy_ = false;
     ++completed_;
     if (pending_is_write_) {
+      if (RegisterClient<V>* c = take_client()) {
+        c->write_done(tag_);
+        return;
+      }
       auto cb = std::move(write_cb_);
       write_cb_ = nullptr;
       if (cb) cb();
     } else {
-      auto cb = std::move(read_cb_);
-      read_cb_ = nullptr;
-      if (cb) cb(phase2_value_);
+      finish_read(phase2_value_);
     }
+  }
+
+  void finish_read(const V& value) {
+    if (RegisterClient<V>* c = take_client()) {
+      c->read_done(tag_, value);
+      return;
+    }
+    auto cb = std::move(read_cb_);
+    read_cb_ = nullptr;
+    if (cb) cb(value);
+  }
+
+  /// The hook client of the finishing operation, if it has one; the
+  /// register forgets it before the hook runs, like a callback.
+  [[nodiscard]] RegisterClient<V>* take_client() {
+    if (client_ == kNoClient) return nullptr;
+    auto* c = dynamic_cast<RegisterClient<V>*>(&host().module_at(client_));
+    WFD_CHECK_MSG(c != nullptr, "register client is not a RegisterClient");
+    client_ = kNoClient;
+    return c;
   }
 
   Options opt_;
@@ -339,6 +397,12 @@ class AbdRegisterModule : public sim::Module {
   ProcessSet repliers_;
   WriteCb write_cb_;
   ReadCb read_cb_;
+  /// The hook client of the operation in flight (its position in the
+  /// host) and the tag it passed.
+  static constexpr std::size_t kNoClient =
+      std::numeric_limits<std::size_t>::max();
+  std::size_t client_ = kNoClient;
+  std::uint64_t tag_ = 0;
   std::uint64_t completed_ = 0;
 };
 

@@ -58,19 +58,24 @@ void RegisterWorkloadModule::issue_next() {
     const std::int64_t v = static_cast<std::int64_t>(
         (next_value_++ << 8) | static_cast<std::uint64_t>(self()));
     const std::size_t idx = history_->invoke(self(), true, v, now());
-    target_->write(v, [this, idx] {
-      history_->respond(idx, now(), 0);
-      last_response_time_ = now();
-      in_flight_ = false;
-    });
+    target_->write(v, *this, idx);
   } else {
     const std::size_t idx = history_->invoke(self(), false, 0, now());
-    target_->read([this, idx](const std::int64_t& v) {
-      history_->respond(idx, now(), v);
-      last_response_time_ = now();
-      in_flight_ = false;
-    });
+    target_->read(*this, idx);
   }
+}
+
+void RegisterWorkloadModule::write_done(std::uint64_t tag) {
+  history_->respond(static_cast<std::size_t>(tag), now(), 0);
+  last_response_time_ = now();
+  in_flight_ = false;
+}
+
+void RegisterWorkloadModule::read_done(std::uint64_t tag,
+                                       const std::int64_t& value) {
+  history_->respond(static_cast<std::size_t>(tag), now(), value);
+  last_response_time_ = now();
+  in_flight_ = false;
 }
 
 }  // namespace wfd::reg

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,7 +43,7 @@ class History {
 /// A client issuing `num_ops` operations, alternating write/read or
 /// randomized, then reporting done. Values written are unique per client
 /// (client id in the low bits) so the checker can distinguish writes.
-class RegisterWorkloadModule : public sim::Module {
+class RegisterWorkloadModule : public RegisterClient<std::int64_t> {
  public:
   struct Options {
     int num_ops = 8;
@@ -52,6 +53,8 @@ class RegisterWorkloadModule : public sim::Module {
     Time think_time = 0;
   };
 
+  /// `target` must be hosted next to this module (its completions
+  /// come back through the RegisterClient hooks).
   RegisterWorkloadModule(AbdRegisterModule<std::int64_t>* target,
                          History* history, Options opt);
 
@@ -79,6 +82,23 @@ class RegisterWorkloadModule : public sim::Module {
     enc.field("in-flight", in_flight_);
     enc.field("idle", idle_ticks_);
     enc.field("next-value", next_value_);
+  }
+
+  /// Completions record the response time into the History.
+  void write_done(std::uint64_t tag) override;
+  void read_done(std::uint64_t tag, const std::int64_t& value) override;
+
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<RegisterWorkloadModule>(*this);
+  }
+
+  /// The target register by position in the host; the History through
+  /// `map` (its owner, e.g. RegisterAtomicityInvariant, records it).
+  [[nodiscard]] bool relink(const sim::ModuleHost& from,
+                            const sim::CloneMap& map) override {
+    target_ = host().counterpart(from, target_);
+    history_ = map.find(history_);
+    return target_ != nullptr && history_ != nullptr;
   }
 
   [[nodiscard]] Time first_op_time() const { return first_op_time_; }

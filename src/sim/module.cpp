@@ -48,16 +48,25 @@ ModuleHost& Module::host() const {
 ModuleHost::~ModuleHost() = default;
 
 Module* ModuleHost::find_module(const std::string& module_name) const {
-  auto it = by_name_.find(module_name);
-  return it == by_name_.end() ? nullptr : it->second;
+  const auto it = by_name_->find(module_name);
+  return it == by_name_->end() ? nullptr : modules_[it->second].get();
+}
+
+Module& ModuleHost::module_at(std::size_t index) const {
+  WFD_CHECK(index < modules_.size());
+  return *modules_[index];
 }
 
 void ModuleHost::attach_module(std::unique_ptr<Module> mod,
                                std::string module_name) {
   Module& ref = *mod;
   mod->host_ = this;
+  mod->index_ = modules_.size();
   mod->name_ = std::move(module_name);
-  by_name_.emplace(mod->name_, mod.get());
+  if (by_name_.use_count() > 1) {
+    by_name_ = std::make_shared<std::map<std::string, std::size_t>>(*by_name_);
+  }
+  by_name_->emplace(mod->name_, mod->index_);
   modules_.push_back(std::move(mod));
   if (started_) start_module(ref);
 }
@@ -137,6 +146,35 @@ void ModuleHost::encode_modules(StateEncoder& enc) const {
   }
 }
 
+bool ModuleHost::clone_modules(ModuleHost& to, const CloneMap& map) const {
+  WFD_CHECK(to.modules_.empty());
+  to.modules_.reserve(modules_.size());
+  for (const auto& m : modules_) {
+    // A detector source is another object's pointer with no position to
+    // re-point it by.
+    if (m->fd_source_ != nullptr) return false;
+    std::unique_ptr<Module> copy = m->clone();
+    if (copy == nullptr) return false;
+    copy->host_ = &to;
+    to.modules_.push_back(std::move(copy));
+  }
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    Module& copy = *to.modules_[i];
+    if (copy.transport_ != nullptr) {
+      // A transport is a module of the same host (set_transport).
+      const auto* t = dynamic_cast<const Module*>(copy.transport_);
+      Module* mine = to.counterpart(*this, t);
+      copy.transport_ = dynamic_cast<ModuleTransport*>(mine);
+      if (copy.transport_ == nullptr) return false;
+    }
+    if (!copy.relink(*this, map)) return false;
+  }
+  to.by_name_ = by_name_;
+  to.undelivered_ = undelivered_;
+  to.started_ = started_;
+  return true;
+}
+
 void ModularProcess::on_start(Context& ctx) {
   current_ = &ctx;
   start_modules();
@@ -154,6 +192,13 @@ void ModularProcess::on_step(Context& ctx, const Envelope* msg) {
   }
   tick_modules();
   current_ = nullptr;
+}
+
+std::unique_ptr<Process> ModularProcess::clone(const CloneMap& map) const {
+  if (instrument_ != nullptr) return nullptr;
+  auto copy = std::make_unique<ModularProcess>();
+  if (!clone_modules(*copy, map)) return nullptr;
+  return copy;
 }
 
 bool ModularProcess::tick_noop() const {

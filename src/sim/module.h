@@ -27,6 +27,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "fd/values.h"
+#include "sim/clone.h"
 #include "sim/payload.h"
 #include "sim/process.h"
 #include "sim/state_encoder.h"
@@ -95,7 +96,7 @@ class ModuleHost {
   /// "nbac/7", rely on this).
   template <typename M, typename... Args>
   M& add_module(std::string module_name, Args&&... args) {
-    WFD_CHECK_MSG(by_name_.find(module_name) == by_name_.end(),
+    WFD_CHECK_MSG(find_module(module_name) == nullptr,
                   "duplicate module name");
     auto mod = std::make_unique<M>(std::forward<Args>(args)...);
     M& ref = *mod;
@@ -109,6 +110,16 @@ class ModuleHost {
   /// Find and downcast; asserts on absence or type mismatch.
   template <typename M>
   [[nodiscard]] M& module(const std::string& module_name) const;
+
+  /// The module at position `index` of this host (Module::index()).
+  [[nodiscard]] Module& module_at(std::size_t index) const;
+
+  /// This host's module at the position `m` holds in host `from`: how a
+  /// cloned module re-points a same-host module reference (see
+  /// Module::relink). Null when `m` is not hosted by `from` or the copy
+  /// is not an M.
+  template <typename M>
+  [[nodiscard]] M* counterpart(const ModuleHost& from, const M* m) const;
 
   // --- Environment surface (what Module's protected helpers consume).
 
@@ -169,6 +180,13 @@ class ModuleHost {
   /// module's name) plus the pre-existence message buffer.
   void encode_modules(StateEncoder& enc) const;
 
+  /// Copies every module, the pre-existence buffer and the started flag
+  /// into `to`, a host without modules, then re-points each copy's host,
+  /// transport and (Module::relink) everything else it borrows. False
+  /// when some module is not cloneable or borrows something without a
+  /// counterpart; `to` is then unusable.
+  [[nodiscard]] bool clone_modules(ModuleHost& to, const CloneMap& map) const;
+
  private:
   struct BufferedMsg {
     ProcessId from;
@@ -179,7 +197,10 @@ class ModuleHost {
   void start_module(Module& m);
 
   std::vector<std::unique_ptr<Module>> modules_;
-  std::map<std::string, Module*> by_name_;
+  /// Module positions by name, shared by a host and its clones until
+  /// one of them adds a module (copy on write): a clone copies no map.
+  std::shared_ptr<std::map<std::string, std::size_t>> by_name_ =
+      std::make_shared<std::map<std::string, std::size_t>>();
   std::map<std::string, std::vector<BufferedMsg>> undelivered_;
   bool started_ = false;
 };
@@ -236,6 +257,30 @@ class Module {
     enc.opaque("module");
   }
 
+  /// A member-wise copy for a cloned host (sim/clone.h), or null — the
+  /// default, like encode_state's opaque one — when this module cannot
+  /// be copied; a module holding a callback it cannot re-point must
+  /// return null. The copy keeps this module's pointers until the host
+  /// re-points them: host and transport itself, the rest via relink().
+  [[nodiscard]] virtual std::unique_ptr<Module> clone() const {
+    return nullptr;
+  }
+
+  /// Re-points what a fresh copy borrows, once every module of its host
+  /// has been copied: a module of the source host `from` through
+  /// host().counterpart(from, ...), an object outside the simulator
+  /// through `map`. False when something has no counterpart, which
+  /// fails the clone. The default borrows nothing.
+  [[nodiscard]] virtual bool relink(const ModuleHost& from,
+                                    const CloneMap& map) {
+    (void)from;
+    (void)map;
+    return true;
+  }
+
+  /// This module's position in its host's module list (add order).
+  [[nodiscard]] std::size_t index() const { return index_; }
+
  protected:
   /// The failure-detector value this module should act on in this step:
   /// the configured FdSource if any, else the host's sample.
@@ -254,6 +299,7 @@ class Module {
  private:
   friend class ModuleHost;
   ModuleHost* host_ = nullptr;
+  std::size_t index_ = 0;
   std::string name_;
   const FdSource* fd_source_ = nullptr;
   ModuleTransport* transport_ = nullptr;
@@ -266,6 +312,16 @@ M& ModuleHost::module(const std::string& module_name) const {
   auto* typed = dynamic_cast<M*>(m);
   WFD_CHECK_MSG(typed != nullptr, "module type mismatch");
   return *typed;
+}
+
+template <typename M>
+M* ModuleHost::counterpart(const ModuleHost& from, const M* m) const {
+  const Module* base = m;
+  if (base == nullptr || base->host_ != &from ||
+      base->index_ >= modules_.size()) {
+    return nullptr;
+  }
+  return dynamic_cast<M*>(modules_[base->index_].get());
 }
 
 /// Wire format: every inter-process message of a module is wrapped with
@@ -361,6 +417,10 @@ class ModularProcess : public Process, public ModuleHost {
   }
 
   void set_instrument(TransportInstrument* ins) { instrument_ = ins; }
+
+  /// Null when a module is not cloneable or an instrument is set.
+  [[nodiscard]] std::unique_ptr<Process> clone(
+      const CloneMap& map) const override;
   [[nodiscard]] TransportInstrument* instrument() override {
     return instrument_;
   }

@@ -7,6 +7,9 @@
 // receives no message) and on_step for every subsequent step.
 #pragma once
 
+#include <memory>
+
+#include "sim/clone.h"
 #include "sim/envelope.h"
 #include "sim/state_encoder.h"
 
@@ -57,6 +60,14 @@ class Process {
   /// fingerprint pruning (see StateEncoder::opaque).
   virtual void encode_state(StateEncoder& enc) const {
     enc.opaque("process");
+  }
+
+  /// A copy of this process for a cloned simulator, taken between steps
+  /// (sim/clone.h), or null — the default — when it cannot be copied.
+  [[nodiscard]] virtual std::unique_ptr<Process> clone(
+      const CloneMap& map) const {
+    (void)map;
+    return nullptr;
   }
 };
 

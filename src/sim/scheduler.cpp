@@ -140,12 +140,25 @@ ReplayScheduler::ReplayScheduler(ChoiceSource* choices, Options opt)
   WFD_CHECK(choices_ != nullptr);
 }
 
+std::unique_ptr<Scheduler> ReplayScheduler::clone(
+    ChoiceSource& choices, const inject::FaultState* faults) const {
+  // Options::faults borrows the simulator's ledger: the copy reads the
+  // clone's. The menu vectors are per-step scratch and are not copied.
+  if ((faults == nullptr) != (opt_.faults == nullptr)) return nullptr;
+  Options opt = opt_;
+  opt.faults = faults;
+  auto copy = std::make_unique<ReplayScheduler>(&choices, opt);
+  copy->n_ = n_;
+  copy->started_ = started_;
+  return copy;
+}
+
 void ReplayScheduler::begin_run(int n, const FailurePattern& f,
                                 std::uint64_t seed) {
   (void)f;
   (void)seed;
   n_ = n;
-  started_.assign(static_cast<std::size_t>(n), false);
+  started_ = ProcessSet{};
 }
 
 StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
@@ -158,7 +171,7 @@ StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
   };
   for (ProcessId p = 0; p < n_; ++p) {
     if (!f.alive(p, now)) continue;
-    if (!started_[static_cast<std::size_t>(p)]) {
+    if (!started_.contains(p)) {
       // The first step of a process receives no message; offering
       // deliveries would silently waste them (the simulator runs
       // on_start and leaves the message pending).
@@ -214,7 +227,7 @@ StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
     WFD_CHECK(idx < options_.size());
   }
   if (options_[idx].action == StepChoice::Action::kDeliver) {
-    started_[static_cast<std::size_t>(options_[idx].p)] = true;
+    started_.insert(options_[idx].p);
   }
   return options_[idx];
 }

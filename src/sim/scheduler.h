@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/process_set.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/choice.h"
@@ -53,6 +54,16 @@ class Scheduler {
                           Time now) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// A copy for a cloned simulator (sim/clone.h) whose choice points ask
+  /// `choices` and whose fault menus read `faults` (the clone's ledger),
+  /// or null — the default — when the scheduler cannot be copied.
+  [[nodiscard]] virtual std::unique_ptr<Scheduler> clone(
+      ChoiceSource& choices, const inject::FaultState* faults) const {
+    (void)choices;
+    (void)faults;
+    return nullptr;
+  }
 };
 
 /// Deterministic: processes step cyclically (skipping crashed ones) and
@@ -186,6 +197,9 @@ class ReplayScheduler : public Scheduler {
   StepChoice next(const Network& net, const FailurePattern& f,
                   Time now) override;
   [[nodiscard]] std::string name() const override { return "replay"; }
+  [[nodiscard]] std::unique_ptr<Scheduler> clone(
+      ChoiceSource& choices,
+      const inject::FaultState* faults) const override;
 
   /// Stable label of a schedule option: which process steps, which
   /// message (0 = lambda) it receives, and — bits 46..47 of the message
@@ -224,7 +238,7 @@ class ReplayScheduler : public Scheduler {
   ChoiceSource* choices_;
   Options opt_;
   int n_ = 0;
-  std::vector<bool> started_;
+  ProcessSet started_;
   /// The menu of the current step; kept across steps to reuse storage.
   std::vector<StepChoice> options_;
   std::vector<std::uint64_t> labels_;

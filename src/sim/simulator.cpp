@@ -23,6 +23,40 @@ Process& Simulator::process(ProcessId p) {
   return *procs_[static_cast<std::size_t>(p)];
 }
 
+const Process& Simulator::process(ProcessId p) const {
+  WFD_CHECK(p >= 0 && p < static_cast<ProcessId>(procs_.size()));
+  return *procs_[static_cast<std::size_t>(p)];
+}
+
+std::unique_ptr<Simulator> Simulator::clone(const CloneMap& map) const {
+  std::unique_ptr<inject::FaultState> faults;
+  if (faults_ != nullptr) {
+    faults = std::make_unique<inject::FaultState>(*faults_);
+  }
+  std::unique_ptr<fd::Oracle> oracle = oracle_->clone(map.choices());
+  std::unique_ptr<Scheduler> scheduler =
+      scheduler_->clone(map.choices(), faults.get());
+  if (oracle == nullptr || scheduler == nullptr) return nullptr;
+  auto copy = std::make_unique<Simulator>(cfg_, pattern_, std::move(oracle),
+                                          std::move(scheduler));
+  copy->faults_ = std::move(faults);
+  copy->procs_.reserve(procs_.size());
+  for (const auto& proc : procs_) {
+    std::unique_ptr<Process> p = proc->clone(map);
+    if (p == nullptr) return nullptr;
+    copy->procs_.push_back(std::move(p));
+  }
+  copy->started_p_ = started_p_;
+  copy->proc_rng_ = proc_rng_;
+  copy->net_ = net_;
+  copy->trace_ = trace_;
+  copy->now_ = now_;
+  copy->started_ = started_;
+  copy->halt_on_done_ = halt_on_done_;
+  copy->last_step_ = last_step_;
+  return copy;
+}
+
 bool Simulator::all_alive_done() const {
   for (ProcessId p = 0; p < cfg_.n; ++p) {
     if (pattern_.alive(p, now_) &&
@@ -50,8 +84,7 @@ void Simulator::ensure_started() {
 
 bool Simulator::step() {
   ensure_started();
-  if (now_ >= cfg_.max_steps) return false;
-  if (halt_on_done_ && all_alive_done()) return false;
+  if (halted()) return false;
 
   const StepChoice choice = scheduler_->next(net_, pattern_, now_);
   if (choice.p == kNoProcess) return false;  // Everyone crashed.
@@ -102,8 +135,8 @@ bool Simulator::step() {
   last_step_ = LastStep{choice.p, 0, false};
 
   bool lambda = true;
-  if (!started_p_[static_cast<std::size_t>(choice.p)]) {
-    started_p_[static_cast<std::size_t>(choice.p)] = true;
+  if (!started_p_.contains(choice.p)) {
+    started_p_.insert(choice.p);
     last_step_.was_start = true;
     proc.on_start(ctx);
   } else if (choice.message_id != 0 && net_.contains(choice.message_id)) {
@@ -130,15 +163,14 @@ bool Simulator::step() {
 
 bool Simulator::process_tick_noop(ProcessId p) const {
   return p >= 0 && p < static_cast<ProcessId>(procs_.size()) &&
-         started_p_[static_cast<std::size_t>(p)] &&
+         started_p_.contains(p) &&
          procs_[static_cast<std::size_t>(p)]->tick_noop();
 }
 
 void Simulator::encode_state(StateEncoder& enc) const {
   for (ProcessId p = 0; p < cfg_.n; ++p) {
     enc.push_proc("proc", p);
-    enc.field("started", static_cast<bool>(
-                             started_p_[static_cast<std::size_t>(p)]));
+    enc.field("started", started_p_.contains(p));
     enc.field("crashed", !pattern_.alive(p, now_));
     // A crash still ahead of us changes the reachable futures; fold how
     // far away it is (a delta — absolute times would defeat pruning).

@@ -9,10 +9,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/process_set.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "fd/oracle.h"
 #include "inject/fault_plan.h"
+#include "sim/clone.h"
 #include "sim/failure_pattern.h"
 #include "sim/network.h"
 #include "sim/process.h"
@@ -54,6 +56,8 @@ struct LastStep {
   /// duplicated); kNoProcess for λ/start/crash. Identifies the directed
   /// channel for channel-granular communication fairness.
   ProcessId from = kNoProcess;
+
+  friend bool operator==(const LastStep&, const LastStep&) = default;
 };
 
 class Simulator {
@@ -69,7 +73,6 @@ class Simulator {
     auto proc = std::make_unique<P>(std::forward<Args>(args)...);
     P& ref = *proc;
     procs_.push_back(std::move(proc));
-    started_p_.push_back(false);
     return ref;
   }
 
@@ -82,6 +85,20 @@ class Simulator {
   /// Execute one global step. Returns false when the run has halted
   /// (max_steps reached, all alive processes done, or everyone crashed).
   bool step();
+
+  /// True when step() would return false without stepping because the
+  /// horizon is reached or every alive process is done.
+  [[nodiscard]] bool halted() const {
+    return now_ >= cfg_.max_steps || (halt_on_done_ && all_alive_done());
+  }
+
+  /// A deep copy taken between steps that continues exactly as this
+  /// simulator would, asking `map.choices()` wherever this one asks its
+  /// scheduler's and oracle's decision source (sim/clone.h). Shares only
+  /// immutable payloads with this simulator, which stays untouched while
+  /// the copy runs. Null when the oracle, the scheduler or a process is
+  /// not cloneable.
+  [[nodiscard]] std::unique_ptr<Simulator> clone(const CloneMap& map) const;
 
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] int n() const { return cfg_.n; }
@@ -99,6 +116,7 @@ class Simulator {
   }
 
   Process& process(ProcessId p);
+  [[nodiscard]] const Process& process(ProcessId p) const;
   Network& network() { return net_; }
   Trace& trace() { return trace_; }
   [[nodiscard]] const Trace& trace() const { return trace_; }
@@ -140,7 +158,7 @@ class Simulator {
   std::unique_ptr<fd::Oracle> oracle_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<bool> started_p_;
+  ProcessSet started_p_;  ///< Processes that took their first step.
   std::vector<Rng> proc_rng_;
   Network net_;
   Trace trace_;

@@ -14,6 +14,11 @@
 #  3. A snapshot resumed against a different scenario must be rejected
 #     with exit 2; a corrupt snapshot must be rejected with exit 1.
 #
+# Claim 1's single-shot run also reports how its steps split: some were
+# re-executed only to rebuild a state (replayed_steps), checkpoint
+# restores skipped others (restored_steps), and the rest extended a
+# path.
+#
 # Usage: resume_check.sh /path/to/wfd_check
 set -u
 
@@ -76,11 +81,16 @@ a=$(jstr "$single" coverage)
 b=$(jstr "$LOOP_OUT" coverage)
 [ -n "$a" ] && [ "$a" = "$b" ] || fail "register coverage: $a vs $b"
 # The replay share is per invocation (not persisted): some but not all
-# of a search's steps only rebuild a state.
+# of a search's steps only rebuild a state. The register problem is
+# cloneable, so checkpoint restores skip most of the rest: both shares
+# are nonzero and together still leave the steps that extended a path.
 a=$(jnum "$single" replayed_steps)
+r=$(jnum "$single" restored_steps)
 b=$(jnum "$single" steps)
 [ -n "$a" ] && [ "$a" -gt 0 ] && [ "$a" -lt "$b" ] ||
   fail "register replayed_steps=$a not within steps=$b"
+[ -n "$r" ] && [ "$r" -gt 0 ] && [ $((a + r)) -lt "$b" ] ||
+  fail "register restored_steps=$r (+ replayed $a) not within steps=$b"
 
 # --- 2. seeded bug: same violation either way ------------------------------
 bug_single=$("$CHECK" $BUG_ARGS)

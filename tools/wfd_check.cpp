@@ -456,7 +456,7 @@ int run_exhaustive(const Args& a) {
         "\"resumed\":%s,\"resume_generation\":%llu,"
         "\"elapsed_ms\":%llu,\"states_per_sec\":%.0f,"
         "\"steps_per_state\":%.2f,\"replayed_steps\":%llu,"
-        "\"config\":%s%s}\n",
+        "\"restored_steps\":%llu,\"config\":%s%s}\n",
         static_cast<unsigned long long>(st.nodes),
         static_cast<unsigned long long>(st.runs),
         static_cast<unsigned long long>(st.steps),
@@ -476,6 +476,7 @@ int run_exhaustive(const Args& a) {
         static_cast<unsigned long long>(rep.resume_generation), elapsed_ms,
         states_per_sec, steps_per_state,
         static_cast<unsigned long long>(rep.replayed_steps),
+        static_cast<unsigned long long>(rep.restored_steps),
         explore::config_to_json(cfg).c_str(), liveness_json.c_str());
     if (save_failed) return kExitUsage;
     return budget_left ? kExitBudget : kExitClean;
@@ -488,13 +489,14 @@ int run_exhaustive(const Args& a) {
     }
     std::printf(
         "explored %llu states across %llu runs (%llu steps, %llu replayed, "
-        "%llu sleep-set skips, %llu fp prunes, %llu hb races, "
+        "%llu restored, %llu sleep-set skips, %llu fp prunes, %llu hb races, "
         "%llu backtrack points, %llu commute skips): %s [coverage: %s] "
         "in %.3f s (%.0f states/s, %.1f steps/state)\n",
         static_cast<unsigned long long>(st.nodes),
         static_cast<unsigned long long>(st.runs),
         static_cast<unsigned long long>(st.steps),
         static_cast<unsigned long long>(rep.replayed_steps),
+        static_cast<unsigned long long>(rep.restored_steps),
         static_cast<unsigned long long>(st.sleep_skips),
         static_cast<unsigned long long>(st.fp_prunes),
         static_cast<unsigned long long>(st.hb_races),
