@@ -217,26 +217,6 @@ class UnitEngine {
       // invisible to fingerprint pruning, or every run would prune
       // itself at step one.
       const std::size_t replay_len = u_->frames.size();
-      // Observe each step once. backtrack() flipped the last frame
-      // (replay_len - 1), so a step that consumes only frames below it
-      // (source position < replay_len after the step) repeats a step
-      // the previous run of this engine executed and observed: its
-      // invariants found nothing (that run would have stopped there,
-      // and no frame exists past a violating step) and, in liveness
-      // mode, its transition and the goal bit of the state it reached
-      // are already in the graph. Such a step still runs the simulator,
-      // DPOR and the cancel poll, but skips the invariant checks, the
-      // fingerprint and the graph record, taking the state's
-      // fingerprint from the previous run; the next observed step's
-      // checks catch up (Invariant::check). The engine's first run has
-      // no previous run and observes everything.
-      const std::size_t skip = static_cast<std::size_t>(
-          std::partition_point(prev_steps_.begin(), prev_steps_.end(),
-                               [replay_len](const StepObs& o) {
-                                 return o.pos < replay_len;
-                               }) -
-          prev_steps_.begin());
-      prev_steps_.resize(skip);
       // A checkpoint past the flipped frame holds a state of the path
       // before the flip.
       while (!checkpoints_.empty() &&
@@ -295,21 +275,14 @@ class UnitEngine {
         }
         const bool replaying = source_.pos() < replay_len;
         if (replaying) ++run_replayed;
-        if (run_steps <= skip) {
-          const StepObs& seen = prev_steps_[run_steps - 1];
-          cur_fp = seen.fp;
-#ifndef NDEBUG
-          if (run_steps == skip) check_skipped_prefix(sc, source_.pos(), seen);
-#endif
-          continue;
-        }
         violation = check_invariants(sc);
         if (violation.has_value()) break;
 
         // Liveness mode: record the step's transition. A backtrack
-        // flips the chosen option of an existing frame, so the first
-        // observed step of a run — the "replayed" flipped step — is in
-        // fact a new transition. add_live_edge dedups by decision block.
+        // flips the chosen option of an existing frame, so the step that
+        // consumes it — the "replayed" flipped step — is in fact a new
+        // transition. add_live_edge dedups by decision block, so a
+        // re-executed step re-records its transition harmlessly.
         std::optional<std::uint64_t> fp;
         if (liveness_) {
           fp = fingerprint(sc);
@@ -318,7 +291,6 @@ class UnitEngine {
           record_transition(sc, *goal, cur_fp, *fp, pos_before, source_.pos());
           cur_fp = *fp;
         }
-        prev_steps_.push_back(StepObs{source_.pos(), cur_fp});
 
         if (replaying) continue;
         if (!cfg_.state_fingerprints) continue;
@@ -1154,24 +1126,19 @@ class UnitEngine {
     res_.graph.at(dst_fp).goal = goal.goal(*sc.sim);
   }
 
-  /// One observed step: the source position after it and (liveness
-  /// mode) the fingerprint of the state it reached.
-  struct StepObs {
-    std::size_t pos = 0;
-    std::uint64_t fp = 0;
-  };
-
 #ifndef NDEBUG
   /// Builds without NDEBUG, at an engine's first restore: a rebuild
-  /// replayed to the checkpoint's position must match the copy. Both
-  /// sides' invariants catch up first (Invariant::check), since the
-  /// fingerprint folds their state.
-  void check_restore(Scenario& restored, std::size_t pos,
+  /// replayed to the checkpoint's position, its invariants checked
+  /// after every step as the run that took the copy checked them, must
+  /// match the copy. The fingerprint folds the invariants' state.
+  void check_restore(const Scenario& restored, std::size_t pos,
                      std::uint64_t steps) {
     sim::FixedChoices replay(decisions());
     Scenario fresh = build_(replay);
     for (std::uint64_t i = 0; i < steps; ++i) {
       WFD_CHECK_MSG(fresh.sim->step(), "rebuild halted before checkpoint");
+      WFD_CHECK_MSG(!check_invariants(fresh).has_value(),
+                    "a restored prefix violates an invariant");
     }
     WFD_CHECK_MSG(replay.consumed() == pos,
                   "rebuild consumed other frames than the checkpoint");
@@ -1183,29 +1150,10 @@ class UnitEngine {
     WFD_CHECK_MSG(fresh.sim->network().total_sent() ==
                       restored.sim->network().total_sent(),
                   "restored network differs from a rebuild");
-    WFD_CHECK_MSG(!check_invariants(fresh).has_value() &&
-                      !check_invariants(restored).has_value(),
-                  "a restored prefix violates an invariant");
     const std::optional<std::uint64_t> fp = scenario_fingerprint(fresh);
     if (fp.has_value()) {
       WFD_CHECK_MSG(scenario_fingerprint(restored) == fp,
                     "restored state differs from a rebuild");
-    }
-  }
-
-  /// Builds without NDEBUG, once per run at the last skipped step: the
-  /// step must end where the previous run's did, every invariant
-  /// catches up on the skipped prefix and must find nothing, and in
-  /// liveness mode the state must fingerprint to what the previous run
-  /// recorded there.
-  void check_skipped_prefix(Scenario& sc, std::size_t pos,
-                            const StepObs& seen) {
-    WFD_CHECK_MSG(pos == seen.pos, "skipped prefix consumed other frames");
-    WFD_CHECK_MSG(!check_invariants(sc).has_value(),
-                  "skipped prefix violates an invariant");
-    if (liveness_) {
-      WFD_CHECK_MSG(fingerprint(sc) == seen.fp,
-                    "skipped prefix reached another state");
     }
   }
 #endif
@@ -1247,10 +1195,6 @@ class UnitEngine {
     bool whole_menu = false;
   };
   std::vector<PrefixDeferrals> deferred_at_;
-  /// The observed steps of the previous run, in order. A run keeps the
-  /// prefix it skips and overwrites the rest, so the storage serves
-  /// every run.
-  std::vector<StepObs> prev_steps_;
 
   // Per-run happens-before state (rebuilt every re-execution).
   std::vector<std::vector<StepRec>> proc_events_;

@@ -72,17 +72,15 @@
 // fingerprint store into an explicit state graph while exploring —
 // per-step fingerprints, goal bits, enabled sets, per-channel
 // deliverability bits, decision-labelled edges (explore/liveness.h).
-// Each step is recorded once: a replayed step whose transition the
-// previous run of the same unit already recorded is re-executed but
-// neither re-fingerprinted nor re-recorded, which is exact because its
-// decisions, states and goal bit are the recorded ones. Once the tree
-// is exhausted, a fair-cycle search runs over the graph: a cycle
-// avoiding the clause's goal that is fair to every enabled process and
-// every pending directed channel is a liveness violation, reported as a
-// replayable stem+loop lasso. A fingerprint revisit prunes regardless
-// of time in this mode (the
-// liveness validate() rules make states time-free, so a prune is an
-// exact merge into an already-expanded graph node) and exhaustion
+// Every executed step is recorded; a re-executed step's edge is
+// deduplicated by its decision block, and the steps a checkpoint
+// restore skips are not executed at all. Once the tree is exhausted, a
+// fair-cycle search runs over the graph: a cycle avoiding the clause's
+// goal that is fair to every enabled process and every pending directed
+// channel is a liveness violation, reported as a replayable stem+loop
+// lasso. A fingerprint revisit prunes regardless of time in this mode
+// (the liveness validate() rules make states time-free, so a prune is
+// an exact merge into an already-expanded graph node) and exhaustion
 // therefore reports kComplete coverage even with fp_prunes > 0.
 #pragma once
 

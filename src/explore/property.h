@@ -2,13 +2,12 @@
 // clauses, evaluated against a live run's Trace and failure pattern.
 //
 // Invariants are safety clauses: once false they stay false, so the
-// explorer checks them after every step it has not already observed
-// and stops a branch at the first violation. EventualProperties are
-// liveness clauses; they are only meaningful on runs that were given a
-// fair schedule and a stabilizing detector history, so the campaign
-// driver checks them at the end of randomized runs and reports failures
-// as suspects (a bounded run that merely ran out of horizon is not a
-// counterexample to "eventually").
+// explorer checks them after every step and stops a branch at the first
+// violation. EventualProperties are liveness clauses; they are only
+// meaningful on runs that were given a fair schedule and a stabilizing
+// detector history, so the campaign driver checks them at the end of
+// randomized runs and reports failures as suspects (a bounded run that
+// merely ran out of horizon is not a counterexample to "eventually").
 #pragma once
 
 #include <cstdint>
@@ -38,21 +37,11 @@ class Invariant {
  public:
   virtual ~Invariant() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Inspect the run so far; nullopt = no violation. Called with the
-  /// same simulator repeatedly (monotonically growing trace), so
-  /// implementations keep a cursor instead of rescanning.
-  ///
-  /// Calls may be skipped. The explorer does not re-check the steps of
-  /// a replayed prefix that an earlier run observed on an identical
-  /// prefix (and found clean); the next call then judges everything
-  /// since the last one, and must return what calling after every step
-  /// would have returned at this step — the same verdict and message —
-  /// and leave the same encode_state. A cursor over the trace and a
-  /// rescan of the whole state both satisfy this, provided judging an
-  /// event later — against a failure pattern injected crashes may have
-  /// grown since — never turns a clean verdict into a violation
-  /// (crashes only legalise). The invariants below all qualify;
-  /// tests/invariant_catchup_test.cpp pins it.
+  /// Inspect the run so far; nullopt = no violation. Called after every
+  /// step with the same simulator (monotonically growing trace), so
+  /// implementations keep a cursor instead of rescanning. A run that
+  /// starts from a restored checkpoint goes on with the clone() taken
+  /// there, whose cursor already covers the restored prefix.
   virtual std::optional<Violation> check(const sim::Simulator& sim) = 0;
   /// Fold whatever run-history state this invariant judges future steps
   /// by into the explorer's fingerprint. State that lives only in an

@@ -371,6 +371,38 @@ TEST(RuntimeKvTest, ServesOverLoopbackTcp) {
   svc.stop();
 }
 
+// 5% of messages on every link dropped and retransmitted 20 ms later,
+// 1 ms extra delay: loss the stack tolerates because the transport turns
+// it into delay. The client's wider retry budget rides out retransmit
+// storms; every operation must still complete and read its own write.
+TEST(RuntimeKvTest, ServesOverLossyLinksWithRetransmit) {
+  runtime::KvService::Options opt;
+  opt.n = 3;
+  opt.seed = 46;
+  opt.faults.drop_prob = 0.05;
+  opt.faults.delay = 1;
+  opt.faults.retransmit = 20;
+  runtime::KvService svc(opt);
+  svc.start();
+  runtime::KvClient::Options copt;
+  copt.attempt_timeout = 3000;
+  copt.max_attempts = 10;
+  runtime::KvClient client(svc, 0, copt);
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const std::uint32_t key = i % 4;
+    auto put = client.put(key, 500 + i);
+    ASSERT_TRUE(put.has_value()) << "put " << i << " wedged";
+    EXPECT_EQ(*put, 500 + static_cast<std::int64_t>(i));
+    auto got = client.get(key);
+    ASSERT_TRUE(got.has_value()) << "get " << i << " wedged";
+    EXPECT_EQ(*got, 500 + static_cast<std::int64_t>(i));
+  }
+  svc.stop();
+  const auto& links =
+      dynamic_cast<runtime::ChannelTransport&>(svc.cluster().transport());
+  EXPECT_GT(links.dropped(), 0u) << "no message was dropped";
+}
+
 // --- Equal decisions: simulator vs runtime on one scripted session ---
 
 std::vector<std::int64_t> scripted_session() {

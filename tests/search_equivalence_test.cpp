@@ -447,10 +447,9 @@ TEST(GoldenSearchTest, StatsBlocksArePinned) {
 
 // The seeded crash-wedge liveness bug (explore/seeded_bug.h) at depth 7:
 // the crash-composed state graph and the lasso the fair-cycle search
-// reports (unshrunk), pinned. The explorer observes each step once —
-// replayed prefixes skip re-fingerprinting and re-recording — so a
-// transition lost or mis-attributed while skipping moves these counts,
-// the lasso or the saved graph's digest.
+// reports (unshrunk), pinned. A transition lost or mis-attributed by a
+// shortcut over a replayed prefix (a checkpoint restore) moves these
+// counts, the lasso or the saved graph's digest.
 TEST(GoldenSearchTest, CrashLivenessGraphAndLassoArePinned) {
   SearchConfig cfg = golden_config(
       {"--problem=consensus-crash-live-bug", "--n=3", "--crash=explore",

@@ -21,7 +21,9 @@
 # Plus one watchdog claim: a tree far too large for its deadline must
 # come back as exit 4 with a partial JSON report (status "deadline"),
 # not hang the lane — and a deadline that is not a positive millisecond
-# count the clock can wait for is refused (exit 1), never run.
+# count the clock can wait for is refused (exit 1), never run. And one
+# reporting claim: a found violation's --json report is one line that
+# carries the search's stats, its state count the text report's.
 #
 # The script is plain POSIX sh and makes no timing assumptions beyond
 # the deadline watchdog itself, so it runs unchanged under the
@@ -127,5 +129,23 @@ for bad in 1x -1 18446744073709551615; do
   grep -q "bad value: --deadline-ms=$bad" "$DIR/bad_deadline.out" ||
     fail "--deadline-ms=$bad: no diagnostic: $(cat "$DIR/bad_deadline.out")"
 done
+
+# --- a violation's JSON report carries the search's stats -------------
+BUG="--problem=consensus-bug --n=3 --exhaustive --depth=30"
+rc=0
+"$CHECK" $BUG >"$DIR/bug.txt" 2>&1 || rc=$?
+[ "$rc" -eq 3 ] || fail "consensus-bug exited $rc, want 3"
+rc=0
+"$CHECK" $BUG --json >"$DIR/bug.json" 2>/dev/null || rc=$?
+[ "$rc" -eq 3 ] || fail "consensus-bug --json exited $rc, want 3"
+[ "$(wc -l <"$DIR/bug.json")" -eq 1 ] ||
+  fail "consensus-bug --json is not one line: $(cat "$DIR/bug.json")"
+out=$(cat "$DIR/bug.json")
+[ "$(jstr "$out" verdict)" = violation ] ||
+  fail "consensus-bug --json verdict: $out"
+want=$(sed -n 's/^explored \([0-9]*\) states.*/\1/p' "$DIR/bug.txt")
+got=$(jnum "$out" states)
+[ -n "$want" ] && [ "$got" = "$want" ] ||
+  fail "consensus-bug: --json states=$got, text report says $want"
 
 echo "fault matrix OK"

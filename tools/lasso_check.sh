@@ -22,7 +22,8 @@
 #  6. --json: every outcome — a found lasso, a confirmed, an unconfirmed
 #     and a safety-violating lasso replay, a clean replay, a clean
 #     exhaust — prints exactly one JSON object on stdout, with the
-#     violation text escaped.
+#     violation text escaped. The found lasso's object carries the
+#     search's stats: its state count is the text report's.
 #  7. The campaign refuses a liveness clause (exit 1, with a message):
 #     its random walks check no clause, and a stem without its loop
 #     would replay as clean.
@@ -122,6 +123,11 @@ json_one() {
 $CHECK --exhaustive $SCENARIO --json >"$DIR/j_found.out" 2>/dev/null
 [ $? -eq 3 ] || fail "--json search did not exit 3"
 json_one "$DIR/j_found.out" "found lasso" '"loop":"[0-9]'
+json_one "$DIR/j_found.out" "found lasso" '"verdict":"violation"'
+want=$(sed -n 's/^explored \([0-9]*\) states.*/\1/p' "$DIR/found.out")
+got=$(sed -n 's/.*"states":\([0-9]*\),.*/\1/p' "$DIR/j_found.out")
+[ -n "$want" ] && [ "$got" = "$want" ] ||
+  fail "found lasso: --json states=$got, text report says $want"
 $CHECK --replay="$DIR/lasso.wfdr" --json >"$DIR/j_confirmed.out" 2>/dev/null
 [ $? -eq 3 ] || fail "--json lasso replay did not exit 3"
 json_one "$DIR/j_confirmed.out" "confirmed lasso" '"confirmed":true'

@@ -57,6 +57,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdarg>
 #include <cstdio>
 #include <mutex>
 #include <optional>
@@ -222,6 +223,21 @@ bool parse(int argc, char** argv, Args& a) {
   return true;
 }
 
+/// printf into a string.
+__attribute__((format(printf, 1, 2))) std::string format(const char* fmt,
+                                                         ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  va_list again;
+  va_copy(again, ap);
+  const int len = std::vsnprintf(nullptr, 0, fmt, ap);
+  va_end(ap);
+  std::string out(static_cast<std::size_t>(len), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  va_end(again);
+  return out;
+}
+
 std::string decisions_to_text(const sim::DecisionLog& log) {
   std::string out;
   for (std::size_t i = 0; i < log.size(); ++i) {
@@ -235,9 +251,10 @@ std::string decisions_to_text(const sim::DecisionLog& log) {
 /// replay file with a loop= line. Returns the process exit status.
 /// Builds its own scenario with a widened horizon — the lasso may run
 /// past the search depth (probing already did), and under the liveness
-/// rules the horizon changes no transition.
-int report_lasso(const Args& a, explore::Counterexample cex,
-                 const char* how) {
+/// rules the horizon changes no transition. `stats` is the search's
+/// JSON stats fields, appended to the --json line.
+int report_lasso(const Args& a, explore::Counterexample cex, const char* how,
+                 const std::string& stats) {
   explore::ScenarioOptions wide = a.cfg.scenario;
   wide.max_steps =
       std::max<std::uint64_t>(wide.max_steps,
@@ -258,13 +275,13 @@ int report_lasso(const Args& a, explore::Counterexample cex,
     std::printf(
         "{\"verdict\":\"violation\",\"property\":\"%s\",\"message\":\"%s\","
         "\"mode\":\"%s\",\"decisions\":\"%s\",\"loop\":\"%s\","
-        "\"stem_shrunk_from\":%llu,\"loop_shrunk_from\":%llu}\n",
+        "\"stem_shrunk_from\":%llu,\"loop_shrunk_from\":%llu,%s}\n",
         explore::json_escape(cex.violation.property).c_str(),
         explore::json_escape(cex.violation.message).c_str(), how,
         decisions_to_text(cex.decisions).c_str(),
         decisions_to_text(cex.loop).c_str(),
         static_cast<unsigned long long>(stem_from),
-        static_cast<unsigned long long>(loop_from));
+        static_cast<unsigned long long>(loop_from), stats.c_str());
   } else {
     std::printf("VIOLATION of %s (%s)\n", cex.violation.property.c_str(),
                 how);
@@ -298,9 +315,11 @@ int report_lasso(const Args& a, explore::Counterexample cex,
 }
 
 /// Shrink, print, optionally save. Returns the process exit status.
+/// `stats` is the search's JSON stats fields, appended to the --json
+/// line.
 int report_cex(const Args& a, const explore::ScenarioBuilder& build,
-               explore::Counterexample cex, const char* how,
-               bool reshrink) {
+               explore::Counterexample cex, const char* how, bool reshrink,
+               const std::string& stats) {
   std::uint64_t shrunk_from = 0;
   if (reshrink && a.cfg.shrink) {
     const explore::ShrinkResult s =
@@ -311,11 +330,11 @@ int report_cex(const Args& a, const explore::ScenarioBuilder& build,
   if (a.json) {
     std::printf(
         "{\"verdict\":\"violation\",\"property\":\"%s\",\"message\":\"%s\","
-        "\"mode\":\"%s\",\"decisions\":\"%s\",\"shrunk_from\":%llu}\n",
+        "\"mode\":\"%s\",\"decisions\":\"%s\",\"shrunk_from\":%llu,%s}\n",
         explore::json_escape(cex.violation.property).c_str(),
         explore::json_escape(cex.violation.message).c_str(), how,
         decisions_to_text(cex.decisions).c_str(),
-        static_cast<unsigned long long>(shrunk_from));
+        static_cast<unsigned long long>(shrunk_from), stats.c_str());
   } else {
     std::printf("VIOLATION of %s (%s)\n", cex.violation.property.c_str(),
                 how);
@@ -435,49 +454,53 @@ int run_exhaustive(const Args& a) {
   const bool budget_left =
       (cfg.budget_states != 0 || deadline_hit) && !st.exhausted &&
       !rep.cex.has_value();
+  std::string liveness_json;
+  if (st.liveness) {
+    liveness_json = ",\"graph_states\":" + std::to_string(st.graph_states) +
+                    ",\"graph_edges\":" + std::to_string(st.graph_edges) +
+                    ",\"graph_truncated\":" +
+                    std::to_string(st.graph_truncated) +
+                    ",\"fair_cycle_checked\":" +
+                    (rep.fair_cycle_checked ? "true" : "false");
+  }
+  // The search's stats, rendered once: the clean line and a violation's
+  // line both carry them.
+  const std::string stats = format(
+      "\"states\":%llu,\"runs\":%llu,\"steps\":%llu,\"sleep_skips\":%llu,"
+      "\"fp_prunes\":%llu,\"hb_races\":%llu,\"backtrack_points\":%llu,"
+      "\"commute_skips\":%llu,\"injected_crashes\":%llu,"
+      "\"injected_drops\":%llu,\"injected_dups\":%llu,"
+      "\"conservative_payloads\":%s,"
+      "\"status\":\"%s\",\"coverage\":\"%s\","
+      "\"resumed\":%s,\"resume_generation\":%llu,"
+      "\"elapsed_ms\":%llu,\"states_per_sec\":%.0f,"
+      "\"steps_per_state\":%.2f,\"replayed_steps\":%llu,"
+      "\"restored_steps\":%llu,\"config\":%s%s",
+      static_cast<unsigned long long>(st.nodes),
+      static_cast<unsigned long long>(st.runs),
+      static_cast<unsigned long long>(st.steps),
+      static_cast<unsigned long long>(st.sleep_skips),
+      static_cast<unsigned long long>(st.fp_prunes),
+      static_cast<unsigned long long>(st.hb_races),
+      static_cast<unsigned long long>(st.backtrack_points),
+      static_cast<unsigned long long>(st.commute_skips),
+      static_cast<unsigned long long>(st.injected_crashes),
+      static_cast<unsigned long long>(st.injected_drops),
+      static_cast<unsigned long long>(st.injected_dups),
+      conservative_to_json(rep.conservative_payloads).c_str(),
+      st.exhausted          ? "exhausted"
+      : rep.cex.has_value() ? "violation"
+      : deadline_hit        ? "deadline"
+                            : "budget",
+      cov.c_str(), rep.resumed ? "true" : "false",
+      static_cast<unsigned long long>(rep.resume_generation), elapsed_ms,
+      states_per_sec, steps_per_state,
+      static_cast<unsigned long long>(rep.replayed_steps),
+      static_cast<unsigned long long>(rep.restored_steps),
+      explore::config_to_json(cfg).c_str(), liveness_json.c_str());
   if (a.json && !rep.cex.has_value()) {
-    std::string liveness_json;
-    if (st.liveness) {
-      liveness_json = ",\"graph_states\":" + std::to_string(st.graph_states) +
-                      ",\"graph_edges\":" + std::to_string(st.graph_edges) +
-                      ",\"graph_truncated\":" +
-                      std::to_string(st.graph_truncated) +
-                      ",\"fair_cycle_checked\":" +
-                      (rep.fair_cycle_checked ? "true" : "false");
-    }
-    std::printf(
-        "{\"verdict\":\"clean\",\"mode\":\"exhaustive\",\"states\":%llu,"
-        "\"runs\":%llu,\"steps\":%llu,\"sleep_skips\":%llu,"
-        "\"fp_prunes\":%llu,\"hb_races\":%llu,\"backtrack_points\":%llu,"
-        "\"commute_skips\":%llu,\"injected_crashes\":%llu,"
-        "\"injected_drops\":%llu,\"injected_dups\":%llu,"
-        "\"conservative_payloads\":%s,"
-        "\"status\":\"%s\",\"coverage\":\"%s\","
-        "\"resumed\":%s,\"resume_generation\":%llu,"
-        "\"elapsed_ms\":%llu,\"states_per_sec\":%.0f,"
-        "\"steps_per_state\":%.2f,\"replayed_steps\":%llu,"
-        "\"restored_steps\":%llu,\"config\":%s%s}\n",
-        static_cast<unsigned long long>(st.nodes),
-        static_cast<unsigned long long>(st.runs),
-        static_cast<unsigned long long>(st.steps),
-        static_cast<unsigned long long>(st.sleep_skips),
-        static_cast<unsigned long long>(st.fp_prunes),
-        static_cast<unsigned long long>(st.hb_races),
-        static_cast<unsigned long long>(st.backtrack_points),
-        static_cast<unsigned long long>(st.commute_skips),
-        static_cast<unsigned long long>(st.injected_crashes),
-        static_cast<unsigned long long>(st.injected_drops),
-        static_cast<unsigned long long>(st.injected_dups),
-        conservative_to_json(rep.conservative_payloads).c_str(),
-        st.exhausted   ? "exhausted"
-        : deadline_hit ? "deadline"
-                       : "budget",
-        cov.c_str(), rep.resumed ? "true" : "false",
-        static_cast<unsigned long long>(rep.resume_generation), elapsed_ms,
-        states_per_sec, steps_per_state,
-        static_cast<unsigned long long>(rep.replayed_steps),
-        static_cast<unsigned long long>(rep.restored_steps),
-        explore::config_to_json(cfg).c_str(), liveness_json.c_str());
+    std::printf("{\"verdict\":\"clean\",\"mode\":\"exhaustive\",%s}\n",
+                stats.c_str());
     if (save_failed) return kExitUsage;
     return budget_left ? kExitBudget : kExitClean;
   }
@@ -530,9 +553,10 @@ int run_exhaustive(const Args& a) {
   }
   if (rep.cex.has_value()) {
     if (!rep.cex->loop.empty()) {
-      return report_lasso(a, *rep.cex, "exhaustive");
+      return report_lasso(a, *rep.cex, "exhaustive", stats);
     }
-    return report_cex(a, build, *rep.cex, "exhaustive", /*reshrink=*/true);
+    return report_cex(a, build, *rep.cex, "exhaustive", /*reshrink=*/true,
+                      stats);
   }
   if (rep.fair_cycle_checked && !a.json) {
     std::printf("no fair cycle avoids the goal (liveness=%s holds on the "
@@ -555,23 +579,27 @@ int run_campaign_mode(const Args& a) {
   const explore::ScenarioBuilder build =
       explore::ScenarioFactory(a.cfg.scenario).builder();
   const explore::CampaignReport rep = explore::run_campaign(build, a.cfg);
+  const std::string stats =
+      format("\"runs\":%llu,\"steps\":%llu,\"liveness_suspects\":%llu",
+             static_cast<unsigned long long>(rep.runs),
+             static_cast<unsigned long long>(rep.steps),
+             static_cast<unsigned long long>(rep.liveness_suspects));
   if (a.json && !rep.cex.has_value()) {
+    std::printf("{\"verdict\":\"clean\",\"mode\":\"campaign\",%s}\n",
+                stats.c_str());
+    return kExitClean;
+  }
+  if (!a.json) {
     std::printf(
-        "{\"verdict\":\"clean\",\"mode\":\"campaign\",\"runs\":%llu,"
-        "\"steps\":%llu,\"liveness_suspects\":%llu}\n",
+        "campaign: %llu random runs, %llu steps, %llu liveness suspects\n",
         static_cast<unsigned long long>(rep.runs),
         static_cast<unsigned long long>(rep.steps),
         static_cast<unsigned long long>(rep.liveness_suspects));
-    return kExitClean;
   }
-  std::printf(
-      "campaign: %llu random runs, %llu steps, %llu liveness suspects\n",
-      static_cast<unsigned long long>(rep.runs),
-      static_cast<unsigned long long>(rep.steps),
-      static_cast<unsigned long long>(rep.liveness_suspects));
   if (rep.cex.has_value()) {
     // The campaign already shrank it (when enabled).
-    return report_cex(a, build, *rep.cex, "campaign", /*reshrink=*/false);
+    return report_cex(a, build, *rep.cex, "campaign", /*reshrink=*/false,
+                      stats);
   }
   std::printf("no violation found\n");
   return kExitClean;

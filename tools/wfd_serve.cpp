@@ -11,24 +11,24 @@
 //                                     # show the service surviving it
 //   wfd_serve --n=5 --tcp             # same over loopback-TCP sockets
 //   wfd_serve --seconds=10            # closed-loop load, progress line/s
-//   wfd_serve --bench --out=BENCH_runtime.json
-//                                     # load matrix -> machine-readable
-//                                     # JSON (ops/s, p50/p99, failover)
 //
-// Exit status: 0 on success, 1 on usage error, 2 when the service
-// wedged (an operation exhausted every attempt).
+// Measured load (minutes, with machine context and correctness gates)
+// lives in perf/: `python3 perf/run.py --workload kv_n3_closed`.
+//
+// Exit status: 0 on success, 1 on usage error (a malformed or
+// out-of-range flag is refused before anything starts), 2 when the
+// service wedged (an operation exhausted every attempt).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "explore/option_text.h"
 #include "runtime/kv.h"
 
 using namespace wfd;
@@ -40,21 +40,28 @@ using Clock = std::chrono::steady_clock;
 struct Args {
   int n = 3;
   bool tcp = false;
-  bool bench = false;
-  int seconds = 0;        ///< >0: timed load run instead of the demo.
+  std::uint64_t seconds = 0;  ///< >0: timed load run instead of the demo.
   int clients = 3;
-  double secs_per_row = 1.5;
   std::uint64_t seed = 1;
-  std::string out = "BENCH_runtime.json";
 };
 
 void usage() {
   std::fprintf(
       stderr,
-      "usage: wfd_serve [--n=N] [--tcp] [--seed=S]\n"
-      "                 [--seconds=S]            timed closed-loop load\n"
-      "                 [--bench] [--out=FILE]   load matrix -> JSON\n"
-      "                 [--clients=C] [--secs-per-row=S]\n");
+      "usage: wfd_serve [--n=N] [--tcp] [--seed=S]   N replicas, 1..%d\n"
+      "                 [--seconds=S] [--clients=C]  timed closed-loop "
+      "load\n",
+      kMaxProcesses);
+}
+
+/// A strict decimal (explore/option_text.h: "1x", "-1" and overflow are
+/// refused, never read as a prefix or wrapped) in [lo, hi].
+bool parse_in(const std::string& v, std::uint64_t lo, std::uint64_t hi,
+              std::uint64_t* out) {
+  std::uint64_t x = 0;
+  if (!explore::detail::parse_u64(v, &x) || x < lo || x > hi) return false;
+  *out = x;
+  return true;
 }
 
 bool parse(int argc, char** argv, Args& a) {
@@ -65,37 +72,35 @@ bool parse(int argc, char** argv, Args& a) {
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
       return std::nullopt;
     };
+    bool ok = true;
+    std::uint64_t x = 0;
     if (arg == "--tcp") {
       a.tcp = true;
-    } else if (arg == "--bench") {
-      a.bench = true;
     } else if (auto v = val("n")) {
-      a.n = std::atoi(v->c_str());
+      ok = parse_in(*v, 1, kMaxProcesses, &x);
+      a.n = static_cast<int>(x);
     } else if (auto v2 = val("seconds")) {
-      a.seconds = std::atoi(v2->c_str());
+      ok = explore::detail::parse_u64(*v2, &a.seconds);
     } else if (auto v3 = val("clients")) {
-      a.clients = std::atoi(v3->c_str());
-    } else if (auto v4 = val("secs-per-row")) {
-      a.secs_per_row = std::atof(v4->c_str());
-    } else if (auto v5 = val("seed")) {
-      a.seed = std::strtoull(v5->c_str(), nullptr, 10);
-    } else if (auto v6 = val("out")) {
-      a.out = *v6;
+      ok = parse_in(*v3, 1, INT_MAX, &x);
+      a.clients = static_cast<int>(x);
+    } else if (auto v4 = val("seed")) {
+      ok = explore::detail::parse_u64(*v4, &a.seed);
     } else {
-      usage();
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
-  }
-  if (a.n < 1 || a.clients < 1 || a.secs_per_row <= 0) {
-    usage();
-    return false;
+    if (!ok) {
+      std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+      return false;
+    }
   }
   return true;
 }
 
-runtime::KvService::Options service_options(const Args& a, int n) {
+runtime::KvService::Options service_options(const Args& a) {
   runtime::KvService::Options so;
-  so.n = n;
+  so.n = a.n;
   so.seed = a.seed;
   so.tcp = a.tcp;
   return so;
@@ -106,16 +111,13 @@ runtime::KvService::Options service_options(const Args& a, int n) {
 /// latency in microseconds.
 struct LoadResult {
   std::vector<std::uint64_t> latencies_us;
-  std::uint64_t failovers = 0;
   bool wedged = false;
 };
 
 LoadResult run_client(runtime::KvService& service, int client_id,
-                      Clock::time_point deadline,
-                      runtime::KvClient::Options copt) {
+                      Clock::time_point deadline) {
   runtime::KvClient client(service,
-                           static_cast<ProcessId>(client_id % service.n()),
-                           copt);
+                           static_cast<ProcessId>(client_id % service.n()));
   LoadResult res;
   std::uint32_t i = 0;
   while (Clock::now() < deadline) {
@@ -134,7 +136,6 @@ LoadResult run_client(runtime::KvService& service, int client_id,
             .count()));
     ++i;
   }
-  res.failovers = client.failovers();
   return res;
 }
 
@@ -143,25 +144,20 @@ struct RowStats {
   double ops_per_sec = 0;
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
-  std::uint64_t failovers = 0;
   bool wedged = false;
 };
 
 /// Drives `clients` closed-loop threads against a running service for
-/// `secs` and merges their latency streams.
-RowStats run_load(runtime::KvService& service, int clients, double secs,
-                  runtime::KvClient::Options copt = {}) {
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(
-                         static_cast<std::int64_t>(secs * 1e6));
+/// one second and merges their latency streams.
+RowStats run_second(runtime::KvService& service, int clients) {
+  const auto deadline = Clock::now() + std::chrono::seconds(1);
   std::vector<LoadResult> results(static_cast<std::size_t>(clients));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(clients));
   const auto t0 = Clock::now();
   for (int c = 0; c < clients; ++c) {
-    pool.emplace_back([&service, &results, c, deadline, copt] {
-      results[static_cast<std::size_t>(c)] =
-          run_client(service, c, deadline, copt);
+    pool.emplace_back([&service, &results, c, deadline] {
+      results[static_cast<std::size_t>(c)] = run_client(service, c, deadline);
     });
   }
   for (auto& t : pool) t.join();
@@ -172,7 +168,6 @@ RowStats run_load(runtime::KvService& service, int clients, double secs,
   std::vector<std::uint64_t> all;
   for (const LoadResult& r : results) {
     all.insert(all.end(), r.latencies_us.begin(), r.latencies_us.end());
-    row.failovers += r.failovers;
     row.wedged = row.wedged || r.wedged;
   }
   row.ops = all.size();
@@ -185,157 +180,17 @@ RowStats run_load(runtime::KvService& service, int clients, double secs,
   return row;
 }
 
-/// Time from killing the current leader to the next successful write at
-/// a surviving replica, in milliseconds. Negative on wedge.
-double measure_failover(const Args& a) {
-  runtime::KvService service(service_options(a, 3));
-  service.start();
-  runtime::KvClient warm(service, 0);
-  if (!warm.put(1, 11).has_value()) {
-    service.stop();
-    return -1;
-  }
-  const ProcessId leader = service.leader_view(1) == kNoProcess
-                               ? 0
-                               : service.leader_view(1);
-  const auto survivor =
-      static_cast<ProcessId>((leader + 1) % service.n());
-  runtime::KvClient client(service, survivor);
-  const auto t0 = Clock::now();
-  service.kill(leader);
-  const std::optional<std::int64_t> r = client.put(2, 22);
-  const double ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  service.stop();
-  return r.has_value() ? ms : -1;
-}
-
-int run_bench(const Args& a) {
-#ifdef NDEBUG
-  const char* build = "release";
-#else
-  const char* build = "debug";
-#endif
-  std::FILE* out = std::fopen(a.out.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "wfd_serve: cannot open %s\n", a.out.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"context\": {\n"
-               "    \"build\": \"%s\",\n"
-               "    \"num_cpus\": %u,\n"
-               "    \"clients\": %d,\n"
-               "    \"secs_per_row\": %.2f,\n"
-               "    \"detector_timing_ms\": {\"heartbeat_period\": %llu, "
-               "\"omega_timeout\": %llu, \"omega_lease\": %llu}\n  },\n"
-               "  \"rows\": [\n",
-               build, std::thread::hardware_concurrency(), a.clients,
-               a.secs_per_row,
-               static_cast<unsigned long long>(
-                   runtime::KvDetectorTiming{}.heartbeat_period),
-               static_cast<unsigned long long>(
-                   runtime::KvDetectorTiming{}.omega_timeout),
-               static_cast<unsigned long long>(
-                   runtime::KvDetectorTiming{}.omega_lease));
-
-  bool wedged = false;
-  bool first_row = true;
-  const auto emit = [&](const std::string& name, int n,
-                        const char* transport, double drop_prob,
-                        std::uint64_t delay_ms, const RowStats& row) {
-    std::fprintf(
-        out,
-        "%s    {\"name\": \"%s\", \"n\": %d, \"transport\": \"%s\", "
-        "\"drop_prob\": %.3f, \"delay_ms\": %llu, \"ops\": %llu, "
-        "\"ops_per_sec\": %.1f, \"p50_us\": %llu, \"p99_us\": %llu, "
-        "\"failovers\": %llu}",
-        first_row ? "" : ",\n", name.c_str(), n, transport, drop_prob,
-        static_cast<unsigned long long>(delay_ms),
-        static_cast<unsigned long long>(row.ops), row.ops_per_sec,
-        static_cast<unsigned long long>(row.p50_us),
-        static_cast<unsigned long long>(row.p99_us),
-        static_cast<unsigned long long>(row.failovers));
-    first_row = false;
-    wedged = wedged || row.wedged;
-    std::printf("%-16s n=%d %-7s %8.1f ops/s  p50 %6llu us  p99 %6llu us\n",
-                name.c_str(), n, transport, row.ops_per_sec,
-                static_cast<unsigned long long>(row.p50_us),
-                static_cast<unsigned long long>(row.p99_us));
-  };
-
-  // Throughput/latency vs n over in-process channels.
-  for (const int n : {3, 5}) {
-    runtime::KvService service(service_options(a, n));
-    service.start();
-    const RowStats row = run_load(service, a.clients, a.secs_per_row);
-    service.stop();
-    emit("kv_n" + std::to_string(n), n, "channel", 0, 0, row);
-  }
-  // Same stack over real loopback-TCP sockets.
-  {
-    Args ta = a;
-    ta.tcp = true;
-    runtime::KvService service(service_options(ta, 3));
-    service.start();
-    const RowStats row = run_load(service, a.clients, a.secs_per_row);
-    service.stop();
-    emit("kv_n3_tcp", 3, "tcp", 0, 0, row);
-  }
-  // Throughput under injected loss and delay on every link. Loss is
-  // injected *with retransmission* (a dropped copy arrives 20 ms late
-  // instead of never): the protocol stack assumes quasi-reliable
-  // channels — under final loss a dropped round-Decide is never
-  // re-sent by the passive decided peers and the service stalls by
-  // design — so this row models what the stack actually runs on in
-  // production, a reliable transport over a lossy network. Ops still
-  // stall across retransmit storms, so lossy clients get a wider
-  // per-op retry budget before "wedged" is declared.
-  {
-    runtime::KvService::Options so = service_options(a, 3);
-    so.faults.drop_prob = 0.05;
-    so.faults.delay = 1;
-    so.faults.retransmit = 20;
-    runtime::KvService service(so);
-    service.start();
-    runtime::KvClient::Options copt;
-    copt.attempt_timeout = 3000;
-    copt.max_attempts = 10;
-    const RowStats row =
-        run_load(service, a.clients, a.secs_per_row, copt);
-    service.stop();
-    emit("kv_n3_lossy", 3, "channel", so.faults.drop_prob, so.faults.delay,
-         row);
-  }
-  // Leader-kill failover: kill the emitted leader, time the next
-  // successful write at a survivor (detector timeout + lease takeover +
-  // one consensus round).
-  const double failover_ms = measure_failover(a);
-  std::fprintf(out,
-               ",\n    {\"name\": \"leader_kill_failover\", \"n\": 3, "
-               "\"transport\": \"channel\", \"failover_ms\": %.1f}\n  ]\n}\n",
-               failover_ms);
-  std::fclose(out);
-  std::printf("leader_kill_failover: %.1f ms\n", failover_ms);
-  std::printf("wrote %s\n", a.out.c_str());
-  if (failover_ms < 0 || wedged) {
-    std::fprintf(stderr, "wfd_serve: service wedged during bench\n");
-    return 2;
-  }
-  return 0;
-}
-
 /// Timed closed-loop load with a progress line per second.
 int run_timed(const Args& a) {
-  runtime::KvService service(service_options(a, a.n));
+  runtime::KvService service(service_options(a));
   service.start();
   std::printf("serving replicated KV: n=%d transport=%s\n", a.n,
               a.tcp ? "tcp" : "channel");
   RowStats total;
-  for (int s = 0; s < a.seconds; ++s) {
-    const RowStats row = run_load(service, a.clients, 1.0);
-    std::printf("[%2d s] %8.1f ops/s  p50 %6llu us  p99 %6llu us  leader p%d\n",
-                s + 1, row.ops_per_sec,
+  for (std::uint64_t s = 0; s < a.seconds; ++s) {
+    const RowStats row = run_second(service, a.clients);
+    std::printf("[%2llu s] %8.1f ops/s  p50 %6llu us  p99 %6llu us  leader p%d\n",
+                static_cast<unsigned long long>(s + 1), row.ops_per_sec,
                 static_cast<unsigned long long>(row.p50_us),
                 static_cast<unsigned long long>(row.p99_us),
                 service.leader_view(0));
@@ -352,7 +207,7 @@ int run_timed(const Args& a) {
 /// The default guided tour: a few operations, then a leader kill, then
 /// proof the service still answers (and still remembers).
 int run_demo(const Args& a) {
-  runtime::KvService service(service_options(a, a.n));
+  runtime::KvService service(service_options(a));
   service.start();
   std::printf("replicated KV up: n=%d transport=%s (unmodified module "
               "stack, heartbeat Omega + phi-accrual quorums)\n",
@@ -395,8 +250,10 @@ int run_demo(const Args& a) {
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parse(argc, argv, a)) return 1;
-  if (a.bench) return run_bench(a);
+  if (!parse(argc, argv, a)) {
+    usage();
+    return 1;
+  }
   if (a.seconds > 0) return run_timed(a);
   return run_demo(a);
 }
