@@ -58,7 +58,8 @@ CampaignReport run_campaign(const ScenarioBuilder& build,
         if (cfg.stop_at_first) stop.store(true, std::memory_order_relaxed);
         bool expected = false;
         if (claimed.compare_exchange_strong(expected, true)) {
-          cex = Counterexample{rec.log(), *v, run_steps};
+          cex = Counterexample{rec.log(), *v, run_steps, /*loop=*/{},
+                               /*loop_steps=*/0};
         }
         continue;
       }

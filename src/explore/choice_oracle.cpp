@@ -84,7 +84,6 @@ void ChoiceOracle::begin_run(const sim::FailurePattern& f, std::uint64_t seed,
 }
 
 void ChoiceOracle::on_crash(ProcessId p, Time t) {
-  if (!opt_.live_pattern) return;
   f_.crash_at(p, t);
   // Recompute the converged values from the surviving correct set; the
   // per-query menus consult f_ directly (FS red / Ψ's FS branch become

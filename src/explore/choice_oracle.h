@@ -41,10 +41,12 @@ class ChoiceOracle : public fd::Oracle {
     bool sigma = false;
     bool fs = false;
     bool psi = false;
-    /// true: every query is a fresh choice from the allowed set ("flap"
-    /// mode — maximally adversarial). false: one history shape is chosen
-    /// at begin_run and held constant ("static" mode — far smaller
-    /// choice tree; leaders/quorums must then be correct from the start).
+    /// true: every query is a fresh choice from the allowed set
+    /// (--fd=adversarial — Omega leader churn, Sigma quorum reshuffling,
+    /// Psi's bottom-lingering and branch choice). false: one history
+    /// shape is chosen at begin_run and held constant (--fd=static — far
+    /// smaller choice tree; leaders/quorums must then be correct from
+    /// the start).
     bool per_query = true;
     /// First time at which outputs are forced to the canonical converged
     /// values. kNever = never force (bounded safety checking only).
@@ -57,17 +59,6 @@ class ChoiceOracle : public fd::Oracle {
     /// be a *legal-prefix* but illegal-limit history and produce
     /// spurious non-termination lassos for QC/NBAC.
     bool psi_converged = false;
-    /// Track injected crashes: on_crash mutates the oracle's copy of the
-    /// failure pattern and recomputes the canonical converged values, so
-    /// failure-dependent menus (FS red, Ψ's FS branch) see crashes the
-    /// explorer injects mid-run. In static mode it also re-picks
-    /// static_omega_ / static_sigma_ from the survivors when a crash
-    /// invalidates them (a recorded kFd choice), so static histories
-    /// anticipate explored crash points and stay converged for the
-    /// final correct set — the soundness basis of composing --liveness
-    /// with --crash=explore. Requires stabilization == kNever when
-    /// crashes can arrive after a forced convergence point.
-    bool live_pattern = false;
   };
 
   /// `choices` is borrowed and must outlive the oracle.
@@ -76,6 +67,16 @@ class ChoiceOracle : public fd::Oracle {
   void begin_run(const sim::FailurePattern& f, std::uint64_t seed,
                  Time horizon) override;
   fd::FdValue query(ProcessId p, Time t) override;
+  /// Tracks an injected crash: updates the oracle's copy of the failure
+  /// pattern and recomputes the canonical converged values, so
+  /// failure-dependent menus (FS red, Psi's FS branch) see crashes the
+  /// explorer injects mid-run. In static mode it also re-picks
+  /// static_omega_ / static_sigma_ from the survivors when the crash
+  /// invalidates them (a recorded kFd choice), so static histories
+  /// anticipate explored crash points and stay converged for the final
+  /// correct set — the soundness basis of composing --liveness with
+  /// --crash=explore. --crash=explore requires stabilization == kNever,
+  /// so no crash arrives after a forced convergence point.
   void on_crash(ProcessId p, Time t) override;
   [[nodiscard]] std::string name() const override { return "choice"; }
   void encode_state(sim::StateEncoder& enc, Time now) const override;
@@ -106,7 +107,7 @@ class ChoiceOracle : public fd::Oracle {
   ProcessSet sigma_star_;              ///< A majority of correct processes.
 
   // Static-mode history, fixed at begin_run; re-picked at an explored
-  // crash that invalidates it (live_pattern).
+  // crash that invalidates it (on_crash).
   ProcessId static_omega_ = kNoProcess;
   ProcessSet static_sigma_;
 

@@ -340,7 +340,8 @@ class UnitEngine {
       if (violation.has_value()) {
         ++res_.delta.violations;
         if (!res_.cex.has_value()) {
-          res_.cex = Counterexample{decisions(), *violation, run_steps};
+          res_.cex = Counterexample{decisions(), *violation, run_steps,
+                                    /*loop=*/{}, /*loop_steps=*/0};
         }
         if (cfg_.stop_at_first) {
           res_.outcome = UnitOutcome::kViolation;

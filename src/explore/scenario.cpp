@@ -12,7 +12,6 @@
 #include "explore/seeded_bug.h"
 #include "fd/heartbeat_omega.h"
 #include "inject/fault_plan.h"
-#include "inject/fd_adversary.h"
 #include "nbac/nbac_from_qc.h"
 #include "qc/psi_qc.h"
 #include "reg/abd_register.h"
@@ -55,15 +54,67 @@ class UrbWaiter : public sim::Module {
   std::uint64_t expect_;
 };
 
-/// Problems whose constructions rely on Sigma-style quorum histories:
-/// their failure patterns — scripted or reconstructed by injection —
-/// must keep a majority correct.
-bool needs_majority(const std::string& problem) {
-  return problem == "consensus" || problem == "consensus-live-bug" ||
-         problem == "consensus-crash-live-bug" || problem == "qc" ||
-         problem == "nbac" || problem == "sigma" ||
-         problem == "register" || problem == "register-regular" ||
-         problem == "abcast";
+/// Detector components, as ChoiceOracle enables them.
+enum Component : unsigned { kOmega = 1, kSigma = 2, kFs = 4, kPsi = 8 };
+
+/// One row per problem: the detector components its construction
+/// queries and the liveness clauses it can be checked against. Every
+/// per-problem detector rule (the majority floor, crash observability,
+/// the liveness restrictions, the oracle build() makes) is derived from
+/// the components below, so a new problem is one new row.
+struct ProblemRow {
+  const char* name;
+  unsigned fd;  ///< Component bits.
+  std::vector<std::string> liveness;
+};
+
+const std::vector<ProblemRow>& problem_table() {
+  static const std::vector<ProblemRow> kTable = {
+      {"consensus", kOmega | kSigma, {"termination", "leadership"}},
+      // The broken protocol is detector-free, keeping its choice tree
+      // purely about schedules.
+      {"consensus-bug", 0, {"termination"}},
+      // The participants' fallback path reads FS.
+      {"consensus-crash-bug", kFs, {}},
+      {"consensus-live-bug", kOmega | kSigma, {"termination", "leadership"}},
+      {"consensus-crash-live-bug", kOmega | kSigma,
+       {"termination", "leadership"}},
+      {"qc", kPsi, {"termination"}},
+      {"nbac", kPsi | kFs, {"termination"}},
+      {"sigma", kSigma, {}},
+      {"register", kSigma, {}},
+      {"register-regular", kSigma, {}},
+      {"abcast", kOmega | kSigma, {}},
+      {"rb", 0, {"termination"}},
+      // The implementable heartbeat Omega is a service: its modules are
+      // never done, so bounded-safety exhaustion has no halting states
+      // to prune and it carries no invariant. Exhaustive mode checks
+      // --liveness=fd-completeness (fair-cycle search over the
+      // depth-bounded state graph, with truncation reported); campaign
+      // mode checks its eventual leadership on random walks.
+      {"omega-impl", 0, {"fd-completeness"}},
+  };
+  return kTable;
+}
+
+const ProblemRow* find_problem(const std::string& name) {
+  for (const ProblemRow& row : problem_table()) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+/// Sigma and Psi draw quorums from the minimal majorities, which
+/// intersect only while a majority stays correct: their failure
+/// patterns, scripted or reconstructed by injection, must keep one.
+bool majority_floor(const ProblemRow& row) {
+  return (row.fd & (kSigma | kPsi)) != 0;
+}
+
+/// FS and Psi are the only components whose outputs read failure_by(t)
+/// mid-run.
+bool reads_failures(const ProblemRow& row) {
+  return (row.fd & (kFs | kPsi)) != 0;
 }
 
 std::vector<std::int64_t> proposals(int n) {
@@ -81,20 +132,11 @@ ScenarioFactory::ScenarioFactory(ScenarioOptions opt) : opt_(std::move(opt)) {
 }
 
 const std::vector<std::string>& ScenarioFactory::problems() {
-  static const std::vector<std::string> kProblems = {
-      "consensus", "consensus-bug", "consensus-crash-bug",
-      "consensus-live-bug", "consensus-crash-live-bug",
-      "qc", "nbac", "sigma",
-      "register", "register-regular", "abcast",
-      "rb",
-      // The implementable heartbeat Omega is a service: its modules are
-      // never done, so bounded-safety exhaustion has no halting states
-      // to prune and it carries no invariant. Exhaustive mode checks
-      // --liveness=fd-completeness (fair-cycle search over the
-      // depth-bounded state graph, with truncation reported); campaign
-      // mode checks its eventual leadership on random walks.
-      "omega-impl",
-  };
+  static const std::vector<std::string> kProblems = [] {
+    std::vector<std::string> out;
+    for (const ProblemRow& row : problem_table()) out.emplace_back(row.name);
+    return out;
+  }();
   return kProblems;
 }
 
@@ -104,7 +146,8 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     return "crashes must be in [0, n)";
   }
   if (opt.max_steps == 0) return "max_steps must be positive";
-  if (needs_majority(opt.problem) && 2 * opt.crashes >= opt.n) {
+  const ProblemRow* row = find_problem(opt.problem);
+  if (row != nullptr && majority_floor(*row) && 2 * opt.crashes >= opt.n) {
     return "problem '" + opt.problem +
            "' explores Sigma histories and needs a majority-correct "
            "pattern (crashes < n/2)";
@@ -125,14 +168,7 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
   if (opt.loss_drops < 0 || opt.loss_dups < 0) {
     return "loss budgets must be non-negative";
   }
-  if (opt.fd_adversarial && opt.stabilization != kNever) {
-    return "fd_adversarial defers convergence past the horizon and "
-           "requires stabilization == kNever";
-  }
-  const std::vector<std::string>& known = problems();
-  if (std::find(known.begin(), known.end(), opt.problem) == known.end()) {
-    return "unknown problem '" + opt.problem + "'";
-  }
+  if (row == nullptr) return "unknown problem '" + opt.problem + "'";
   if (opt.nbac_no_voter != kNoProcess &&
       (opt.nbac_no_voter < 0 || opt.nbac_no_voter >= opt.n)) {
     return "nbac_no_voter out of range";
@@ -145,7 +181,7 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     return "abcast_senders must be in [1, n]";
   }
   if (!opt.liveness.empty()) {
-    const std::vector<std::string> clauses = liveness_clauses(opt.problem);
+    const std::vector<std::string>& clauses = row->liveness;
     if (std::find(clauses.begin(), clauses.end(), opt.liveness) ==
         clauses.end()) {
       std::string avail;
@@ -161,10 +197,6 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     // as a run of the system, so each source of nondeterminism must be
     // legal *in the limit* — not merely prefix-legal — and the enabled
     // menu at a state must be a function of its fingerprint alone.
-    if (opt.fd_adversarial) {
-      return "liveness checking needs limit-legal detector histories; "
-             "fd_adversarial explores prefix-legal flapping";
-    }
     if (opt.stabilization != kNever) {
       return "liveness checking folds convergence into the static "
              "history itself; stabilization must stay unset";
@@ -174,13 +206,7 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
              "directed channel in an n x n bitset and supports n <= " +
              std::to_string(kLiveChannelStride);
     }
-    // Among the liveness-capable problems, these consult an oracle
-    // component (mirrors the table in build()).
-    const bool oracle_backed = opt.problem == "consensus" ||
-                               opt.problem == "consensus-live-bug" ||
-                               opt.problem == "consensus-crash-live-bug" ||
-                               opt.problem == "qc" || opt.problem == "nbac";
-    if (oracle_backed && opt.fd_per_query) {
+    if (row->fd != 0 && opt.fd_per_query) {
       return "liveness checking requires --fd=static on oracle-backed "
              "problems: a cycle of per-query detector choices is a "
              "flapping history, illegal in the limit";
@@ -189,12 +215,13 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     // oracle re-picks invalidated values at each crash point, so the
     // limit history is converged for the final crash set), but FS has
     // no such repair: a per-query green-after-crash choice is legal in
-    // every prefix yet illegal in the limit, so nbac's FS component
+    // every prefix yet illegal in the limit, so an FS component
     // cannot compose with a crash budget.
-    if (opt.problem == "nbac" && opt.crashes > 0) {
-      return "liveness checking on nbac requires a crash-free pattern: "
-             "the FS component's per-query choices are illegal in the "
-             "limit under explored crashes";
+    if ((row->fd & kFs) != 0 && opt.crashes > 0) {
+      return "liveness checking on problem '" + opt.problem +
+             "' requires a crash-free pattern: the FS component's "
+             "per-query choices are illegal in the limit under explored "
+             "crashes";
     }
     if (opt.crashes > 0 && opt.crash_mode != "explore") {
       return "liveness checking requires crash_mode 'explore' when "
@@ -206,27 +233,15 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
 }
 
 bool ScenarioFactory::pattern_sensitive(const ScenarioOptions& opt) {
-  // Mirrors the oracle-component table in build(): FS and Psi are the
-  // only components whose outputs read failure_by(t) mid-run.
-  return opt.problem == "qc" || opt.problem == "nbac" ||
-         opt.problem == "consensus-crash-bug";
+  const ProblemRow* row = find_problem(opt.problem);
+  return row != nullptr && reads_failures(*row);
 }
 
-std::vector<std::string> ScenarioFactory::liveness_clauses(
+const std::vector<std::string>& ScenarioFactory::liveness_clauses(
     const std::string& problem) {
-  std::vector<std::string> out;
-  if (problem == "consensus" || problem == "consensus-bug" ||
-      problem == "consensus-live-bug" ||
-      problem == "consensus-crash-live-bug" || problem == "qc" ||
-      problem == "nbac" || problem == "rb") {
-    out.emplace_back("termination");
-  }
-  if (problem == "consensus" || problem == "consensus-live-bug" ||
-      problem == "consensus-crash-live-bug") {
-    out.emplace_back("leadership");
-  }
-  if (problem == "omega-impl") out.emplace_back("fd-completeness");
-  return out;
+  static const std::vector<std::string> kNone;
+  const ProblemRow* row = find_problem(problem);
+  return row != nullptr ? row->liveness : kNone;
 }
 
 std::vector<std::vector<ProcessId>> ScenarioFactory::symmetry_classes(
@@ -325,38 +340,19 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   // Liveness mode: Psi must be a converged limit from the start (see
   // validate()); harmless when no Psi component is enabled.
   oo.psi_converged = !opt_.liveness.empty();
-  if (opt_.problem == "consensus" || opt_.problem == "consensus-live-bug" ||
-      opt_.problem == "consensus-crash-live-bug") {
-    oo.omega = true;
-    oo.sigma = true;
-  } else if (opt_.problem == "qc") {
-    oo.psi = true;
-  } else if (opt_.problem == "nbac") {
-    oo.psi = true;
-    oo.fs = true;
-  } else if (opt_.problem == "sigma" || opt_.problem == "register" ||
-             opt_.problem == "register-regular") {
-    oo.sigma = true;
-  } else if (opt_.problem == "abcast") {
-    oo.omega = true;
-    oo.sigma = true;
-  } else if (opt_.problem == "consensus-crash-bug") {
-    oo.fs = true;  // The participants' fallback path reads FS.
-  }
-  // consensus-bug: all components off — the broken protocol is
-  // detector-free, keeping its choice tree purely about schedules.
+  const ProblemRow& row = *find_problem(opt_.problem);
+  oo.omega = (row.fd & kOmega) != 0;
+  oo.sigma = (row.fd & kSigma) != 0;
+  oo.fs = (row.fd & kFs) != 0;
+  oo.psi = (row.fd & kPsi) != 0;
 
   const bool crash_explore = opt_.crash_mode == "explore";
-  // With injected crashes the pattern evolves mid-run; the oracle must
-  // track it so its menus stay legal for the pattern actually realised.
-  oo.live_pattern = crash_explore;
-
   inject::FaultPlan fp;
   fp.crash_mode = crash_explore ? inject::CrashMode::kExplore
                   : opt_.crashes > 0 ? inject::CrashMode::kScript
                                      : inject::CrashMode::kNone;
   fp.crash_budget = crash_explore ? opt_.crashes : 0;
-  fp.min_alive = needs_majority(opt_.problem) ? opt_.n / 2 + 1 : 1;
+  fp.min_alive = majority_floor(row) ? opt_.n / 2 + 1 : 1;
   fp.drop_budget = opt_.loss_drops;
   fp.dup_budget = opt_.loss_dups;
   std::unique_ptr<inject::FaultState> faults;
@@ -366,23 +362,17 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   so.oldest_per_channel = opt_.oldest_per_channel;
   so.faults = faults.get();
 
-  std::unique_ptr<fd::Oracle> oracle;
-  if (opt_.fd_adversarial) {
-    oracle = std::make_unique<inject::FdAdversary>(&choices, oo);
-  } else {
-    oracle = std::make_unique<ChoiceOracle>(&choices, oo);
-  }
-
   out.sim = std::make_unique<sim::Simulator>(
-      cfg, pattern, std::move(oracle),
+      cfg, pattern, std::make_unique<ChoiceOracle>(&choices, oo),
       std::make_unique<sim::ReplayScheduler>(&choices, so));
   if (faults != nullptr) out.sim->adopt_faults(std::move(faults));
   sim::Simulator& s = *out.sim;
 
-  // Under injection the detector history must stay legal for the pattern
-  // the run actually reconstructs — cross-check the prefix-checkable
-  // clauses of the enabled components via fd/history_checker.
-  if ((opt_.fd_adversarial || crash_explore) && (oo.fs || oo.psi)) {
+  // Per-query detector choices, or a pattern that injected crashes
+  // reconstruct mid-run, must keep the history legal for the pattern the
+  // run realises — cross-check the prefix-checkable clauses of the
+  // failure-reading components via fd/history_checker.
+  if ((opt_.fd_per_query || crash_explore) && reads_failures(row)) {
     out.invariants.push_back(
         std::make_unique<FdPrefixInvariant>(oo.fs, oo.psi));
   }

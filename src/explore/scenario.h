@@ -24,8 +24,9 @@
 namespace wfd::explore {
 
 struct ScenarioOptions {
-  /// consensus | consensus-bug | consensus-crash-bug | qc | nbac | sigma |
-  /// register | register-regular | abcast | rb.
+  /// One of ScenarioFactory::problems(); the problem table in
+  /// scenario.cpp gives each its detector components and liveness
+  /// clauses.
   std::string problem = "consensus";
   int n = 3;
   int crashes = 0;
@@ -40,10 +41,6 @@ struct ScenarioOptions {
   /// retransmission wrapper when either is nonzero.
   int loss_drops = 0;
   int loss_dups = 0;
-  /// Adversarial detector: every query is a fresh choice over the menus
-  /// legal for the *evolving* pattern (inject/fd_adversary.h). Forces
-  /// per-query choice; requires stabilization == kNever.
-  bool fd_adversarial = false;
   /// kNever: crash times are exploration choice points (a small menu of
   /// times within the horizon). Otherwise faulty process i crashes at
   /// crash_time * (i + 1).
@@ -54,8 +51,10 @@ struct ScenarioOptions {
   /// ChoiceOracle stabilization time (kNever = adversarial throughout;
   /// finite values make liveness meaningful for campaign runs).
   Time stabilization = kNever;
-  /// false: one static detector history per run instead of per-query
-  /// choices — a much smaller tree.
+  /// true (--fd=adversarial): every query is a fresh choice over the
+  /// menus legal for the pattern so far, injected crashes included.
+  /// false (--fd=static): one static detector history per run — a much
+  /// smaller tree.
   bool fd_per_query = true;
   /// For nbac: the process voting No, or kNoProcess for unanimous Yes.
   ProcessId nbac_no_voter = kNoProcess;
@@ -133,13 +132,13 @@ class ScenarioFactory {
   /// Empty string when the options are valid, else a diagnosis.
   [[nodiscard]] static std::string validate(const ScenarioOptions& opt);
 
-  /// True when the enabled detector components read the *evolving*
+  /// True when the problem's detector components read the *evolving*
   /// failure pattern mid-run (an FS or Psi component consults
   /// failure_by(t)): an injected crash is then observable by every
   /// process through its next query, and the explorer must keep crash
   /// labels dependent with everything. Omega/Sigma menus — static or
-  /// per-query, adversarial included — never re-read the pattern before
-  /// stabilization, and exploration requires stabilization == kNever.
+  /// per-query — never re-read the pattern before stabilization, and
+  /// exploration requires stabilization == kNever.
   [[nodiscard]] static bool pattern_sensitive(const ScenarioOptions& opt);
 
   /// The liveness clause names available for `problem` (possibly empty).
@@ -147,7 +146,7 @@ class ScenarioFactory {
   /// completion uniformly; "leadership" is the Omega eventual-leadership
   /// goal on the (Omega, Sigma) consensus protocols; "fd-completeness"
   /// checks the implemented heartbeat Omega's strong completeness.
-  [[nodiscard]] static std::vector<std::string> liveness_clauses(
+  [[nodiscard]] static const std::vector<std::string>& liveness_clauses(
       const std::string& problem);
 
   /// Interchangeable-process classes for symmetry reduction: renaming

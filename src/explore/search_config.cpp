@@ -171,15 +171,8 @@ CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg) {
   if (auto v = val("seed")) return as(parse_u64(*v, &s.seed));
   if (auto v = val("stab")) return as(parse_time(*v, &s.stabilization));
   if (auto v = val("fd")) {
-    if (*v == "adversarial") {
-      s.fd_adversarial = true;
-      s.fd_per_query = true;  // Forced by the adversary anyway.
-    } else if (*v == "flap" || *v == "static") {
-      s.fd_adversarial = false;
-      s.fd_per_query = (*v == "flap");
-    } else {
-      return CliResult::kBadValue;
-    }
+    if (*v != "static" && *v != "adversarial") return CliResult::kBadValue;
+    s.fd_per_query = (*v == "adversarial");
     return CliResult::kApplied;
   }
   if (auto v = val("liveness")) {
@@ -237,7 +230,7 @@ CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg) {
 std::string cli_flags_help() {
   return "  --problem=NAME --n=N --crashes=K --crash-time=T\n"
          "  --crash=script|explore --loss=drop:N[,dup:M]\n"
-         "  --depth=T --seed=S --stab=T --fd=flap|static|adversarial\n"
+         "  --depth=T --seed=S --stab=T --fd=static|adversarial\n"
          "  --nbac-no-voter=P --reg-ops=N --reg-readers=N\n"
          "  --abcast-senders=N --all-pending --threads=N\n"
          " exhaustive only:\n"
@@ -278,9 +271,8 @@ std::string config_to_json(const SearchConfig& cfg) {
   out << "{\"problem\":\"" << json_escape(s.problem) << "\",\"n\":" << s.n
       << ",\"crashes\":" << s.crashes << ",\"crash_mode\":\""
       << json_escape(s.crash_mode) << "\",\"loss_drops\":" << s.loss_drops
-      << ",\"loss_dups\":" << s.loss_dups << ",\"fd_adversarial\":"
-      << (s.fd_adversarial ? "true" : "false")
-      << ",\"depth\":" << s.max_steps << ",\"seed\":" << s.seed
+      << ",\"loss_dups\":" << s.loss_dups << ",\"depth\":" << s.max_steps
+      << ",\"seed\":" << s.seed
       << ",\"fd_per_query\":" << (s.fd_per_query ? "true" : "false")
       << ",\"liveness\":\"" << json_escape(s.liveness) << "\""
       << ",\"max_states\":" << cfg.max_states << ",\"reduction\":\""

@@ -105,7 +105,7 @@ struct StateSnapshot {
   /// sound to reuse across explorer algorithm changes.
   ///
   /// History: v1 was the original format. v2 (fault injection) added the
-  /// crash_mode / loss_drops / loss_dups / fd_adversarial scenario
+  /// crash_mode / loss_drops / loss_dups / adversarial-detector scenario
   /// header fields, let frame labels carry fault action bits 46-47
   /// (sim/scheduler.h), and added the injected_* stats counters. v3
   /// (wave-scheduled search) replaced the single DFS path with the unit
@@ -130,8 +130,13 @@ struct StateSnapshot {
   /// under the other relation. v7 dropped the order_seed header lever
   /// and the frames' s= rotation offset: children are visited in menu
   /// order only, so a v6 frontier saved under a rotated order would
-  /// otherwise resume in another order than it was split in.
-  static constexpr std::uint32_t kVersion = 7;
+  /// otherwise resume in another order than it was split in. v8 dropped
+  /// the adversarial-detector header field (--fd=adversarial is now
+  /// plain per-query choice) and gave every per-query FS or Psi
+  /// scenario the fd-prefix invariant, which shifts the invariant scopes
+  /// its fingerprints fold: a v7 frontier's stored fingerprints would
+  /// no longer match the states this build reaches.
+  static constexpr std::uint32_t kVersion = 8;
   std::uint32_t version = kVersion;
 
   /// Only the search-header fields (scenario + reduction levers) are

@@ -38,9 +38,9 @@ class Oracle {
   /// The failure pattern just changed: p crashed at time t (fault
   /// injection reconstructs the pattern on the fly). Oracles that
   /// received the pattern at begin_run may ignore this — a history legal
-  /// for the scripted pattern stays prefix-extendable — but pattern-aware
-  /// adversarial oracles update their live copy here so later answers
-  /// (FS red, Ψ's failure branch) see the injected crash.
+  /// for the scripted pattern stays prefix-extendable — but the explorer's
+  /// ChoiceOracle updates its live copy here so later answers (FS red,
+  /// Ψ's failure branch) see the injected crash.
   virtual void on_crash(ProcessId p, Time t) {
     (void)p;
     (void)t;

@@ -124,14 +124,8 @@ void RuntimeProcess::loop() {
   refresh_fd();
   start_modules();
   tick_modules();
-  // The periodic tick drives timeouts/heartbeats/retries; it re-arms
-  // itself on the wheel.
-  std::function<void()> periodic = [this, &periodic] {
-    refresh_fd();
-    tick_modules();
-    wheel_.schedule(opt_.tick_interval, periodic);
-  };
-  wheel_.schedule(opt_.tick_interval, periodic);
+  // The periodic tick drives timeouts/heartbeats/retries.
+  Time next_tick = now() + opt_.tick_interval;
 
   std::vector<WireMessage> batch;
   std::vector<std::function<void()>> todo;
@@ -148,10 +142,8 @@ void RuntimeProcess::loop() {
           state_ = State::kDone;
           return;
         }
-        // Sleep until the next wheel deadline (there is always one: the
-        // periodic tick) or until work arrives.
-        const auto wake =
-            epoch_ + std::chrono::milliseconds(wheel_.next_deadline());
+        // Sleep until the next tick or until work arrives.
+        const auto wake = epoch_ + std::chrono::milliseconds(next_tick);
         if (cv_.wait_until(lock, wake) == std::cv_status::timeout) break;
       }
       batch.swap(inbox_);
@@ -169,7 +161,11 @@ void RuntimeProcess::loop() {
       tick_modules();
     }
     batch.clear();
-    wheel_.advance(now());
+    if (now() >= next_tick) {
+      refresh_fd();
+      tick_modules();
+      next_tick = now() + opt_.tick_interval;
+    }
   }
 }
 

@@ -15,9 +15,9 @@
 // message is followed by a module tick and preceded by a fresh detector
 // sample — the exact shape of one simulator step, which is what makes
 // the equal-decisions test (sim vs runtime on the same scripted
-// workload) meaningful. Between work, a monotonic-clock timer wheel
-// fires the periodic tick that drives timeouts, heartbeats and
-// consensus retries.
+// workload) meaningful. Between work, the loop sleeps until its next
+// tick deadline on the monotonic clock; the periodic tick drives
+// timeouts, heartbeats and consensus retries.
 #pragma once
 
 #include <chrono>
@@ -31,7 +31,6 @@
 
 #include "common/rng.h"
 #include "fd/values.h"
-#include "runtime/timer_wheel.h"
 #include "runtime/transport.h"
 #include "sim/module.h"
 
@@ -54,7 +53,7 @@ class RuntimeProcess final : public Host {
   using Clock = std::chrono::steady_clock;
 
   struct Options {
-    /// Milliseconds between timer-wheel module ticks.
+    /// Milliseconds between periodic module ticks.
     Time tick_interval = 1;
     std::uint64_t seed = 1;
   };
@@ -122,7 +121,6 @@ class RuntimeProcess final : public Host {
   Rng rng_;
   const sim::FdSource* fd_source_ = nullptr;
   fd::FdValue fd_cache_;   ///< Loop thread only.
-  TimerWheel wheel_;       ///< Loop thread only.
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

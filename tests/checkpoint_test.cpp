@@ -167,6 +167,8 @@ const std::vector<Converted>& converted() {
       {"lossy register",
        {"--problem=register", "--n=3", "--loss=drop:1,dup:1", "--depth=40"}},
       {"consensus", {"--problem=consensus", "--n=3", "--depth=40"}},
+      {"consensus --fd=adversarial",
+       {"--problem=consensus", "--n=3", "--fd=adversarial", "--depth=40"}},
       {"consensus crash=explore",
        {"--problem=consensus", "--n=3", "--crash=explore", "--crashes=1",
         "--fd=static", "--depth=40"}},
@@ -242,7 +244,6 @@ TEST(CheckpointDefaultsTest, UnconvertedPartsAreNotCloneable) {
       {"--problem=rb", "--n=3"},
       {"--problem=abcast", "--n=2"},
       {"--problem=omega-impl", "--n=3"},
-      {"--problem=consensus", "--n=3", "--fd=adversarial"},
   };
   for (const auto& flags : unconverted) {
     SCOPED_TRACE(flags[0]);
@@ -373,6 +374,11 @@ TEST(CheckpointDifferentialTest, ConsensusExploredCrashes) {
 TEST(CheckpointDifferentialTest, ConsensusSymmetry) {
   expect_paths_agree({"--problem=consensus", "--n=3", "--fd=static",
                       "--symmetry", "--depth=14"});
+}
+
+TEST(CheckpointDifferentialTest, ConsensusAdversarial) {
+  expect_paths_agree({"--problem=consensus", "--n=3", "--fd=adversarial",
+                      "--depth=10", "--max-states=5000"});
 }
 
 TEST(CheckpointDifferentialTest, CrashLivenessLasso) {

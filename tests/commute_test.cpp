@@ -531,7 +531,7 @@ struct OracleCase {
   bool fingerprints = true;
   /// Empty: the tree is clean. Otherwise the property its seeded bug
   /// violates, which every reduction must find.
-  std::string bug;
+  std::string bug = {};
   /// Runs halt within the depth, so halted outcomes are compared;
   /// otherwise only verdicts are.
   bool halts = true;

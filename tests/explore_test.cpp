@@ -8,7 +8,9 @@
 #include <atomic>
 #include <climits>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "explore/replay_io.h"
 #include "explore/scenario.h"
 #include "explore/shrink.h"
+#include "inject/fault_plan.h"
 
 namespace wfd::explore {
 namespace {
@@ -40,6 +43,76 @@ TEST(ScenarioTest, ValidateRejectsBadOptions) {
   EXPECT_FALSE(ScenarioFactory::validate(opt).empty());
   opt = ScenarioOptions{};
   EXPECT_TRUE(ScenarioFactory::validate(opt).empty());
+}
+
+// Each problem's detector rules are derived from the detector
+// components in scenario.cpp's problem table; these pin the derived
+// answers problem by problem.
+TEST(ProblemTableTest, DerivedDetectorRulesPerProblem) {
+  // Sigma or Psi: quorums drawn from minimal majorities.
+  const std::set<std::string> majority = {
+      "consensus", "consensus-live-bug", "consensus-crash-live-bug",
+      "qc",        "nbac",               "sigma",
+      "register",  "register-regular",   "abcast"};
+  // FS or Psi: outputs read the evolving failure pattern.
+  const std::set<std::string> pattern_sensitive = {"qc", "nbac",
+                                                   "consensus-crash-bug"};
+  // Any component: per-query choices would flap forever on a cycle.
+  const std::set<std::string> static_liveness = {
+      "consensus", "consensus-live-bug", "consensus-crash-live-bug", "qc",
+      "nbac"};
+  // FS: no repair of a green-after-crash choice in the limit.
+  const std::set<std::string> crash_free_liveness = {"nbac"};
+  const std::map<std::string, std::vector<std::string>> clauses = {
+      {"consensus", {"termination", "leadership"}},
+      {"consensus-bug", {"termination"}},
+      {"consensus-live-bug", {"termination", "leadership"}},
+      {"consensus-crash-live-bug", {"termination", "leadership"}},
+      {"qc", {"termination"}},
+      {"nbac", {"termination"}},
+      {"rb", {"termination"}},
+      {"omega-impl", {"fd-completeness"}},
+  };
+
+  EXPECT_EQ(ScenarioFactory::problems().size(), 13u);
+  for (const std::string& problem : ScenarioFactory::problems()) {
+    SCOPED_TRACE(problem);
+    const bool floor = majority.count(problem) == 1;
+    ScenarioOptions opt;
+    opt.problem = problem;
+    opt.n = 4;
+    EXPECT_EQ(ScenarioFactory::pattern_sensitive(opt),
+              pattern_sensitive.count(problem) == 1);
+    opt.crashes = 2;  // Half of n = 4: no correct majority.
+    EXPECT_EQ(ScenarioFactory::validate(opt).empty(), !floor);
+    opt.crashes = 1;
+    opt.crash_mode = "explore";
+    ASSERT_EQ(ScenarioFactory::validate(opt), "");
+    sim::RandomChoices choices(1);
+    const Scenario sc = ScenarioFactory(opt).build(choices);
+    ASSERT_NE(sc.sim->faults(), nullptr);
+    EXPECT_EQ(sc.sim->faults()->plan().min_alive, floor ? 3 : 1);
+
+    const auto want = clauses.find(problem);
+    EXPECT_EQ(ScenarioFactory::liveness_clauses(problem),
+              want == clauses.end() ? std::vector<std::string>{}
+                                    : want->second);
+    for (const std::string& clause :
+         ScenarioFactory::liveness_clauses(problem)) {
+      SCOPED_TRACE(clause);
+      ScenarioOptions live;
+      live.problem = problem;
+      live.liveness = clause;
+      EXPECT_EQ(ScenarioFactory::validate(live).empty(),
+                static_liveness.count(problem) == 0);
+      live.fd_per_query = false;
+      EXPECT_EQ(ScenarioFactory::validate(live), "");
+      live.crash_mode = "explore";
+      live.crashes = 1;
+      EXPECT_EQ(ScenarioFactory::validate(live).empty(),
+                crash_free_liveness.count(problem) == 0);
+    }
+  }
 }
 
 TEST(ExplorerTest, FindsSeededAgreementBug) {
@@ -171,6 +244,24 @@ TEST(ReplayTest, FileRoundTrip) {
   EXPECT_EQ(parsed->scenario.stabilization, f.scenario.stabilization);
   EXPECT_EQ(parsed->decisions, f.decisions);
   EXPECT_EQ(parsed->note, f.note);
+}
+
+TEST(ReplayTest, RetiredAdversarialFieldStillReplaysPerQuery) {
+  // Files written before --fd=adversarial became plain per-query choice
+  // carry an fd_adversarial= line next to fd_per_query=1; the parser
+  // ignores the unknown key, so they replay the same per-query run.
+  ReplayFile f;
+  f.scenario.problem = "qc";
+  f.decisions = {0, 1};
+  std::string text = to_text(f);
+  const std::size_t at = text.find("fd_per_query=1\n");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "fd_adversarial=1\n");
+  std::string error;
+  const auto parsed = parse_replay(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_TRUE(parsed->scenario.fd_per_query);
+  EXPECT_EQ(to_text(*parsed), to_text(f));
 }
 
 TEST(ReplayTest, ParseRejectsGarbage) {

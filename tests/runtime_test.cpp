@@ -1,12 +1,12 @@
 // The runtime host: unmodified modules over real threads and channels.
 //
-// Covers the timer wheel, both transports, the implementable detectors
-// under the simulator (eventual leadership on synchronous-enough
-// schedules — the model-checking half lives in scenario "omega-impl"),
-// the replicated KV service under concurrent load with a
-// read-your-writes check, leader-kill failover, and the equal-decisions
-// bridge: the same module binaries produce the same scripted-session
-// results under the simulator and under the runtime host.
+// Covers both transports, the implementable detectors under the
+// simulator (eventual leadership on synchronous-enough schedules — the
+// model-checking half lives in scenario "omega-impl"), the replicated
+// KV service under concurrent load with a read-your-writes check,
+// leader-kill failover, and the equal-decisions bridge: the same module
+// binaries produce the same scripted-session results under the
+// simulator and under the runtime host.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "fd/phi_accrual.h"
 #include "runtime/kv.h"
 #include "runtime/tcp_transport.h"
-#include "runtime/timer_wheel.h"
 #include "smr/replicated_object.h"
 #include "test_util.h"
 
@@ -34,56 +33,6 @@ struct TestMsg final : sim::Payload {
     enc.field("v", value);
   }
 };
-
-// --- Timer wheel -----------------------------------------------------
-
-TEST(TimerWheelTest, FiresAtDeadlinesAcrossLaps) {
-  runtime::TimerWheel wheel(8);  // Small wheel: deadlines wrap laps.
-  std::vector<int> fired;
-  wheel.schedule(3, [&] { fired.push_back(3); });
-  wheel.schedule(20, [&] { fired.push_back(20); });  // > one lap out.
-  wheel.schedule(5, [&] { fired.push_back(5); });
-  EXPECT_EQ(wheel.pending(), 3u);
-  EXPECT_EQ(wheel.advance(2), 0u);
-  EXPECT_EQ(wheel.advance(4), 1u);  // Only the t=3 timer.
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 3);
-  EXPECT_EQ(wheel.advance(19), 1u);  // t=5; t=20 not yet despite hashing.
-  EXPECT_EQ(fired.back(), 5);
-  EXPECT_EQ(wheel.advance(25), 1u);
-  EXPECT_EQ(fired.back(), 20);
-  EXPECT_EQ(wheel.pending(), 0u);
-}
-
-TEST(TimerWheelTest, ZeroDelayFiresOnNextAdvance) {
-  runtime::TimerWheel wheel;
-  bool fired = false;
-  wheel.schedule(0, [&] { fired = true; });
-  EXPECT_EQ(wheel.advance(1), 1u);
-  EXPECT_TRUE(fired);
-}
-
-TEST(TimerWheelTest, CallbackReschedulesWithoutSpinning) {
-  runtime::TimerWheel wheel;
-  int ticks = 0;
-  std::function<void()> periodic = [&] {
-    ++ticks;
-    wheel.schedule(2, periodic);
-  };
-  wheel.schedule(2, periodic);
-  for (Time t = 1; t <= 20; ++t) wheel.advance(t);
-  EXPECT_EQ(ticks, 10);  // Every 2 units, no same-advance re-firing.
-  EXPECT_EQ(wheel.pending(), 1u);
-}
-
-TEST(TimerWheelTest, LongJumpFiresEverythingOnce) {
-  runtime::TimerWheel wheel(4);
-  int fired = 0;
-  for (Time d = 1; d <= 10; ++d) wheel.schedule(d, [&] { ++fired; });
-  EXPECT_EQ(wheel.advance(1000), 10u);
-  EXPECT_EQ(fired, 10);
-  EXPECT_EQ(wheel.advance(2000), 0u);
-}
 
 // --- Transports ------------------------------------------------------
 

@@ -59,6 +59,9 @@ TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   const SearchConfig back = apply_header(header);
   EXPECT_EQ(header_text(back), header) << "apply → render must be identity";
   EXPECT_EQ(validate(back), "");
+  // --fd=adversarial is fd_per_query itself; no second field carries it.
+  EXPECT_EQ(header.find("fd_adversarial"), std::string::npos) << header;
+  EXPECT_NE(header.find("fd_per_query=0"), std::string::npos) << header;
 
   // Soundness fields survive the trip...
   EXPECT_EQ(back.scenario.problem, "nbac");
@@ -90,10 +93,11 @@ TEST(SearchConfigTest, JsonCarriesEverySoundnessLever) {
        {"\"problem\":\"register\"", "\"n\":3", "\"loss_drops\":2",
         "\"loss_dups\":1", "\"depth\":20", "\"reduction\":\"dpor\"",
         "\"symmetry\":false", "\"state_fingerprints\":true",
-        "\"threads\":4"}) {
+        "\"threads\":4", "\"fd_per_query\":true"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << needle << " missing from " << json;
   }
+  EXPECT_EQ(json.find("fd_adversarial"), std::string::npos) << json;
 }
 
 TEST(SearchConfigTest, JsonEscapeCoversQuotesBackslashesAndControls) {
@@ -124,9 +128,18 @@ TEST(SearchConfigTest, CliFlagOutcomes) {
     EXPECT_EQ(apply_cli_flag(cfg, retired), CliResult::kUnknown) << retired;
   }
   for (const char* gone : {"--dep=", "--no-fault-dep", "--max-runs",
-                           "--no-lambda", "--order-seed", "--frontier"}) {
+                           "--no-lambda", "--order-seed", "--frontier",
+                           "flap"}) {
     EXPECT_EQ(cli_flags_help().find(gone), std::string::npos) << gone;
   }
+  // --fd takes static|adversarial; adversarial is per-query choice.
+  EXPECT_EQ(apply_cli_flag(cfg, "--fd=static"), CliResult::kApplied);
+  EXPECT_FALSE(cfg.scenario.fd_per_query);
+  EXPECT_EQ(apply_cli_flag(cfg, "--fd=adversarial"), CliResult::kApplied);
+  EXPECT_TRUE(cfg.scenario.fd_per_query);
+  EXPECT_EQ(apply_cli_flag(cfg, "--fd=static"), CliResult::kApplied);
+  EXPECT_EQ(apply_cli_flag(cfg, "--fd=flap"), CliResult::kBadValue);
+  EXPECT_FALSE(cfg.scenario.fd_per_query);
   // Recognized flag, unparseable value.
   EXPECT_EQ(apply_cli_flag(cfg, "--n=banana"), CliResult::kBadValue);
   EXPECT_EQ(apply_cli_flag(cfg, "--reduction=fast"), CliResult::kBadValue);

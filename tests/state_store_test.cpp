@@ -331,12 +331,14 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
   // silently under the content-aware, sparse-fault relation. The v6->v7
   // bump dropped the order_seed lever and the frames' s= rotation
   // offset: a v6 frontier split in a rotated visit order would otherwise
-  // resume in menu order.
+  // resume in menu order. The v7->v8 bump dropped the fd_adversarial
+  // scenario field and gave per-query FS/Psi scenarios the fd-prefix
+  // invariant, which moves their fingerprints.
   const std::string tag =
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::string want_current =
       "version " + std::to_string(StateSnapshot::kVersion);
-  for (const int old_version : {2, 3, 4, 5, 6}) {
+  for (const int old_version : {2, 3, 4, 5, 6, 7}) {
     std::string old = to_text(sample_snapshot());
     const std::size_t at = old.find(tag);
     ASSERT_NE(at, std::string::npos);
@@ -377,6 +379,25 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
     EXPECT_FALSE(parse_snapshot(v6, &error, &wrong_version).has_value());
     EXPECT_TRUE(wrong_version) << error;
     EXPECT_NE(error.find("unsupported snapshot_version 6"), std::string::npos)
+        << error;
+  }
+
+  // A v7 file as a v7 build wrote it: an fd_adversarial= scenario line,
+  // which this build's parser would skip as unknown — so the version
+  // line must refuse the file before the rest can be read as current.
+  std::string v7 = to_text(sample_snapshot());
+  const std::size_t at7 = v7.find(tag);
+  ASSERT_NE(at7, std::string::npos);
+  v7.replace(at7, tag.size(), "snapshot_version=7");
+  const std::size_t dups = v7.find("loss_dups=");
+  ASSERT_NE(dups, std::string::npos);
+  v7.insert(v7.find('\n', dups) + 1, "fd_adversarial=1\n");
+  {
+    std::string error;
+    bool wrong_version = false;
+    EXPECT_FALSE(parse_snapshot(v7, &error, &wrong_version).has_value());
+    EXPECT_TRUE(wrong_version) << error;
+    EXPECT_NE(error.find("unsupported snapshot_version 7"), std::string::npos)
         << error;
   }
 
@@ -644,7 +665,7 @@ TEST(ResumeTest, MismatchedScenarioIsRejected) {
 
 TEST(ResumeTest, OldFormatSnapshotIsRejectedAsIncompatible) {
   // End-to-end exit-2 contract: Explorer resume from a file of the
-  // previous format version (v6) sets resume_rejected (wfd_check maps
+  // previous format version (v7) sets resume_rejected (wfd_check maps
   // that to the incompatible-snapshot exit code) and runs nothing.
   const ScenarioOptions scenario = bug_options();
   const std::string path = testing::TempDir() + "wfd_resume_oldver.wfds";
@@ -668,7 +689,7 @@ TEST(ResumeTest, OldFormatSnapshotIsRejectedAsIncompatible) {
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::size_t at = text.find(tag);
   ASSERT_NE(at, std::string::npos);
-  text.replace(at, tag.size(), "snapshot_version=6");
+  text.replace(at, tag.size(), "snapshot_version=7");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

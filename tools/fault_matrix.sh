@@ -93,8 +93,7 @@ for prob in consensus qc nbac register; do
     fail "$prob/crash: no crashes injected ($crashes)"
 
   # --- adversarial FD: any output legal for the evolving pattern ------
-  # (overrides the per-problem --fd=static; the adversary forces
-  # per-query choice itself).
+  # (overrides the per-problem --fd=static with per-query choice).
   cell "$prob" fd --fd=adversarial
 
   # --- lossy links: drop budget 1 per directed link -------------------

@@ -140,13 +140,14 @@ void usage() {
       "--crash=explore makes crash timing a per-step exploration choice\n"
       "(--crashes becomes the injection budget, default 1); --loss gives\n"
       "the adversary per-link drop/duplicate budgets; --fd=adversarial\n"
-      "turns every detector query into a worst-case choice against the\n"
-      "evolving failure pattern. --deadline-ms converts a long exhaustive\n"
-      "run into a cooperative cancel: partial report, frontier saved with\n"
-      "--save-state, exit 4. --liveness=<clause> checks <>[]goal instead\n"
-      "of bounded safety: after exhausting the tree the explored state\n"
-      "graph is searched for a fair goal-avoiding cycle, reported as a\n"
-      "replayable (and shrinkable) stem+loop lasso.\n"
+      "(the default) makes every detector query a fresh choice against\n"
+      "the evolving failure pattern, --fd=static one history per run.\n"
+      "--deadline-ms converts a long exhaustive run into a cooperative\n"
+      "cancel: partial report, frontier saved with --save-state, exit 4.\n"
+      "--liveness=<clause> checks <>[]goal instead of bounded safety:\n"
+      "after exhausting the tree the explored state graph is searched for\n"
+      "a fair goal-avoiding cycle, reported as a replayable (and\n"
+      "shrinkable) stem+loop lasso.\n"
       "\n"
       "--threads=N runs the wave-scheduled exhaustive search on N worker\n"
       "threads (results are identical for every N); in campaign mode it\n"
