@@ -327,7 +327,12 @@ class UnitEngine {
         res_.graph.at(cur_fp).truncated = true;
       }
       u_->path_pending = false;
-      if (dpor) end_of_run_races(*sc.sim);
+      // A prune armed every schedule frame on the path with its whole
+      // menu (expand_path_on_prune), so the race pass could add nothing.
+      if (dpor && !pruned) end_of_run_races(*sc.sim);
+#ifndef NDEBUG
+      if (dpor && pruned) check_prune_covers_races(*sc.sim);
+#endif
       res_.delta.steps += run_steps;
       res_.replayed_steps += run_replayed;
       ++res_.delta.runs;
@@ -913,6 +918,24 @@ class UnitEngine {
       race_lambda(pid, sim.process_tick_noop(pid));
     }
   }
+
+#ifndef NDEBUG
+  /// Builds without NDEBUG: the race pass a pruned run skips must find
+  /// nothing new. Its commute skips are taken back, so the counts match
+  /// builds that skip it.
+  void check_prune_covers_races(sim::Simulator& sim) {
+    const std::uint64_t points = res_.delta.backtrack_points;
+    const std::uint64_t skips = res_.delta.commute_skips;
+    const std::size_t deferred = res_.deferred.size();
+    const std::size_t conservative = res_.conservative.size();
+    end_of_run_races(sim);
+    WFD_CHECK_MSG(res_.delta.backtrack_points == points &&
+                      res_.deferred.size() == deferred &&
+                      res_.conservative.size() == conservative,
+                  "a pruned run's race pass found something new");
+    res_.delta.commute_skips = skips;
+  }
+#endif
 
   /// Send-time metadata of message `id`; nullptr when it was sent
   /// before tracking started.

@@ -185,27 +185,21 @@ void RegisterAtomicityInvariant::encode_state(sim::StateEncoder& enc) const {
   // Per-client operation indices give ops a schedule-independent
   // identity (the shared vector's order is invocation order, which is
   // schedule-dependent).
-  std::vector<std::uint64_t> op_seq(ops.size(), 0);
-  std::vector<std::uint64_t> next_per_client(kMaxProcesses + 1, 0);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    op_seq[i] = next_per_client[static_cast<std::size_t>(ops[i].client)]++;
-  }
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const reg::OpRecord& op = ops[i];
+  for (const reg::OpRecord& op : ops) {
     sim::StateEncoder sub = enc.child();
     sub.pid_field("client", op.client);
-    sub.field("seq", op_seq[i]);
+    sub.field("seq", op.client_seq);
     sub.field("is-write", op.is_write);
     const bool completed = op.responded != kNever;
     sub.field("completed", completed);
     if (op.is_write || completed) sub.field("value", op.value);
     // Real-time precedence edges, identified by (client, seq) — the
     // relative overlap structure without the absolute times.
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-      if (completed && op.responded <= ops[j].invoked) {
+    for (const reg::OpRecord& later : ops) {
+      if (completed && op.responded <= later.invoked) {
         sim::StateEncoder edge = sub.child();
-        edge.pid_field("client", ops[j].client);
-        edge.field("seq", op_seq[j]);
+        edge.pid_field("client", later.client);
+        edge.field("seq", later.client_seq);
         sub.merge("precedes", edge);
       }
     }

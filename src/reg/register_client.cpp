@@ -11,6 +11,13 @@ std::size_t History::invoke(ProcessId client, bool is_write,
   r.is_write = is_write;
   r.value = value;
   r.invoked = at;
+  // One past the client's latest op, which is usually a few back.
+  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
+    if (it->client == client) {
+      r.client_seq = it->client_seq + 1;
+      break;
+    }
+  }
   ops_.push_back(r);
   return ops_.size() - 1;
 }

@@ -23,6 +23,9 @@ struct OpRecord {
   std::int64_t value = 0;  ///< Written value, or value returned by a read.
   Time invoked = 0;
   Time responded = kNever;  ///< kNever while pending.
+  /// The op's index among its client's ops (0 for the client's first):
+  /// an identity that does not depend on how clients interleave.
+  std::uint64_t client_seq = 0;
 };
 
 /// Shared log of operations across all clients of one register.

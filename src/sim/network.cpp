@@ -28,6 +28,11 @@ std::uint64_t Network::send(Envelope env) {
   q.slots.push_back(Slot{std::move(env), std::nullopt});
   receiver_.push_back(static_cast<std::uint8_t>(to));
   ++size_;
+  if (in_flight_.has_value()) {
+    const StateEncoder::Partial term = in_flight_term(q.slots.back());
+    in_flight_->sum += term.sum;
+    if (!term.complete) ++in_flight_->opaque;
+  }
   return q.index.back().id;
 }
 
@@ -60,6 +65,11 @@ Envelope Network::take(std::uint64_t id) {
   WFD_CHECK(w.has_value());
   Queue& q = queues_[w->to];
   const auto pos = static_cast<std::ptrdiff_t>(w->pos);
+  if (in_flight_.has_value()) {
+    const StateEncoder::Partial term = in_flight_term(q.slots[w->pos]);
+    in_flight_->sum -= term.sum;
+    if (!term.complete) --in_flight_->opaque;
+  }
   Envelope env = std::move(q.slots[w->pos].env);
   q.index.erase(q.index.begin() + pos);
   q.slots.erase(q.slots.begin() + pos);
@@ -95,20 +105,51 @@ const StateEncoder::Partial& Network::content_of(const Slot& s) {
   return *s.content;
 }
 
-void Network::encode_state(StateEncoder& enc) const {
+StateEncoder::Partial Network::in_flight_term(const Slot& s) {
+  StateEncoder sub;
+  sub.pid_field("from", s.env.from);
+  sub.pid_field("to", s.env.to);
+  sub.add(content_of(s));
+  StateEncoder term;
+  term.merge("in-flight", sub);
+  return term.partial();
+}
+
+Network::InFlight Network::fold_in_flight() const {
+  InFlight fold;
   for (const Queue& q : queues_) {
     for (const Slot& s : q.slots) {
-      StateEncoder sub = enc.child();
-      sub.pid_field("from", s.env.from);
-      sub.pid_field("to", s.env.to);
-      if (!enc.renamed()) {
-        sub.add(content_of(s));
-      } else if (s.env.payload != nullptr) {
-        s.env.payload->encode_state(sub);
-      }
-      enc.merge("in-flight", sub);
+      const StateEncoder::Partial term = in_flight_term(s);
+      fold.sum += term.sum;
+      if (!term.complete) ++fold.opaque;
     }
   }
+  return fold;
+}
+
+void Network::encode_state(StateEncoder& enc) const {
+  if (enc.renamed()) {
+    for (const Queue& q : queues_) {
+      for (const Slot& s : q.slots) {
+        StateEncoder sub = enc.child();
+        sub.pid_field("from", s.env.from);
+        sub.pid_field("to", s.env.to);
+        if (s.env.payload != nullptr) s.env.payload->encode_state(sub);
+        enc.merge("in-flight", sub);
+      }
+    }
+    return;
+  }
+  if (!in_flight_.has_value()) {
+    in_flight_ = fold_in_flight();
+  } else {
+#ifndef NDEBUG
+    WFD_CHECK_MSG(fold_in_flight() == *in_flight_,
+                  "kept in-flight fold drifted from the pending messages");
+#endif
+  }
+  enc.add(StateEncoder::Partial{in_flight_->sum, size_,
+                                in_flight_->opaque == 0});
 }
 
 }  // namespace wfd::sim

@@ -14,6 +14,8 @@
 // Each pending message also caches the encoding of its payload (see
 // content()): payloads are immutable once sent, so the encoding is
 // computed at most once per message, and only when something reads it.
+// Once the in-flight fold has been read, the network keeps it current
+// as messages come and go (encode_state).
 #pragma once
 
 #include <cstdint>
@@ -77,9 +79,14 @@ class Network {
   /// presets among them) recompute it on every read and check that.
   [[nodiscard]] const StateEncoder::Partial& content(std::uint64_t id) const;
 
-  /// Fold the in-flight multiset into `enc`: one "in-flight" sub-digest
-  /// per message over its sender, receiver and payload. Order-
-  /// insensitive; under a renaming the payloads are re-encoded.
+  /// Fold the in-flight multiset into `enc`, a root-scope encoder: one
+  /// "in-flight" sub-digest per message over its sender, receiver and
+  /// payload. Order-insensitive. Under the identity renaming the fold
+  /// is a kept sum: computed on the first read, then updated by every
+  /// send and take (the combine is a wrapping sum, so subtracting a
+  /// taken message's term is exact); builds without NDEBUG recompute it
+  /// on every read and check that. Under a renaming every message is
+  /// re-encoded.
   void encode_state(StateEncoder& enc) const;
 
   /// Visit every pending message (unspecified order).
@@ -107,9 +114,21 @@ class Network {
     std::size_t pos;
   };
 
+  /// The identity-renaming fold of the in-flight multiset.
+  struct InFlight {
+    std::uint64_t sum = 0;
+    /// Messages whose payload encoding is incomplete: the fold is
+    /// complete exactly when none is pending.
+    std::size_t opaque = 0;
+    bool operator==(const InFlight&) const = default;
+  };
+
   /// Receiver queue and position of pending message `id`.
   [[nodiscard]] std::optional<Where> find(std::uint64_t id) const;
   [[nodiscard]] static const StateEncoder::Partial& content_of(const Slot& s);
+  /// Message s's "in-flight" term at root scope (count 1).
+  [[nodiscard]] static StateEncoder::Partial in_flight_term(const Slot& s);
+  [[nodiscard]] InFlight fold_in_flight() const;
 
   std::uint64_t next_id_ = 1;
   std::size_t size_ = 0;
@@ -118,6 +137,8 @@ class Network {
   /// The window starts at the oldest id whose message may be pending.
   std::vector<std::uint8_t> receiver_;
   std::uint64_t first_id_ = 1;
+  /// The in-flight fold, kept current once encode_state first read it.
+  mutable std::optional<InFlight> in_flight_;
 };
 
 }  // namespace wfd::sim

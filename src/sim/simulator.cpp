@@ -20,12 +20,14 @@ Simulator::Simulator(SimConfig cfg, FailurePattern pattern,
 
 Process& Simulator::process(ProcessId p) {
   WFD_CHECK(p >= 0 && p < static_cast<ProcessId>(procs_.size()));
-  return *procs_[static_cast<std::size_t>(p)];
+  ProcSlot& slot = procs_[static_cast<std::size_t>(p)];
+  slot.body.reset();
+  return *slot.proc;
 }
 
 const Process& Simulator::process(ProcessId p) const {
   WFD_CHECK(p >= 0 && p < static_cast<ProcessId>(procs_.size()));
-  return *procs_[static_cast<std::size_t>(p)];
+  return *procs_[static_cast<std::size_t>(p)].proc;
 }
 
 std::unique_ptr<Simulator> Simulator::clone(const CloneMap& map) const {
@@ -41,10 +43,10 @@ std::unique_ptr<Simulator> Simulator::clone(const CloneMap& map) const {
                                           std::move(scheduler));
   copy->faults_ = std::move(faults);
   copy->procs_.reserve(procs_.size());
-  for (const auto& proc : procs_) {
-    std::unique_ptr<Process> p = proc->clone(map);
+  for (const ProcSlot& slot : procs_) {
+    std::unique_ptr<Process> p = slot.proc->clone(map);
     if (p == nullptr) return nullptr;
-    copy->procs_.push_back(std::move(p));
+    copy->procs_.push_back(ProcSlot{std::move(p), slot.body});
   }
   copy->started_p_ = started_p_;
   copy->proc_rng_ = proc_rng_;
@@ -60,7 +62,7 @@ std::unique_ptr<Simulator> Simulator::clone(const CloneMap& map) const {
 bool Simulator::all_alive_done() const {
   for (ProcessId p = 0; p < cfg_.n; ++p) {
     if (pattern_.alive(p, now_) &&
-        !procs_[static_cast<std::size_t>(p)]->done()) {
+        !procs_[static_cast<std::size_t>(p)].proc->done()) {
       return false;
     }
   }
@@ -131,7 +133,10 @@ bool Simulator::step() {
   const fd::FdValue v = oracle_->query(choice.p, now_);
   trace_.record_sample(choice.p, now_, v);
   Context ctx(*this, choice.p, v);
-  Process& proc = *procs_[static_cast<std::size_t>(choice.p)];
+  ProcSlot& slot = procs_[static_cast<std::size_t>(choice.p)];
+  // Only the stepping process's body can change in this step.
+  slot.body.reset();
+  Process& proc = *slot.proc;
   last_step_ = LastStep{choice.p, 0, false};
 
   bool lambda = true;
@@ -164,11 +169,34 @@ bool Simulator::step() {
 bool Simulator::process_tick_noop(ProcessId p) const {
   return p >= 0 && p < static_cast<ProcessId>(procs_.size()) &&
          started_p_.contains(p) &&
-         procs_[static_cast<std::size_t>(p)]->tick_noop();
+         procs_[static_cast<std::size_t>(p)].proc->tick_noop();
+}
+
+StateEncoder::Partial Simulator::encode_body(ProcessId p) const {
+  StateEncoder enc;
+  enc.push_proc("proc", p);
+  procs_[static_cast<std::size_t>(p)].proc->encode_state(enc);
+  enc.pop();
+  return enc.partial();
+}
+
+const StateEncoder::Partial& Simulator::body(ProcessId p) const {
+  const ProcSlot& slot = procs_[static_cast<std::size_t>(p)];
+  if (!slot.body.has_value()) {
+    slot.body = encode_body(p);
+  } else {
+#ifndef NDEBUG
+    WFD_CHECK_MSG(encode_body(p) == *slot.body,
+                  "process state changed outside its own steps");
+#endif
+  }
+  return *slot.body;
 }
 
 void Simulator::encode_state(StateEncoder& enc) const {
   for (ProcessId p = 0; p < cfg_.n; ++p) {
+    // The header depends on the time and the failure pattern, so it is
+    // folded afresh every time.
     enc.push_proc("proc", p);
     enc.field("started", started_p_.contains(p));
     enc.field("crashed", !pattern_.alive(p, now_));
@@ -178,8 +206,14 @@ void Simulator::encode_state(StateEncoder& enc) const {
     if (crash != kNever && crash > now_) {
       enc.field("crash-in", crash - now_);
     }
-    procs_[static_cast<std::size_t>(p)]->encode_state(enc);
-    enc.pop();
+    if (enc.renamed()) {
+      // A renaming rewrites the body's pid fields: no cache applies.
+      procs_[static_cast<std::size_t>(p)].proc->encode_state(enc);
+      enc.pop();
+    } else {
+      enc.pop();
+      enc.add(body(p));
+    }
   }
   net_.encode_state(enc);
   enc.push("oracle");
@@ -218,7 +252,7 @@ void Context::send(ProcessId to, PayloadPtr payload) {
   env.to = to;
   env.sent_at = sim_->now_;
   env.payload = std::move(payload);
-  Process& proc = *sim_->procs_[static_cast<std::size_t>(self_)];
+  Process& proc = *sim_->procs_[static_cast<std::size_t>(self_)].proc;
   if (TransportInstrument* ins = proc.instrument()) {
     env.meta = ins->outgoing_meta();
   }

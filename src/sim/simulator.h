@@ -72,7 +72,7 @@ class Simulator {
   P& add_process(Args&&... args) {
     auto proc = std::make_unique<P>(std::forward<Args>(args)...);
     P& ref = *proc;
-    procs_.push_back(std::move(proc));
+    procs_.push_back(ProcSlot{std::move(proc), std::nullopt});
     return ref;
   }
 
@@ -115,6 +115,8 @@ class Simulator {
     return faults_.get();
   }
 
+  /// A mutable process: the caller may change its state, so this drops
+  /// the process's cached encoding (encode_state).
   Process& process(ProcessId p);
   [[nodiscard]] const Process& process(ProcessId p) const;
   Network& network() { return net_; }
@@ -135,7 +137,17 @@ class Simulator {
 
   /// Fold the complete system state — per-process encodings, the
   /// in-flight message multiset, pending crash deltas and the oracle's
-  /// latched history — into `enc`. Order-insensitive; see StateEncoder.
+  /// latched history — into `enc`, a root-scope encoder. Order-
+  /// insensitive; see StateEncoder.
+  ///
+  /// Under the identity renaming each process's body and the in-flight
+  /// multiset come from caches: a body is encoded once after each of
+  /// its process's steps and kept, in copies too (clone), until the
+  /// process steps again; the network keeps its in-flight fold current
+  /// across sends and takes (Network::encode_state). A renaming rewrites
+  /// every pid field, so a renamed encoder re-encodes everything. Builds
+  /// without NDEBUG recompute every cached body on each read and check
+  /// it.
   void encode_state(StateEncoder& enc) const;
 
   /// 64-bit digest of encode_state, or nullopt when any component is
@@ -150,14 +162,25 @@ class Simulator {
  private:
   friend class Context;
 
+  /// A process and the encoding of its body: what
+  /// `push_proc("proc", p); encode_state(enc); pop()` folds into a fresh
+  /// identity-renaming encoder, kept from its first read until the
+  /// process may change.
+  struct ProcSlot {
+    std::unique_ptr<Process> proc;
+    mutable std::optional<StateEncoder::Partial> body;
+  };
+
   void ensure_started();
+  [[nodiscard]] StateEncoder::Partial encode_body(ProcessId p) const;
+  [[nodiscard]] const StateEncoder::Partial& body(ProcessId p) const;
 
   SimConfig cfg_;
   FailurePattern pattern_;
   std::unique_ptr<inject::FaultState> faults_;
   std::unique_ptr<fd::Oracle> oracle_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::vector<std::unique_ptr<Process>> procs_;
+  std::vector<ProcSlot> procs_;
   ProcessSet started_p_;  ///< Processes that took their first step.
   std::vector<Rng> proc_rng_;
   Network net_;

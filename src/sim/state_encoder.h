@@ -36,7 +36,8 @@
 // Because the combine is a sum, the fields an encoder folded at root
 // scope can be taken out as an exact (sum, count) Partial and added to
 // another root-scope encoder later: the network encodes each message's
-// payload once and reuses the partial in every fingerprint.
+// payload once and keeps a running in-flight sum, and the simulator
+// keeps each process's encoding until that process steps again.
 #pragma once
 
 #include <array>

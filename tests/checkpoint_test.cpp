@@ -9,7 +9,11 @@
 //     same decisions to the end and must agree after every step.
 //  2. Defaults: the problems whose parts keep the not-cloneable default,
 //     and a scenario with a forwarding invariant decorator, refuse.
-//  3. Search differential: the explorer run with the factory builder
+//  3. Fingerprint caches: a copy inherits its source's cached process
+//     and in-flight encodings, so along seeded random runs of every
+//     problem — copies included — the cached fold must equal a full
+//     re-encode after every step.
+//  4. Search differential: the explorer run with the factory builder
 //     (checkpoint path) and with a decorated builder (rebuild path, as
 //     perf's traced phase and ReductionOutcomeTest run) reports the same
 //     stats, counterexample, lasso and saved snapshot.
@@ -261,6 +265,113 @@ TEST(CheckpointDefaultsTest, UnconvertedPartsAreNotCloneable) {
   EXPECT_TRUE(clone_scenario(plain, choices).has_value());
   Scenario wrapped = decorated(ScenarioFactory(opt).builder())(choices);
   EXPECT_FALSE(clone_scenario(wrapped, choices).has_value());
+}
+
+// ---- Fingerprint caches --------------------------------------------------
+
+/// The simulator's state fold through its caches (each process's body,
+/// the network's in-flight sum) and through an identity renaming, which
+/// bypasses both and re-encodes everything, must agree exactly —
+/// completeness included, so opaque states are compared too — and so
+/// must the scenario fingerprints.
+void expect_cache_exact(const Scenario& sc,
+                        const std::vector<ProcessId>& identity,
+                        const std::string& where) {
+  sim::StateEncoder cached;
+  sc.sim->encode_state(cached);
+  sim::StateEncoder fresh(&identity);
+  sc.sim->encode_state(fresh);
+  EXPECT_EQ(cached.digest(), fresh.digest()) << where;
+  EXPECT_EQ(cached.complete(), fresh.complete()) << where;
+  EXPECT_EQ(scenario_fingerprint(sc), scenario_fingerprint(sc, &identity))
+      << where;
+}
+
+std::vector<ProcessId> identity_of(const Scenario& sc) {
+  std::vector<ProcessId> identity(static_cast<std::size_t>(sc.sim->n()));
+  for (std::size_t p = 0; p < identity.size(); ++p) {
+    identity[p] = static_cast<ProcessId>(p);
+  }
+  return identity;
+}
+
+struct CacheRun {
+  std::uint64_t copy_steps = 0;
+  // Injected faults.
+  int crashes = 0;
+  int drops = 0;
+  int dups = 0;
+};
+
+/// A seeded random run of `opt`, checked after every step; a cloneable
+/// run is also copied mid-run, and the copy and its source each take
+/// their own further steps.
+CacheRun check_fingerprint_cache(const ScenarioOptions& opt,
+                                 std::uint64_t seed) {
+  CacheRun out;
+  sim::RandomChoices choices(seed);
+  Scenario sc = ScenarioFactory(opt).build(choices);
+  const std::vector<ProcessId> identity = identity_of(sc);
+  expect_cache_exact(sc, identity, "initial state");
+  std::optional<Scenario> copy;
+  sim::RandomChoices copy_choices(seed + 1000);
+  for (std::uint64_t step = 1; sc.sim->step(); ++step) {
+    // The fold reads invariants' state, as the explorer's does.
+    (void)check_invariants(sc);
+    expect_cache_exact(sc, identity, "step " + std::to_string(step));
+    if (step == 6) copy = clone_scenario(sc, copy_choices);
+    if (copy.has_value() && copy->sim->step()) {
+      ++out.copy_steps;
+      (void)check_invariants(*copy);
+      expect_cache_exact(*copy, identity,
+                         "copy at source step " + std::to_string(step));
+    }
+  }
+  if (const inject::FaultState* fs = sc.sim->faults()) {
+    out.crashes = fs->crashes();
+    out.drops = fs->drops();
+    out.dups = fs->dups();
+  }
+  return out;
+}
+
+TEST(FingerprintCacheTest, CachedFoldEqualsFullReencode) {
+  std::vector<std::vector<std::string>> cases;
+  for (const std::string& problem : ScenarioFactory::problems()) {
+    cases.push_back({"--problem=" + problem, "--n=3", "--depth=40"});
+  }
+  cases.push_back({"--problem=consensus", "--n=3", "--crash=explore",
+                   "--crashes=1", "--fd=static", "--depth=40"});
+  cases.push_back({"--problem=register", "--n=3", "--loss=drop:1,dup:1",
+                   "--depth=40"});
+  for (const auto& flags : cases) {
+    std::string name;
+    for (const std::string& flag : flags) name += flag + " ";
+    SCOPED_TRACE(name);
+    const ScenarioOptions opt = scenario(flags);
+    CacheRun total;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      const CacheRun r = check_fingerprint_cache(opt, seed);
+      total.copy_steps += r.copy_steps;
+      total.crashes += r.crashes;
+      total.drops += r.drops;
+      total.dups += r.dups;
+    }
+    sim::RandomChoices choices(1);
+    if (clone_scenario(ScenarioFactory(opt).build(choices), choices)) {
+      EXPECT_GT(total.copy_steps, 0u) << "no copy took a step";
+    }
+    if (opt.crash_mode == "explore") {
+      EXPECT_GT(total.crashes, 0) << "no run injected a crash";
+    }
+    if (opt.loss_drops > 0) {
+      EXPECT_GT(total.drops, 0) << "no run dropped a message";
+    }
+    if (opt.loss_dups > 0) {
+      EXPECT_GT(total.dups, 0) << "no run duplicated a message";
+    }
+  }
 }
 
 // ---- Search differential ------------------------------------------------

@@ -364,7 +364,7 @@ std::vector<Golden> golden_searches() {
       {"register n=3 d14 dpor",
        {"--problem=register", "--n=3", "--fd=static", "--reg-ops=1",
         "--reg-readers=1", "--depth=14", "--reduction=dpor"},
-       golden_stats(8223, 22474, 278129, 72401, 19041, 3696, 45250, 79519,
+       golden_stats(8223, 22474, 278129, 72401, 19041, 3696, 45250, 32191,
                     0)},
       {"consensus n=3 d12 symmetry",
        {"--problem=consensus", "--n=3", "--fd=static", "--depth=12",
