@@ -42,7 +42,8 @@ OpCost register_cost(bool atomic_reads, fd::SigmaOracle::Mode mode,
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r =
         host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg", ropt);
-    host.add_module<reg::RegisterWorkloadModule>("load", &r, &history, wopt);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 wopt);
   }
   const auto res = s.run();
   OpCost out;
@@ -126,7 +127,7 @@ void ablation_tables() {
         auto& host = s.add_process<sim::ModularProcess>();
         auto& c = host.add_module<consensus::OmegaSigmaConsensusModule<int>>(
             "cons", copt);
-        c.propose(i % 2, nullptr);
+        c.propose(i % 2);
         mods.push_back(&c);
       }
       s.run();

@@ -31,7 +31,7 @@ ConsStats run_consensus(int n, int crashes, Time stab, std::uint64_t seed) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<consensus::OmegaSigmaConsensusModule<int>>(
         "cons");
-    c.propose(i % 2, nullptr);
+    c.propose(i % 2);
     mods.push_back(&c);
   }
   const auto res = s.run();

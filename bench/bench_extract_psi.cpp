@@ -25,8 +25,7 @@ SandboxSpec psi_qc_spec(int n) {
     for (int i = 0; i < inner.n(); ++i) {
       auto& host = inner.add_process<sim::ModularProcess>();
       auto& q = host.add_module<qc::PsiQcModule<int>>("a");
-      q.propose(proposals[static_cast<std::size_t>(i)],
-                [](const qc::QcResult<int>&) {});
+      q.propose(proposals[static_cast<std::size_t>(i)]);
     }
   };
   spec.decision_of = [](sim::Simulator& inner,

@@ -19,7 +19,6 @@ namespace {
 
 using extract::ParticipantTracker;
 using extract::QuorumList;
-using extract::RegisterHandle;
 using extract::SigmaExtractionModule;
 using Reg = reg::AbdRegisterModule<QuorumList>;
 
@@ -49,22 +48,15 @@ ExtractStats run_extraction(int n, int crashes, reg::QuorumRule rule,
     auto& host = s.add_process<sim::ModularProcess>();
     trackers.push_back(std::make_unique<ParticipantTracker>(i));
     host.set_instrument(trackers.back().get());
-    std::vector<RegisterHandle> handles;
+    std::vector<std::size_t> registers;
     for (int j = 0; j < n; ++j) {
       Reg::Options opt;
       opt.rule = rule;
-      auto& r = host.add_module<Reg>("xreg/" + std::to_string(j), opt);
-      RegisterHandle h;
-      h.write = [&r](const QuorumList& v, std::function<void()> cb) {
-        r.write(v, std::move(cb));
-      };
-      h.read = [&r](std::function<void(const QuorumList&)> cb) {
-        r.read(std::move(cb));
-      };
-      handles.push_back(std::move(h));
+      registers.push_back(
+          host.add_module<Reg>("xreg/" + std::to_string(j), opt).index());
     }
     extractors.push_back(&host.add_module<SigmaExtractionModule>(
-        "extract", std::move(handles), trackers.back().get(), &samples));
+        "extract", std::move(registers), trackers.back().get(), &samples));
   }
   s.set_halt_on_done(false);
   s.run();

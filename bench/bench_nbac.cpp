@@ -35,17 +35,18 @@ StackStats run_stack(Stack stack, int n, std::uint64_t seed) {
     auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
     switch (stack) {
       case Stack::kQcOnly:
-        q.propose(i % 2, nullptr);
+        q.propose(i % 2);
         break;
       case Stack::kNbacOverQc: {
-        auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
-        nb.vote(nbac::Vote::kYes, nullptr);
+        auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", q.index());
+        nb.vote(nbac::Vote::kYes);
         break;
       }
       case Stack::kQcOverNbacOverQc: {
-        auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
-        auto& outer = host.add_module<qc::QcFromNbacModule<int>>("oqc", &nb);
-        outer.propose(i % 2, nullptr);
+        auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", q.index());
+        auto& outer =
+            host.add_module<qc::QcFromNbacModule<int>>("oqc", nb.index());
+        outer.propose(i % 2);
         break;
       }
     }

@@ -5,7 +5,6 @@
 // terminate (non-blocking).
 #include <benchmark/benchmark.h>
 
-#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,24 +31,21 @@ E2eStats run_e2e(int n, int no_votes, int crashes,
   sim::FailurePattern f(n);
   for (int i = 0; i < crashes; ++i) f.crash_at(n - 1 - i, 0);
   sim::Simulator s(cfg, f, psi_fs_oracle(branch, 800), random_sched());
-  std::vector<std::optional<nbac::Decision>> decisions(
-      static_cast<std::size_t>(n));
+  std::vector<const nbac::NbacFromQcModule*> nbacs;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-    auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
-    nb.vote(i < no_votes ? nbac::Vote::kNo : nbac::Vote::kYes,
-            [&decisions, i](nbac::Decision d) {
-              decisions[static_cast<std::size_t>(i)] = d;
-            });
+    auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", q.index());
+    nb.vote(i < no_votes ? nbac::Vote::kNo : nbac::Vote::kYes);
+    nbacs.push_back(&nb);
   }
   const auto res = s.run();
   E2eStats out;
   out.all_decided = res.all_done;
-  for (const auto& d : decisions) {
-    if (!d.has_value()) continue;
-    if (*d == nbac::Decision::kCommit) out.committed = true;
-    if (*d == nbac::Decision::kAbort) out.aborted = true;
+  for (const nbac::NbacFromQcModule* nb : nbacs) {
+    if (!nb->decided()) continue;
+    if (nb->decision() == nbac::Decision::kCommit) out.committed = true;
+    if (nb->decision() == nbac::Decision::kAbort) out.aborted = true;
   }
   Time last = 0;
   for (const auto& e : s.trace().events_of_kind("nbac-decide")) {

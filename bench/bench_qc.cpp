@@ -33,7 +33,7 @@ QcStats run_qc(int n, int crashes, fd::PsiOracle::Branch branch, Time spread,
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-    q.propose(i % 2, nullptr);
+    q.propose(i % 2);
     mods.push_back(&q);
   }
   const auto res = s.run();

@@ -44,7 +44,8 @@ RegRunStats run_register_workload(int n, int crashes, reg::QuorumRule rule,
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r =
         host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg", ropt);
-    host.add_module<reg::RegisterWorkloadModule>("load", &r, &history, wopt);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 wopt);
   }
   const auto res = s.run();
   RegRunStats out;

@@ -33,47 +33,45 @@ CycleStats run_register_op(bool smr_backed, int n, std::uint64_t seed) {
   sim::Simulator s(cfg, sim::FailurePattern(n), omega_sigma_oracle(300),
                    random_sched());
 
-  struct Driver : sim::Module {
-    std::function<void(Driver&)> start;
+  /// Process 0 writes the register at `position`, then reads it; every
+  /// other process finishes at its first step.
+  struct Driver : sim::Module, sim::Listener<std::int64_t> {
+    explicit Driver(std::size_t p) : position(p) {}
+    std::size_t position;
     bool started = false;
     bool finished = false;
     void on_message(ProcessId, const sim::Payload&) override {}
     void on_tick() override {
-      if (!started) {
-        started = true;
-        start(*this);
+      if (started) return;
+      started = true;
+      if (self() != 0) {
+        finished = true;
+        return;
+      }
+      target().write(42, hook(0));
+    }
+    /// The write (tag 0), then the read (tag 1), completed.
+    void on_result(std::uint64_t tag, const std::int64_t&) override {
+      if (tag == 0) {
+        target().read(hook(1));
+      } else {
+        finished = true;
       }
     }
     [[nodiscard]] bool done() const override { return finished; }
+    [[nodiscard]] reg::RegisterApi<std::int64_t>& target() const {
+      return host().module_at<reg::RegisterApi<std::int64_t>>(position);
+    }
   };
 
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    if (smr_backed) {
-      auto& r = host.add_module<smr::SmrRegisterModule>("reg");
-      auto& d = host.add_module<Driver>("driver");
-      if (i == 0) {
-        d.start = [&r](Driver& drv) {
-          r.write(42, [&r, &drv] {
-            r.read([&drv](std::int64_t) { drv.finished = true; });
-          });
-        };
-      } else {
-        d.start = [](Driver& drv) { drv.finished = true; };
-      }
-    } else {
-      auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg");
-      auto& d = host.add_module<Driver>("driver");
-      if (i == 0) {
-        d.start = [&r](Driver& drv) {
-          r.write(42, [&r, &drv] {
-            r.read([&drv](const std::int64_t&) { drv.finished = true; });
-          });
-        };
-      } else {
-        d.start = [](Driver& drv) { drv.finished = true; };
-      }
-    }
+    const std::size_t r =
+        smr_backed
+            ? host.add_module<smr::SmrRegisterModule>("reg").index()
+            : host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg")
+                  .index();
+    host.add_module<Driver>("driver", r);
   }
   const auto res = s.run();
   CycleStats out;
@@ -94,21 +92,22 @@ CycleStats run_consensus_op(bool register_based, int n, std::uint64_t seed) {
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     if (register_based) {
-      std::vector<consensus::RegisterConsensusModule<int>::Register*> regs;
+      std::vector<std::size_t> regs;
       for (int j = 0; j < n; ++j) {
         regs.push_back(
-            &host.add_module<
-                consensus::RegisterConsensusModule<int>::Register>(
-                "breg/" + std::to_string(j)));
+            host.add_module<
+                    consensus::RegisterConsensusModule<int>::Register>(
+                    "breg/" + std::to_string(j))
+                .index());
       }
       auto& c =
           host.add_module<consensus::RegisterConsensusModule<int>>("cons",
                                                                    regs);
-      c.propose(i % 2, nullptr);
+      c.propose(i % 2);
     } else {
       auto& c =
           host.add_module<consensus::OmegaSigmaConsensusModule<int>>("cons");
-      c.propose(i % 2, nullptr);
+      c.propose(i % 2);
     }
   }
   const auto res = s.run();

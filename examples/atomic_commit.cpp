@@ -57,17 +57,16 @@ void run_scenario(const Scenario& sc, std::uint64_t seed) {
   sim::Simulator sim(cfg, pattern, std::move(oracle),
                      std::make_unique<sim::RandomFairScheduler>());
 
-  std::vector<std::optional<nbac::Decision>> decisions(kN);
+  std::vector<const nbac::NbacFromQcModule*> nbacs;
   for (int i = 0; i < kN; ++i) {
     auto& host = sim.add_process<sim::ModularProcess>();
     auto& qc_mod = host.add_module<qc::PsiQcModule<int>>("qc");
-    auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &qc_mod);
+    auto& nb =
+        host.add_module<nbac::NbacFromQcModule>("nbac", qc_mod.index());
     if (!sc.crash.has_value() || *sc.crash != i) {
-      nb.vote(sc.votes[static_cast<std::size_t>(i)],
-              [&decisions, i](nbac::Decision d) {
-                decisions[static_cast<std::size_t>(i)] = d;
-              });
+      nb.vote(sc.votes[static_cast<std::size_t>(i)]);
     }
+    nbacs.push_back(&nb);
   }
 
   const auto result = sim.run();
@@ -79,12 +78,11 @@ void run_scenario(const Scenario& sc, std::uint64_t seed) {
             : (sc.votes[static_cast<std::size_t>(i)] == nbac::Vote::kYes
                    ? "Yes"
                    : "No");
+    const nbac::NbacFromQcModule& nb = *nbacs[static_cast<std::size_t>(i)];
     const char* decision = "-";
-    if (decisions[static_cast<std::size_t>(i)].has_value()) {
-      decision = *decisions[static_cast<std::size_t>(i)] ==
-                         nbac::Decision::kCommit
-                     ? "COMMIT"
-                     : "ABORT";
+    if (nb.decided()) {
+      decision =
+          nb.decision() == nbac::Decision::kCommit ? "COMMIT" : "ABORT";
     }
     std::printf("  branch %d: vote %-9s decision %s\n", i, vote, decision);
   }

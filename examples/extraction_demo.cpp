@@ -11,7 +11,6 @@
 //
 // Build & run:   ./build/examples/extraction_demo
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +27,6 @@
 using namespace wfd;
 using extract::ParticipantTracker;
 using extract::QuorumList;
-using extract::RegisterHandle;
 using extract::SigmaExtractionModule;
 using Reg = reg::AbdRegisterModule<QuorumList>;
 
@@ -51,22 +49,15 @@ int main() {
     auto& host = sim.add_process<sim::ModularProcess>();
     trackers.push_back(std::make_unique<ParticipantTracker>(i));
     host.set_instrument(trackers.back().get());
-    std::vector<RegisterHandle> handles;
+    std::vector<std::size_t> registers;
     for (int j = 0; j < kN; ++j) {
       Reg::Options opt;
       opt.rule = reg::QuorumRule::kMajority;  // Algorithm A uses no detector.
-      auto& r = host.add_module<Reg>("xreg/" + std::to_string(j), opt);
-      RegisterHandle h;
-      h.write = [&r](const QuorumList& v, std::function<void()> cb) {
-        r.write(v, std::move(cb));
-      };
-      h.read = [&r](std::function<void(const QuorumList&)> cb) {
-        r.read(std::move(cb));
-      };
-      handles.push_back(std::move(h));
+      registers.push_back(
+          host.add_module<Reg>("xreg/" + std::to_string(j), opt).index());
     }
     extractors.push_back(&host.add_module<SigmaExtractionModule>(
-        "extract", std::move(handles), trackers.back().get(), &samples));
+        "extract", std::move(registers), trackers.back().get(), &samples));
   }
 
   std::printf("Figure 1: extracting Sigma from majority-ABD registers "

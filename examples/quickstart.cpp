@@ -8,7 +8,6 @@
 // Build & run:   ./build/examples/quickstart
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "consensus/omega_sigma_consensus.h"
@@ -50,17 +49,16 @@ int main() {
   sim::Simulator sim(cfg, pattern, std::move(oracle),
                      std::make_unique<sim::RandomFairScheduler>());
 
-  std::vector<std::optional<int>> decisions(kN);
+  std::vector<const consensus::OmegaSigmaConsensusModule<int>*> cons;
   std::printf("proposals: ");
   for (int i = 0; i < kN; ++i) {
     auto& host = sim.add_process<sim::ModularProcess>();
-    auto& cons =
+    auto& c =
         host.add_module<consensus::OmegaSigmaConsensusModule<int>>("cons");
     const int proposal = (i % 2 == 0) ? 10 + i : 20 + i;
     std::printf("p%d->%d ", i, proposal);
-    cons.propose(proposal, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    c.propose(proposal);
+    cons.push_back(&c);
   }
   std::printf("\n");
 
@@ -71,9 +69,9 @@ int main() {
               static_cast<unsigned long long>(
                   sim.trace().stats().messages_sent));
   for (int i = 0; i < kN; ++i) {
-    if (decisions[static_cast<std::size_t>(i)].has_value()) {
-      std::printf("p%d decided %d%s\n", i,
-                  *decisions[static_cast<std::size_t>(i)],
+    const auto& c = *cons[static_cast<std::size_t>(i)];
+    if (c.decided()) {
+      std::printf("p%d decided %d%s\n", i, c.decision(),
                   pattern.faulty().contains(i) ? " (before crashing)" : "");
     } else {
       std::printf("p%d crashed without deciding\n", i);

@@ -27,11 +27,12 @@ const std::vector<std::string> kKeys = {"alice", "bob", "carol"};
 
 /// A client that runs a small scripted session against the KV store and
 /// prints what it observes.
-class KvClient : public sim::Module {
+class KvClient : public sim::Module, public sim::Listener<std::int64_t> {
  public:
   using Register = reg::AbdRegisterModule<std::int64_t>;
 
-  explicit KvClient(std::map<std::string, Register*> store)
+  /// `store`: each key's register, by its position in this host.
+  explicit KvClient(std::map<std::string, std::size_t> store)
       : store_(std::move(store)) {}
 
   void on_message(ProcessId, const sim::Payload&) override {}
@@ -40,32 +41,33 @@ class KvClient : public sim::Module {
     if (busy_ || script_pos_ >= script().size()) return;
     const auto& [key, deposit] = script()[script_pos_++];
     busy_ = true;
-    Register* account = store_.at(key);
-    if (deposit != 0) {
-      // Read-modify-write is split into two linearizable ops here; a
-      // production store would layer consensus (or the SMR register)
-      // for true transactions — see the atomic_commit example.
-      const std::string k = key;
-      const std::int64_t add = deposit;
-      account->read([this, account, k, add](const std::int64_t& balance) {
-        account->write(balance + add, [this, k, add, balance] {
-          std::printf("[t=%llu] p%d: %s += %lld (balance %lld -> %lld)\n",
-                      static_cast<unsigned long long>(now()), self(),
-                      k.c_str(), static_cast<long long>(add),
-                      static_cast<long long>(balance),
-                      static_cast<long long>(balance + add));
-          busy_ = false;
-        });
-      });
-    } else {
-      const std::string k = key;
-      account->read([this, k](const std::int64_t& balance) {
-        std::printf("[t=%llu] p%d: read %s = %lld\n",
-                    static_cast<unsigned long long>(now()), self(), k.c_str(),
-                    static_cast<long long>(balance));
-        busy_ = false;
-      });
+    key_ = key;
+    add_ = deposit;
+    // A deposit's read-modify-write is split into two linearizable ops
+    // here; a production store would layer consensus (or the SMR
+    // register) for true transactions — see the atomic_commit example.
+    account().read(hook(kRead));
+  }
+
+  /// The read, or a deposit's write of the new balance, completed.
+  void on_result(std::uint64_t tag, const std::int64_t& value) override {
+    if (tag == kRead && add_ != 0) {
+      balance_ = value;
+      account().write(balance_ + add_, hook(kWrite));
+      return;
     }
+    if (tag == kRead) {
+      std::printf("[t=%llu] p%d: read %s = %lld\n",
+                  static_cast<unsigned long long>(now()), self(),
+                  key_.c_str(), static_cast<long long>(value));
+    } else {
+      std::printf("[t=%llu] p%d: %s += %lld (balance %lld -> %lld)\n",
+                  static_cast<unsigned long long>(now()), self(), key_.c_str(),
+                  static_cast<long long>(add_),
+                  static_cast<long long>(balance_),
+                  static_cast<long long>(balance_ + add_));
+    }
+    busy_ = false;
   }
 
   [[nodiscard]] bool done() const override {
@@ -83,9 +85,19 @@ class KvClient : public sim::Module {
     return kScript;
   }
 
-  std::map<std::string, Register*> store_;
+  enum : std::uint64_t { kRead, kWrite };
+
+  [[nodiscard]] Register& account() const {
+    return host().module_at<Register>(store_.at(key_));
+  }
+
+  std::map<std::string, std::size_t> store_;
   bool busy_ = false;
   std::size_t script_pos_ = 0;
+  // The operation in flight.
+  std::string key_;
+  std::int64_t add_ = 0;  ///< The deposit; 0 = plain read.
+  std::int64_t balance_ = 0;
 };
 
 }  // namespace
@@ -113,9 +125,9 @@ int main() {
 
   for (int i = 0; i < kN; ++i) {
     auto& host = sim.add_process<sim::ModularProcess>();
-    std::map<std::string, KvClient::Register*> store;
+    std::map<std::string, std::size_t> store;
     for (const auto& key : kKeys) {
-      store[key] = &host.add_module<KvClient::Register>("kv/" + key);
+      store[key] = host.add_module<KvClient::Register>("kv/" + key).index();
     }
     // Only p0 runs the client session; all replicas serve the registers.
     if (i == 0) host.add_module<KvClient>("client", std::move(store));

@@ -18,8 +18,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,13 +32,18 @@
 
 namespace wfd::broadcast {
 
-class AtomicBroadcastModule : public sim::Module {
+/// Listens to its URB module's deliveries and to each round's decided
+/// Batch (the hook's tag is the round).
+class AtomicBroadcastModule : public sim::Module,
+                              public sim::Listener<AppMessage>,
+                              public sim::Listener<std::vector<AppMessage>> {
  public:
-  using DeliverCb = std::function<void(const AppMessage&)>;
   using Batch = std::vector<AppMessage>;
   using RoundConsensus = consensus::OmegaSigmaConsensusModule<Batch>;
 
-  void set_deliver(DeliverCb cb) { deliver_ = std::move(cb); }
+  /// The standing listener (a sim::Listener<AppMessage>) every
+  /// TO-delivery is reported to, within the delivering step.
+  void set_deliver(sim::Hook deliver) { deliver_ = deliver; }
 
   /// Totally-ordered broadcast; may be called outside a step.
   void abcast(std::int64_t body) { ensure_urb().urb_broadcast(body); }
@@ -97,6 +102,34 @@ class AtomicBroadcastModule : public sim::Module {
     }
   }
 
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<AtomicBroadcastModule>(*this);
+  }
+
+  /// URB delivered `m`: it awaits ordering unless already ordered.
+  void on_result(std::uint64_t, const AppMessage& m) override {
+    if (ordered_.count(m) == 0) unordered_.insert(m);
+  }
+
+  /// Round `k` decided `decided`; rounds are applied strictly in order.
+  void on_result(std::uint64_t k, const Batch& decided) override {
+    decisions_[k] = decided;
+    for (;;) {
+      auto it = decisions_.find(round_);
+      if (it == decisions_.end()) return;
+      Batch batch = it->second;
+      decisions_.erase(it);
+      ++round_;
+      std::sort(batch.begin(), batch.end());
+      for (const AppMessage& m : batch) {
+        if (!ordered_.insert(m).second) continue;  // Already TO-delivered.
+        unordered_.erase(m);
+        log_.push_back(m);
+        notify(deliver_, m);
+      }
+    }
+  }
+
  private:
   // Equal-round announcements commute: join_round's joined_ guard makes
   // the second of the pair a strict no-op. Distinct rounds do not — the
@@ -120,48 +153,23 @@ class AtomicBroadcastModule : public sim::Module {
   };
 
   UrbModule& ensure_urb() {
-    if (urb_ == nullptr) {
-      urb_ = &host().add_module<UrbModule>(name() + "/urb");
-      urb_->set_deliver([this](const AppMessage& m) { on_urb_deliver(m); });
+    if (urb_ == sim::Hook::kNone) {
+      auto& urb = host().add_module<UrbModule>(name() + "/urb");
+      urb.set_deliver(hook());
+      urb_ = urb.index();
     }
-    return *urb_;
-  }
-
-  void on_urb_deliver(const AppMessage& m) {
-    if (ordered_.count(m) == 0) unordered_.insert(m);
+    return host().module_at<UrbModule>(urb_);
   }
 
   void join_round(std::uint64_t k) {
     if (!joined_.insert(k).second) return;
     auto& inst = host().template add_module<RoundConsensus>(
         name() + "/round/" + std::to_string(k));
-    inst.propose(Batch(unordered_.begin(), unordered_.end()),
-                 [this, k](const Batch& decided) {
-                   on_round_decided(k, decided);
-                 });
+    inst.propose(Batch(unordered_.begin(), unordered_.end()), hook(k));
   }
 
-  void on_round_decided(std::uint64_t k, const Batch& decided) {
-    decisions_[k] = decided;
-    // Apply rounds strictly in order.
-    for (;;) {
-      auto it = decisions_.find(round_);
-      if (it == decisions_.end()) return;
-      Batch batch = it->second;
-      decisions_.erase(it);
-      ++round_;
-      std::sort(batch.begin(), batch.end());
-      for (const AppMessage& m : batch) {
-        if (!ordered_.insert(m).second) continue;  // Already TO-delivered.
-        unordered_.erase(m);
-        log_.push_back(m);
-        if (deliver_) deliver_(m);
-      }
-    }
-  }
-
-  UrbModule* urb_ = nullptr;
-  DeliverCb deliver_;
+  std::size_t urb_ = sim::Hook::kNone;  ///< The URB module's position.
+  sim::Hook deliver_;
   std::set<AppMessage> unordered_;  ///< URB-delivered, not yet ordered.
   std::set<AppMessage> ordered_;
   std::vector<AppMessage> log_;

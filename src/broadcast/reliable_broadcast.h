@@ -13,7 +13,7 @@
 // This is the dissemination substrate under the atomic broadcast module.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -26,10 +26,9 @@ namespace wfd::broadcast {
 
 class UrbModule : public sim::Module {
  public:
-  using DeliverCb = std::function<void(const AppMessage&)>;
-
-  /// Register the delivery upcall (invoked within the host's steps).
-  void set_deliver(DeliverCb cb) { deliver_ = std::move(cb); }
+  /// The standing listener (a sim::Listener<AppMessage>) every delivery
+  /// is reported to, within the delivering step.
+  void set_deliver(sim::Hook deliver) { deliver_ = deliver; }
 
   /// Broadcast a new message; may be called outside a step. Returns the
   /// message's sequence number at this origin.
@@ -85,6 +84,10 @@ class UrbModule : public sim::Module {
     enc.field("delivered", delivered_n_);
   }
 
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<UrbModule>(*this);
+  }
+
  private:
   // Echoes of the *same* app message commute: handle() dedups on
   // (origin, seq), so the second of the pair is a strict no-op in either
@@ -117,10 +120,10 @@ class UrbModule : public sim::Module {
     broadcast(sim::make_payload<Echo>(m), /*include_self=*/false);
     log_.push_back(m);
     ++delivered_n_;
-    if (deliver_) deliver_(m);
+    notify(deliver_, m);
   }
 
-  DeliverCb deliver_;
+  sim::Hook deliver_;
   std::uint64_t next_seq_ = 1;
   std::vector<AppMessage> outbox_;
   std::set<std::pair<ProcessId, std::uint64_t>> seen_;

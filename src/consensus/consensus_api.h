@@ -5,8 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
+
+#include "sim/module.h"
 
 namespace wfd::consensus {
 
@@ -24,16 +25,17 @@ template <typename V>
   }
 }
 
+/// A module that decides; a listener hooked to propose() implements
+/// sim::Listener<V>.
 template <typename V>
 class ConsensusApi {
  public:
-  using DecideCb = std::function<void(const V&)>;
-
   virtual ~ConsensusApi() = default;
 
-  /// Propose a value; cb runs (within a later step of the host process)
-  /// when this process decides. Each process proposes at most once.
-  virtual void propose(const V& value, DecideCb cb) = 0;
+  /// Propose a value; `done` hears the decision (within the step this
+  /// process decides in, or at once when it already has). Each process
+  /// proposes at most once.
+  virtual void propose(const V& value, sim::Hook done = {}) = 0;
 
   [[nodiscard]] virtual bool decided() const = 0;
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "broadcast/atomic_broadcast.h"
 #include "common/check.h"
@@ -14,16 +15,22 @@
 
 namespace wfd::consensus {
 
-class ConsensusFromAbcastModule : public sim::Module,
-                                  public ConsensusApi<std::int64_t> {
+class ConsensusFromAbcastModule
+    : public sim::Module,
+      public ConsensusApi<std::int64_t>,
+      public sim::Listener<broadcast::AppMessage> {
  public:
-  using DecideCb = ConsensusApi<std::int64_t>::DecideCb;
-
-  void propose(const std::int64_t& value, DecideCb cb) override {
+  void propose(const std::int64_t& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
-    cb_ = std::move(cb);
     ensure_abcast().abcast(value);
+    // This process decides on the first TO-delivered message, proposer
+    // or not, so the decision can precede the local propose.
+    if (decided_) {
+      notify(done, decision_);
+      return;
+    }
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -36,8 +43,17 @@ class ConsensusFromAbcastModule : public sim::Module,
   void on_start() override { ensure_abcast(); }
   void on_message(ProcessId, const sim::Payload&) override {}
 
+  /// The abcast module TO-delivered `m`: the first one is the decision.
+  void on_result(std::uint64_t, const broadcast::AppMessage& m) override {
+    if (decided_) return;
+    decided_ = true;
+    decision_ = m.body;
+    emit("decide", decide_event_value(decision_));
+    notify(std::exchange(done_, {}), decision_);
+  }
+
   void encode_state(sim::StateEncoder& enc) const override {
-    enc.field("has-abcast", ab_ != nullptr);
+    enc.field("has-abcast", ab_ != sim::Hook::kNone);
     enc.field("proposed", proposed_);
     enc.field("decided", decided_);
     enc.field("decision", decision_);
@@ -45,27 +61,18 @@ class ConsensusFromAbcastModule : public sim::Module,
 
  private:
   broadcast::AtomicBroadcastModule& ensure_abcast() {
-    if (ab_ == nullptr) {
-      ab_ = &host().add_module<broadcast::AtomicBroadcastModule>(
+    if (ab_ == sim::Hook::kNone) {
+      auto& ab = host().add_module<broadcast::AtomicBroadcastModule>(
           name() + "/ab");
-      ab_->set_deliver([this](const broadcast::AppMessage& m) {
-        if (decided_) return;
-        decided_ = true;
-        decision_ = m.body;
-        emit("decide", decide_event_value(decision_));
-        if (cb_) {
-          auto cb = std::move(cb_);
-          cb_ = nullptr;
-          cb(decision_);
-        }
-      });
+      ab.set_deliver(hook());
+      ab_ = ab.index();
     }
-    return *ab_;
+    return host().module_at<broadcast::AtomicBroadcastModule>(ab_);
   }
 
-  broadcast::AtomicBroadcastModule* ab_ = nullptr;
+  std::size_t ab_ = sim::Hook::kNone;  ///< The abcast module's position.
   bool proposed_ = false;
-  DecideCb cb_;
+  sim::Hook done_;
   bool decided_ = false;
   std::int64_t decision_ = 0;
 };

@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "consensus/consensus_api.h"
@@ -30,18 +31,18 @@ namespace wfd::consensus {
 
 template <typename V>
 class MultivaluedFromBinaryModule : public sim::Module,
-                                    public ConsensusApi<V> {
+                                    public ConsensusApi<V>,
+                                    public sim::Listener<int> {
  public:
-  using typename ConsensusApi<V>::DecideCb;
   using BinaryModule = OmegaSigmaConsensusModule<int>;
 
   /// May be called outside a step; the protocol starts at the host's
   /// next step.
-  void propose(const V& value, DecideCb cb) override {
+  void propose(const V& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
     proposal_ = value;
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   void on_tick() override {
@@ -68,6 +69,18 @@ class MultivaluedFromBinaryModule : public sim::Module,
     if (const auto* m = sim::payload_cast<ProposalMsg>(msg)) {
       known_.emplace(from, m->value);
       try_finish();
+    }
+  }
+
+  /// Binary instance `k` decided `d`.
+  void on_result(std::uint64_t k, const int& d) override {
+    if (decided_ || k != k_) return;
+    if (d == 1) {
+      waiting_ = static_cast<ProcessId>(k_ % static_cast<std::uint64_t>(n()));
+      try_finish();
+    } else {
+      ++k_;
+      start_instance();
     }
   }
 
@@ -107,21 +120,9 @@ class MultivaluedFromBinaryModule : public sim::Module,
     const ProcessId j = static_cast<ProcessId>(k_ % static_cast<std::uint64_t>(n()));
     auto& bin = host().template add_module<BinaryModule>(
         name() + "/bin/" + std::to_string(k_));
-    const std::uint64_t k = k_;
-    bin.propose(known_.count(j) != 0 ? 1 : 0,
-                [this, k](const int& d) { on_binary_decided(k, d); });
+    bin.propose(known_.count(j) != 0 ? 1 : 0, hook(k_));
   }
 
-  void on_binary_decided(std::uint64_t k, int d) {
-    if (decided_ || k != k_) return;
-    if (d == 1) {
-      waiting_ = static_cast<ProcessId>(k_ % static_cast<std::uint64_t>(n()));
-      try_finish();
-    } else {
-      ++k_;
-      start_instance();
-    }
-  }
 
   void try_finish() {
     if (decided_ || !waiting_.has_value()) return;
@@ -130,17 +131,13 @@ class MultivaluedFromBinaryModule : public sim::Module,
     decided_ = true;
     decision_ = it->second;
     emit("decide", decide_event_value(decision_));
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(decision_);
-    }
+    notify(std::exchange(done_, {}), decision_);
   }
 
   bool proposed_ = false;
   bool initialized_ = false;
   V proposal_{};
-  DecideCb cb_;
+  sim::Hook done_;
   std::map<ProcessId, V> known_;
   std::uint64_t k_ = 0;
   std::optional<ProcessId> waiting_;

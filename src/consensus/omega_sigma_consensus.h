@@ -17,10 +17,12 @@
 // higher owned round when an attempt stalls.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/process_set.h"
@@ -82,22 +84,20 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
     bool defer_to_promised_owner = false;
   };
 
-  using typename ConsensusApi<V>::DecideCb;
-
   OmegaSigmaConsensusModule() : OmegaSigmaConsensusModule(Options{}) {}
   explicit OmegaSigmaConsensusModule(Options opt) : opt_(opt) {}
 
-  void propose(const V& value, DecideCb cb) override {
+  void propose(const V& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
     proposal_ = value;
     if (decided_) {
       // The decision can precede the local propose: a Decide broadcast
       // may have been replayed when this module instance was created.
-      if (cb) cb(decision_);
+      notify(done, decision_);
       return;
     }
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -214,7 +214,7 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
   void on_start() override { enc_n_ = n(); }
 
   [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return clone_as<OmegaSigmaConsensusModule>();
+    return std::make_unique<OmegaSigmaConsensusModule>(*this);
   }
 
   // Uses the process count cached at on_start: the encoder runs outside
@@ -239,17 +239,6 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
     sim::encode_field(enc, "chosen", chosen_);
     enc.field("decided", decided_);
     sim::encode_field(enc, "decision", decision_);
-  }
-
- protected:
-  /// clone() of this class and of its option-preset subclasses: a copy
-  /// of the dynamic type `Self`, or null while a decide callback is
-  /// pending (a copied std::function would still act on the source's
-  /// caller).
-  template <typename Self>
-  [[nodiscard]] std::unique_ptr<sim::Module> clone_as() const {
-    if (cb_) return nullptr;
-    return std::make_unique<Self>(static_cast<const Self&>(*this));
   }
 
  private:
@@ -437,11 +426,7 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
     decision_ = v;
     leading_ = false;
     emit("decide", decide_event_value(decision_));
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(decision_);
-    }
+    notify(std::exchange(done_, {}), decision_);
   }
 
   Options opt_;
@@ -453,7 +438,7 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
   // Proposer state.
   bool proposed_ = false;
   V proposal_{};
-  DecideCb cb_;
+  sim::Hook done_;
 
   // Acceptor state.
   Round promised_ = 0;

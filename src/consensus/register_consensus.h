@@ -27,6 +27,7 @@
 #include <concepts>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -53,9 +54,10 @@ struct BallotBlock {
 };
 
 template <typename V>
-class RegisterConsensusModule : public sim::Module, public ConsensusApi<V> {
+class RegisterConsensusModule : public sim::Module,
+                                public ConsensusApi<V>,
+                                public sim::Listener<BallotBlock<V>> {
  public:
-  using typename ConsensusApi<V>::DecideCb;
   using Register = reg::AbdRegisterModule<BallotBlock<V>>;
 
   struct Options {
@@ -64,25 +66,26 @@ class RegisterConsensusModule : public sim::Module, public ConsensusApi<V> {
     Time retry_interval = 0;
   };
 
-  explicit RegisterConsensusModule(std::vector<Register*> registers)
+  /// `registers[j]`: the position in this host of process j's
+  /// ballot-block register (a Register, or any other RegisterApi).
+  explicit RegisterConsensusModule(std::vector<std::size_t> registers)
       : RegisterConsensusModule(std::move(registers), Options{}) {}
 
-  RegisterConsensusModule(std::vector<Register*> registers, Options opt)
+  RegisterConsensusModule(std::vector<std::size_t> registers, Options opt)
       : opt_(opt), regs_(std::move(registers)) {
     WFD_CHECK(!regs_.empty());
-    for (auto* r : regs_) WFD_CHECK(r != nullptr);
   }
 
-  void propose(const V& value, DecideCb cb) override {
+  void propose(const V& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
     proposal_ = value;
     if (decided_) {
       // A Decide broadcast may have arrived before the local propose.
-      if (cb) cb(decision_);
+      notify(done, decision_);
       return;
     }
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -166,7 +169,64 @@ class RegisterConsensusModule : public sim::Module, public ConsensusApi<V> {
     return (after / nn + 1) * nn + static_cast<std::uint64_t>(self());
   }
 
-  Register& own_reg() { return *regs_[static_cast<std::size_t>(self())]; }
+  /// Process j's ballot-block register.
+  [[nodiscard]] reg::RegisterApi<BallotBlock<V>>& reg_of(int j) const {
+    return host().template module_at<reg::RegisterApi<BallotBlock<V>>>(
+        regs_[static_cast<std::size_t>(j)]);
+  }
+
+  /// A register operation's hook: tag (attempt << 16) | (phase << 8) | k,
+  /// where k is 0 for our block's write that opens the phase's scan and
+  /// j + 1 for the scan's read of block j. Phase 3 writes the decision.
+  void access(std::uint64_t a, int phase, int k) {
+    in_flight_ = true;
+    const sim::Hook done = hook((a << 16) |
+                                (static_cast<std::uint64_t>(phase) << 8) |
+                                static_cast<std::uint64_t>(k));
+    if (k == 0) {
+      reg_of(self()).write(block_, done);
+    } else {
+      reg_of(k - 1).read(done);
+    }
+  }
+
+  void on_result(std::uint64_t tag, const BallotBlock<V>& b) override {
+    in_flight_ = false;
+    const std::uint64_t a = tag >> 16;
+    const int phase = static_cast<int>((tag >> 8) & 0xff);
+    const int k = static_cast<int>(tag & 0xff);
+    if (a != attempt_) return;
+    if (phase == 3) {
+      broadcast(sim::make_payload<DecideMsg>(chosen_));
+      decide(chosen_);
+      return;
+    }
+    if (decided_) return;
+    if (k == 0) {
+      best_bal_ = 0;
+      best_val_.reset();
+    } else if (b.decided.has_value()) {
+      // Someone already decided; adopt and announce.
+      broadcast(sim::make_payload<DecideMsg>(*b.decided));
+      decide(*b.decided);
+      return;
+    } else if (b.mbal > round_) {
+      max_seen_ = std::max(max_seen_, b.mbal);
+      attempt_active_ = false;  // Lost the round; retry higher.
+      return;
+    } else if (b.val.has_value() && b.bal > best_bal_) {
+      best_bal_ = b.bal;
+      best_val_ = b.val;
+    }
+    // Sequentially read blocks 0..n-1; then finish the phase.
+    if (k < n()) {
+      access(a, phase, k + 1);
+    } else if (phase == 1) {
+      finish_phase1(a);
+    } else {
+      finish_phase2(a);
+    }
+  }
 
   void start_attempt() {
     round_ = next_own_round(std::max(round_, max_seen_));
@@ -175,53 +235,10 @@ class RegisterConsensusModule : public sim::Module, public ConsensusApi<V> {
     ++attempt_;
     attempt_active_ = true;
     stall_ = 0;
-    const std::uint64_t a = attempt_;
 
     // Phase 1 write: join round `round_` on our own block.
     block_.mbal = round_;
-    in_flight_ = true;
-    own_reg().write(block_, [this, a] {
-      in_flight_ = false;
-      if (a != attempt_ || decided_) return;
-      best_bal_ = 0;
-      best_val_.reset();
-      read_chain(a, /*reg_index=*/0, /*phase=*/1);
-    });
-  }
-
-  /// Sequentially read blocks reg_index..n-1; then finish the phase.
-  void read_chain(std::uint64_t a, int reg_index, int phase) {
-    if (a != attempt_ || decided_) return;
-    if (reg_index >= n()) {
-      if (phase == 1) {
-        finish_phase1(a);
-      } else {
-        finish_phase2(a);
-      }
-      return;
-    }
-    in_flight_ = true;
-    regs_[static_cast<std::size_t>(reg_index)]->read(
-        [this, a, reg_index, phase](const BallotBlock<V>& b) {
-          in_flight_ = false;
-          if (a != attempt_ || decided_) return;
-          if (b.decided.has_value()) {
-            // Someone already decided; adopt and announce.
-            broadcast(sim::make_payload<DecideMsg>(*b.decided));
-            decide(*b.decided);
-            return;
-          }
-          if (b.mbal > round_) {
-            max_seen_ = std::max(max_seen_, b.mbal);
-            attempt_active_ = false;  // Lost the round; retry higher.
-            return;
-          }
-          if (b.val.has_value() && b.bal > best_bal_) {
-            best_bal_ = b.bal;
-            best_val_ = b.val;
-          }
-          read_chain(a, reg_index + 1, phase);
-        });
+    access(attempt_, 1, 0);
   }
 
   void finish_phase1(std::uint64_t a) {
@@ -230,26 +247,13 @@ class RegisterConsensusModule : public sim::Module, public ConsensusApi<V> {
     block_.mbal = round_;
     block_.bal = round_;
     block_.val = chosen_;
-    in_flight_ = true;
-    own_reg().write(block_, [this, a] {
-      in_flight_ = false;
-      if (a != attempt_ || decided_) return;
-      best_bal_ = 0;
-      best_val_.reset();
-      read_chain(a, 0, /*phase=*/2);
-    });
+    access(a, 2, 0);
   }
 
   void finish_phase2(std::uint64_t a) {
     // No higher round interfered between our two scans: decided.
     block_.decided = chosen_;
-    in_flight_ = true;
-    own_reg().write(block_, [this, a] {
-      in_flight_ = false;
-      if (a != attempt_) return;
-      broadcast(sim::make_payload<DecideMsg>(chosen_));
-      decide(chosen_);
-    });
+    access(a, 3, 0);
   }
 
   void decide(const V& v) {
@@ -258,19 +262,15 @@ class RegisterConsensusModule : public sim::Module, public ConsensusApi<V> {
     decision_ = v;
     attempt_active_ = false;
     emit("decide", decide_event_value(decision_));
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(decision_);
-    }
+    notify(std::exchange(done_, {}), decision_);
   }
 
   Options opt_;
-  std::vector<Register*> regs_;
+  std::vector<std::size_t> regs_;  ///< Positions of the n registers.
 
   bool proposed_ = false;
   V proposal_{};
-  DecideCb cb_;
+  sim::Hook done_;
 
   BallotBlock<V> block_;  ///< Our own block's latest written contents.
   bool attempt_active_ = false;

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -38,12 +39,10 @@ namespace wfd::consensus {
 template <typename V>
 class StrongConsensusModule : public sim::Module, public ConsensusApi<V> {
  public:
-  using typename ConsensusApi<V>::DecideCb;
-
-  void propose(const V& value, DecideCb cb) override {
+  void propose(const V& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
-    cb_ = std::move(cb);
+    done_ = done;
     values_.insert(value);
   }
 
@@ -130,11 +129,7 @@ class StrongConsensusModule : public sim::Module, public ConsensusApi<V> {
     decided_ = true;
     decision_ = *inter.begin();
     emit("decide", decide_event_value(decision_));
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(decision_);
-    }
+    notify(std::exchange(done_, {}), decision_);
   }
 
   void encode_state(sim::StateEncoder& enc) const override {
@@ -193,7 +188,7 @@ class StrongConsensusModule : public sim::Module, public ConsensusApi<V> {
 
   bool proposed_ = false;
   bool initialized_ = false;
-  DecideCb cb_;
+  sim::Hook done_;
   std::set<V> values_;
   std::size_t round_ = 1;
   bool round_sent_ = false;

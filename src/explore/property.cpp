@@ -2,37 +2,58 @@
 
 #include <algorithm>
 
+#include "broadcast/atomic_broadcast.h"
+#include "broadcast/reliable_broadcast.h"
 #include "consensus/omega_sigma_consensus.h"
+#include "fd/heartbeat_omega.h"
 #include "fd/history_checker.h"
 #include "sim/module.h"
 
 namespace wfd::explore {
 
+namespace {
+
+/// The module at position `pos` of process p's host, read through the
+/// simulator's const accessor (the mutable one drops p's cached
+/// encoding). Asserts when p hosts no modules or the type differs.
+template <typename M>
+const M& hosted(const sim::Simulator& sim, ProcessId p, std::size_t pos) {
+  const auto* host = dynamic_cast<const sim::ModuleHost*>(&sim.process(p));
+  WFD_CHECK_MSG(host != nullptr, "process hosts no modules");
+  return host->module_at<M>(pos);
+}
+
+}  // namespace
+
 bool LeadershipClause::goal(const sim::Simulator& sim) const {
   if (sim.all_alive_done()) return true;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(leaders_.size()); ++p) {
+  for (ProcessId p = 0; p < sim.n(); ++p) {
     if (sim.pattern().alive(p, sim.now()) &&
-        leaders_[static_cast<std::size_t>(p)]->is_leading()) {
+        hosted<consensus::OmegaSigmaConsensusModule<int>>(sim, p, position_)
+            .is_leading()) {
       return true;
     }
   }
   return false;
 }
 
-std::unique_ptr<LivenessClause> LeadershipClause::clone(
-    const sim::Simulator& from, const sim::Simulator& to) const {
-  std::vector<const Leader*> copies;
-  copies.reserve(leaders_.size());
-  for (ProcessId p = 0; p < static_cast<ProcessId>(leaders_.size()); ++p) {
-    const auto* source = dynamic_cast<const sim::ModuleHost*>(&from.process(p));
-    const auto* target = dynamic_cast<const sim::ModuleHost*>(&to.process(p));
-    if (source == nullptr || target == nullptr) return nullptr;
-    const Leader* copy = target->counterpart(
-        *source, leaders_[static_cast<std::size_t>(p)]);
-    if (copy == nullptr) return nullptr;
-    copies.push_back(copy);
+bool FdCompletenessClause::goal(const sim::Simulator& sim) const {
+  std::uint64_t crashed = 0;
+  for (ProcessId p = 0; p < sim.n(); ++p) {
+    if (!sim.pattern().alive(p, sim.now())) {
+      crashed |= std::uint64_t{1} << p;
+    }
   }
-  return std::make_unique<LeadershipClause>(std::move(copies));
+  for (ProcessId p = 0; p < sim.n(); ++p) {
+    if ((crashed >> p) & 1) continue;  // Crashed observers don't count.
+    const auto& omega = hosted<fd::HeartbeatOmegaModule>(sim, p, position_);
+    const ProcessId leader = omega.current_leader();
+    if (leader != kNoProcess && ((crashed >> leader) & 1) != 0) {
+      return false;
+    }
+    if ((omega.suspected().raw() & crashed) != crashed) return false;
+  }
+  return true;
 }
 
 std::optional<Violation> AgreementInvariant::check(const sim::Simulator& sim) {
@@ -207,13 +228,40 @@ void RegisterAtomicityInvariant::encode_state(sim::StateEncoder& enc) const {
   }
 }
 
+template <typename M>
+void DeliveryLogInvariant::catch_up(const sim::Simulator& sim) {
+  for (ProcessId p = 0; p < static_cast<ProcessId>(logs_.size()); ++p) {
+    const auto& delivered = hosted<M>(sim, p, position_).delivered_log();
+    auto& log = logs_[static_cast<std::size_t>(p)];
+    log.insert(log.end(),
+               delivered.begin() + static_cast<std::ptrdiff_t>(log.size()),
+               delivered.end());
+  }
+}
+
+void DeliveryLogInvariant::encode_state(sim::StateEncoder& enc) const {
+  for (std::size_t p = 0; p < logs_.size(); ++p) {
+    enc.push("proc", p);
+    enc.field("#", logs_[p].size());
+    for (std::size_t k = 0; k < logs_[p].size(); ++k) {
+      enc.push("at", k);
+      logs_[p][k].encode_state(enc);
+      enc.pop();
+    }
+    enc.pop();
+  }
+}
+
 std::optional<Violation> TotalOrderInvariant::check(
     const sim::Simulator& sim) {
+  catch_up<broadcast::AtomicBroadcastModule>(sim);
   for (std::size_t a = 0; a < logs_.size(); ++a) {
     for (std::size_t b = a + 1; b < logs_.size(); ++b) {
       const std::size_t common = std::min(logs_[a].size(), logs_[b].size());
       for (std::size_t k = 0; k < common; ++k) {
-        if (!(logs_[a][k] == logs_[b][k])) {
+        const broadcast::AppMessage& x = logs_[a][k];
+        const broadcast::AppMessage& y = logs_[b][k];
+        if (x != y || x.body != y.body) {
           return Violation{
               name(),
               "p" + std::to_string(a) + " and p" + std::to_string(b) +
@@ -226,30 +274,16 @@ std::optional<Violation> TotalOrderInvariant::check(
   return std::nullopt;
 }
 
-void TotalOrderInvariant::encode_state(sim::StateEncoder& enc) const {
-  for (std::size_t p = 0; p < logs_.size(); ++p) {
-    enc.push("proc", p);
-    enc.field("#", logs_[p].size());
-    for (std::size_t k = 0; k < logs_[p].size(); ++k) {
-      enc.push("at", k);
-      enc.field("origin", logs_[p][k].origin);
-      enc.field("seq", logs_[p][k].seq);
-      enc.field("body", logs_[p][k].body);
-      enc.pop();
-    }
-    enc.pop();
-  }
-}
-
 std::optional<Violation> UrbIntegrityInvariant::check(
     const sim::Simulator& sim) {
+  catch_up<broadcast::UrbModule>(sim);
   for (std::size_t p = 0; p < logs_.size(); ++p) {
     const auto& log = logs_[p];
     for (std::size_t k = 0; k < log.size(); ++k) {
-      const Entry& e = log[k];
+      const broadcast::AppMessage& e = log[k];
       // Only broadcast messages: the workload has sender i send exactly
       // one message, body 100+i, seq 1.
-      if (e.origin >= static_cast<std::uint64_t>(senders_) || e.seq != 1 ||
+      if (e.origin < 0 || e.origin >= senders_ || e.seq != 1 ||
           e.body != 100 + static_cast<std::int64_t>(e.origin)) {
         return Violation{name(),
                          "p" + std::to_string(p) +
@@ -272,21 +306,6 @@ std::optional<Violation> UrbIntegrityInvariant::check(
     }
   }
   return std::nullopt;
-}
-
-void UrbIntegrityInvariant::encode_state(sim::StateEncoder& enc) const {
-  for (std::size_t p = 0; p < logs_.size(); ++p) {
-    enc.push("proc", p);
-    enc.field("#", logs_[p].size());
-    for (std::size_t k = 0; k < logs_[p].size(); ++k) {
-      enc.push("at", k);
-      enc.field("origin", logs_[p][k].origin);
-      enc.field("seq", logs_[p][k].seq);
-      enc.field("body", logs_[p][k].body);
-      enc.pop();
-    }
-    enc.pop();
-  }
 }
 
 std::optional<Violation> EventualDecisionProperty::check_final(

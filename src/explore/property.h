@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "broadcast/app_message.h"
 #include "explore/types.h"
 #include "nbac/nbac_api.h"
 #include "reg/linearizability.h"
@@ -24,11 +24,6 @@
 #include "sim/clone.h"
 #include "sim/simulator.h"
 #include "sim/state_encoder.h"
-
-namespace wfd::consensus {
-template <typename V>
-class OmegaSigmaConsensusModule;
-}  // namespace wfd::consensus
 
 namespace wfd::explore {
 
@@ -68,10 +63,8 @@ class EventualProperty {
   virtual ~EventualProperty() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   virtual std::optional<Violation> check_final(const sim::Simulator& sim) = 0;
-  /// A copy for a cloned scenario, or null (the default).
-  [[nodiscard]] virtual std::unique_ptr<EventualProperty> clone() const {
-    return nullptr;
-  }
+  /// A copy for a cloned scenario.
+  [[nodiscard]] virtual std::unique_ptr<EventualProperty> clone() const = 0;
 };
 
 /// A liveness clause for fair-cycle checking over the explored state
@@ -93,14 +86,8 @@ class LivenessClause {
   virtual ~LivenessClause() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual bool goal(const sim::Simulator& sim) const = 0;
-  /// A copy reading `to`, a clone of the simulator `from` this clause
-  /// reads, or null — the default — when it cannot be re-pointed.
-  [[nodiscard]] virtual std::unique_ptr<LivenessClause> clone(
-      const sim::Simulator& from, const sim::Simulator& to) const {
-    (void)from;
-    (void)to;
-    return nullptr;
-  }
+  /// A copy for a cloned scenario.
+  [[nodiscard]] virtual std::unique_ptr<LivenessClause> clone() const = 0;
 };
 
 /// Termination (consensus "decide", QC/NBAC decisions, rb delivery
@@ -113,8 +100,7 @@ class TerminationClause : public LivenessClause {
   [[nodiscard]] bool goal(const sim::Simulator& sim) const override {
     return sim.all_alive_done();
   }
-  [[nodiscard]] std::unique_ptr<LivenessClause> clone(
-      const sim::Simulator&, const sim::Simulator&) const override {
+  [[nodiscard]] std::unique_ptr<LivenessClause> clone() const override {
     return std::make_unique<TerminationClause>();
   }
 };
@@ -127,57 +113,35 @@ class TerminationClause : public LivenessClause {
 /// The scenario wires each process's consensus module at build().
 class LeadershipClause : public LivenessClause {
  public:
-  using Leader = consensus::OmegaSigmaConsensusModule<int>;
-  /// `leaders[p]`: the consensus module hosted by process p, read
-  /// through is_leading().
-  explicit LeadershipClause(std::vector<const Leader*> leaders)
-      : leaders_(std::move(leaders)) {}
+  /// `position`: where every process hosts its (Omega, Sigma) consensus
+  /// module, read through is_leading().
+  explicit LeadershipClause(std::size_t position) : position_(position) {}
   [[nodiscard]] std::string name() const override { return "leadership"; }
   [[nodiscard]] bool goal(const sim::Simulator& sim) const override;
-  /// Re-points each module to its copy in the same process of `to`, at
-  /// the same position in the host.
-  [[nodiscard]] std::unique_ptr<LivenessClause> clone(
-      const sim::Simulator& from, const sim::Simulator& to) const override;
+  [[nodiscard]] std::unique_ptr<LivenessClause> clone() const override {
+    return std::make_unique<LeadershipClause>(*this);
+  }
 
  private:
-  std::vector<const Leader*> leaders_;  ///< One per process.
+  std::size_t position_;
 };
 
 /// Strong completeness of an *implemented* detector (heartbeat Omega):
 /// eventually, forever, no alive process trusts a crashed one — its
 /// emitted leader is alive and its suspected set covers every crashed
-/// process. The scenario wires per-process (leader, suspected-mask)
-/// accessors at build(); both read module state the fingerprint folds.
+/// process. Both read module state the fingerprint folds.
 class FdCompletenessClause : public LivenessClause {
  public:
-  struct View {
-    std::function<ProcessId()> leader;
-    std::function<std::uint64_t()> suspected_mask;
-  };
-  explicit FdCompletenessClause(std::vector<View> views)
-      : views_(std::move(views)) {}
+  /// `position`: where every process hosts its HeartbeatOmegaModule.
+  explicit FdCompletenessClause(std::size_t position) : position_(position) {}
   [[nodiscard]] std::string name() const override { return "fd-completeness"; }
-  [[nodiscard]] bool goal(const sim::Simulator& sim) const override {
-    std::uint64_t crashed = 0;
-    for (ProcessId p = 0; p < sim.n(); ++p) {
-      if (!sim.pattern().alive(p, sim.now())) {
-        crashed |= std::uint64_t{1} << p;
-      }
-    }
-    for (ProcessId p = 0; p < static_cast<ProcessId>(views_.size()); ++p) {
-      if ((crashed >> p) & 1) continue;  // Crashed observers don't count.
-      const View& v = views_[static_cast<std::size_t>(p)];
-      const ProcessId leader = v.leader();
-      if (leader != kNoProcess && ((crashed >> leader) & 1) != 0) {
-        return false;
-      }
-      if ((v.suspected_mask() & crashed) != crashed) return false;
-    }
-    return true;
+  [[nodiscard]] bool goal(const sim::Simulator& sim) const override;
+  [[nodiscard]] std::unique_ptr<LivenessClause> clone() const override {
+    return std::make_unique<FdCompletenessClause>(*this);
   }
 
  private:
-  std::vector<View> views_;  ///< One per process.
+  std::size_t position_;
 };
 
 /// Agreement: all trace events of `kind` carry the same value (covers
@@ -234,6 +198,10 @@ class QuitValidityInvariant : public Invariant {
  public:
   [[nodiscard]] std::string name() const override { return "quit-validity"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<QuitValidityInvariant>(*this);
+  }
 
  private:
   std::size_t cursor_ = 0;
@@ -247,6 +215,10 @@ class NbacValidityInvariant : public Invariant {
       : votes_(std::move(votes)) {}
   [[nodiscard]] std::string name() const override { return "nbac-validity"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<NbacValidityInvariant>(*this);
+  }
 
  private:
   std::vector<nbac::Vote> votes_;
@@ -342,61 +314,62 @@ class RegisterAtomicityInvariant : public Invariant {
   std::size_t checked_completed_ = 0;
 };
 
-/// Atomic-broadcast total order: the per-process delivery logs are
-/// always prefix-consistent — no two processes ever disagree at the same
-/// log position. The invariant owns the logs; the scenario installs a
-/// deliver hook per process that appends to them.
-class TotalOrderInvariant : public Invariant {
+/// The carried state of a delivery-order invariant: a copy of every
+/// process's delivered_log(), read from the broadcast module at
+/// `position` of each host. check() brings the copy up to date before
+/// judging, and every path that fingerprints a state checks invariants
+/// first (the explorer loop, lasso replay, the checkpoint tests), so
+/// the fold below always sees the current logs.
+class DeliveryLogInvariant : public Invariant {
  public:
-  explicit TotalOrderInvariant(int n)
-      : logs_(static_cast<std::size_t>(n)) {}
-  [[nodiscard]] std::string name() const override { return "total-order"; }
-  /// Append one delivery at process p (call from the deliver hook).
-  void record(ProcessId p, std::uint64_t origin, std::uint64_t seq,
-              std::int64_t body) {
-    logs_[static_cast<std::size_t>(p)].push_back(
-        Entry{origin, seq, body});
-  }
-  std::optional<Violation> check(const sim::Simulator& sim) override;
   void encode_state(sim::StateEncoder& enc) const override;
 
- private:
-  struct Entry {
-    std::uint64_t origin = 0;
-    std::uint64_t seq = 0;
-    std::int64_t body = 0;
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
-  std::vector<std::vector<Entry>> logs_;
+ protected:
+  DeliveryLogInvariant(int n, std::size_t position)
+      : position_(position), logs_(static_cast<std::size_t>(n)) {}
+  /// Appends each process's deliveries since the last call, read from
+  /// its module M.
+  template <typename M>
+  void catch_up(const sim::Simulator& sim);
+
+  std::size_t position_;
+  std::vector<std::vector<broadcast::AppMessage>> logs_;
+};
+
+/// Atomic-broadcast total order: the per-process delivery logs are
+/// always prefix-consistent — no two processes ever disagree at the same
+/// log position.
+class TotalOrderInvariant : public DeliveryLogInvariant {
+ public:
+  /// `position`: where every process hosts its AtomicBroadcastModule.
+  TotalOrderInvariant(int n, std::size_t position)
+      : DeliveryLogInvariant(n, position) {}
+  [[nodiscard]] std::string name() const override { return "total-order"; }
+  std::optional<Violation> check(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<TotalOrderInvariant>(*this);
+  }
 };
 
 /// URB integrity: each process delivers a given (origin, seq) at most
 /// once, and only messages that were actually broadcast (the scenario's
 /// workload has sender i broadcast exactly one message, body 100+i, as
-/// its seq 1). The invariant owns the delivery logs; the scenario
-/// installs a deliver hook per process that appends to them.
-class UrbIntegrityInvariant : public Invariant {
+/// its seq 1).
+class UrbIntegrityInvariant : public DeliveryLogInvariant {
  public:
-  UrbIntegrityInvariant(int n, int senders)
-      : senders_(senders), logs_(static_cast<std::size_t>(n)) {}
+  /// `position`: where every process hosts its UrbModule.
+  UrbIntegrityInvariant(int n, int senders, std::size_t position)
+      : DeliveryLogInvariant(n, position), senders_(senders) {}
   [[nodiscard]] std::string name() const override { return "urb-integrity"; }
-  /// Append one delivery at process p (call from the deliver hook).
-  void record(ProcessId p, std::uint64_t origin, std::uint64_t seq,
-              std::int64_t body) {
-    logs_[static_cast<std::size_t>(p)].push_back(Entry{origin, seq, body});
-  }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  void encode_state(sim::StateEncoder& enc) const override;
+  [[nodiscard]] std::unique_ptr<Invariant> clone(
+      sim::CloneMap&) const override {
+    return std::make_unique<UrbIntegrityInvariant>(*this);
+  }
 
  private:
-  struct Entry {
-    std::uint64_t origin = 0;
-    std::uint64_t seq = 0;
-    std::int64_t body = 0;
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
   int senders_;
-  std::vector<std::vector<Entry>> logs_;
 };
 
 /// Termination: every correct process eventually emits an event of
@@ -431,6 +404,9 @@ class EventualLeadershipProperty : public EventualProperty {
     return "eventual-leadership(" + kind_ + ")";
   }
   std::optional<Violation> check_final(const sim::Simulator& sim) override;
+  [[nodiscard]] std::unique_ptr<EventualProperty> clone() const override {
+    return std::make_unique<EventualLeadershipProperty>(*this);
+  }
 
  private:
   std::string kind_;

@@ -40,17 +40,21 @@ class FdProbeProcess : public sim::Process {
 /// state is a pure function of the UrbModule's, so it encodes nothing.
 class UrbWaiter : public sim::Module {
  public:
-  UrbWaiter(const broadcast::UrbModule* rb, std::uint64_t expect)
-      : rb_(rb), expect_(expect) {}
+  /// `rb`: the UrbModule's position in this host.
+  UrbWaiter(std::size_t rb, std::uint64_t expect) : rb_(rb), expect_(expect) {}
   [[nodiscard]] bool done() const override {
-    return rb_->delivered_count() >= expect_;
+    return host().module_at<broadcast::UrbModule>(rb_).delivered_count() >=
+           expect_;
   }
   void on_message(ProcessId, const sim::Payload&) override {}
   [[nodiscard]] bool tick_noop() const override { return true; }
   void encode_state(sim::StateEncoder&) const override {}
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<UrbWaiter>(*this);
+  }
 
  private:
-  const broadcast::UrbModule* rb_;
+  std::size_t rb_;
   std::uint64_t expect_;
 };
 
@@ -384,11 +388,6 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
       lossy && (opt_.problem == "register" ||
                 opt_.problem == "register-regular");
 
-  // Per-process views collected while the modules are built, consumed by
-  // the liveness-clause wiring at the end.
-  std::vector<const LeadershipClause::Leader*> leaders;
-  std::vector<FdCompletenessClause::View> fd_views;
-
   if (opt_.problem == "consensus" || opt_.problem == "consensus-live-bug" ||
       opt_.problem == "consensus-crash-live-bug") {
     for (int i = 0; i < opt_.n; ++i) {
@@ -401,8 +400,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
               ? static_cast<consensus::OmegaSigmaConsensusModule<int>*>(
                     &host.add_module<GiveUpLeaderConsensusModule>("cons"))
               : &host.add_module<DeferToPromisedConsensusModule>("cons");
-      c->propose(i % 2, {});
-      leaders.push_back(c);
+      c->propose(i % 2);
     }
     out.invariants.push_back(std::make_unique<AgreementInvariant>("decide"));
     out.invariants.push_back(
@@ -440,7 +438,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     for (int i = 0; i < opt_.n; ++i) {
       auto& host = s.add_process<sim::ModularProcess>();
       auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-      q.propose(i % 2, {});
+      q.propose(i % 2);
     }
     auto allowed = proposals(opt_.n);
     allowed.push_back(-1);  // Q.
@@ -461,8 +459,8 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     for (int i = 0; i < opt_.n; ++i) {
       auto& host = s.add_process<sim::ModularProcess>();
       auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-      auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
-      nb.vote(votes[static_cast<std::size_t>(i)], {});
+      auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", q.index());
+      nb.vote(votes[static_cast<std::size_t>(i)]);
     }
     out.invariants.push_back(
         std::make_unique<AgreementInvariant>("nbac-decide"));
@@ -491,14 +489,14 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
       auto& r =
           host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg", ro);
       if (wrap_register) {
-        auto& qr = host.add_module<broadcast::QuasiReliableModule>("qr");
-        r.set_transport(&qr);
+        r.set_transport(host.add_module<broadcast::QuasiReliableModule>("qr"));
       }
       if (i > readers) continue;  // Pure replica.
       reg::RegisterWorkloadModule::Options wo;
       wo.num_ops = opt_.reg_ops;
       wo.write_percent = (i == 0) ? 100 : 0;
-      host.add_module<reg::RegisterWorkloadModule>("client", &r, hist, wo);
+      host.add_module<reg::RegisterWorkloadModule>("client", r.index(), hist,
+                                                   wo);
     }
     out.invariants.push_back(std::move(inv));
     out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
@@ -506,19 +504,16 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     // Chandra-Toueg atomic broadcast over (Omega, Sigma) consensus
     // rounds; the first abcast_senders processes each broadcast one
     // message and the invariant checks prefix-consistent delivery logs.
-    auto inv = std::make_unique<TotalOrderInvariant>(opt_.n);
-    TotalOrderInvariant* tot = inv.get();
+    std::size_t position = 0;
     for (int i = 0; i < opt_.n; ++i) {
       auto& host = s.add_process<sim::ModularProcess>();
       auto& ab =
           host.add_module<broadcast::AtomicBroadcastModule>("abcast");
-      const auto p = static_cast<ProcessId>(i);
-      ab.set_deliver([tot, p](const broadcast::AppMessage& m) {
-        tot->record(p, static_cast<std::uint64_t>(m.origin), m.seq, m.body);
-      });
+      position = ab.index();
       if (i < opt_.abcast_senders) ab.abcast(100 + i);
     }
-    out.invariants.push_back(std::move(inv));
+    out.invariants.push_back(
+        std::make_unique<TotalOrderInvariant>(opt_.n, position));
   } else if (opt_.problem == "rb") {
     // Uniform reliable broadcast alone, detector-free: the first
     // abcast_senders processes each urb-broadcast one message and the
@@ -528,21 +523,17 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     // echoes from distinct relayers all commute, so DPOR under the
     // payload relation collapses the relayer interleavings that the
     // process relation must enumerate.
-    auto inv = std::make_unique<UrbIntegrityInvariant>(
-        opt_.n, opt_.abcast_senders);
-    UrbIntegrityInvariant* urb = inv.get();
+    std::size_t position = 0;
     for (int i = 0; i < opt_.n; ++i) {
       auto& host = s.add_process<sim::ModularProcess>();
       auto& rb = host.add_module<broadcast::UrbModule>("rb");
-      const auto p = static_cast<ProcessId>(i);
-      rb.set_deliver([urb, p](const broadcast::AppMessage& m) {
-        urb->record(p, static_cast<std::uint64_t>(m.origin), m.seq, m.body);
-      });
+      position = rb.index();
       if (i < opt_.abcast_senders) rb.urb_broadcast(100 + i);
       host.add_module<UrbWaiter>(
-          "wait", &rb, static_cast<std::uint64_t>(opt_.abcast_senders));
+          "wait", position, static_cast<std::uint64_t>(opt_.abcast_senders));
     }
-    out.invariants.push_back(std::move(inv));
+    out.invariants.push_back(std::make_unique<UrbIntegrityInvariant>(
+        opt_.n, opt_.abcast_senders, position));
   } else if (opt_.problem == "omega-impl") {
     // The *implemented* heartbeat/lease Omega (the module the runtime
     // host runs behind the replicated KV), model-checked as an ordinary
@@ -559,29 +550,24 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
     ho.timeout = 12 * ho.period;
     ho.lease = 2 * ho.timeout;
     for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& om = host.add_module<fd::HeartbeatOmegaModule>("omega", ho);
-      fd::HeartbeatOmegaModule* omp = &om;
-      fd_views.push_back(FdCompletenessClause::View{
-          [omp] { return omp->current_leader(); },
-          [omp] { return omp->suspected().raw(); }});
+      s.add_process<sim::ModularProcess>()
+          .add_module<fd::HeartbeatOmegaModule>("omega", ho);
     }
     out.eventuals.push_back(
         std::make_unique<EventualLeadershipProperty>("omega-leader"));
   }
 
+  // The leadership and completeness clauses read each process's first
+  // module: its (Omega, Sigma) consensus or its heartbeat Omega.
   if (!opt_.liveness.empty()) {
     if (opt_.liveness == "termination") {
       out.liveness.push_back(std::make_unique<TerminationClause>());
     } else if (opt_.liveness == "leadership") {
-      WFD_CHECK(!leaders.empty());
-      out.liveness.push_back(
-          std::make_unique<LeadershipClause>(std::move(leaders)));
+      out.liveness.push_back(std::make_unique<LeadershipClause>(0));
     } else {
-      WFD_CHECK_MSG(opt_.liveness == "fd-completeness" && !fd_views.empty(),
+      WFD_CHECK_MSG(opt_.liveness == "fd-completeness",
                     "liveness clause survived validate() unwired");
-      out.liveness.push_back(
-          std::make_unique<FdCompletenessClause>(std::move(fd_views)));
+      out.liveness.push_back(std::make_unique<FdCompletenessClause>(0));
     }
   }
   return out;
@@ -615,15 +601,9 @@ std::optional<Scenario> clone_scenario(const Scenario& sc,
   }
   out.sim = sc.sim->clone(map);
   if (out.sim == nullptr) return std::nullopt;
-  for (const auto& ev : sc.eventuals) {
-    std::unique_ptr<EventualProperty> copy = ev->clone();
-    if (copy == nullptr) return std::nullopt;
-    out.eventuals.push_back(std::move(copy));
-  }
+  for (const auto& ev : sc.eventuals) out.eventuals.push_back(ev->clone());
   for (const auto& clause : sc.liveness) {
-    std::unique_ptr<LivenessClause> copy = clause->clone(*sc.sim, *out.sim);
-    if (copy == nullptr) return std::nullopt;
-    out.liveness.push_back(std::move(copy));
+    out.liveness.push_back(clause->clone());
   }
   return out;
 }

@@ -105,8 +105,7 @@ struct Scenario {
 /// A deep copy of `sc` between steps that continues exactly as `sc`
 /// would, asking `choices` at every choice point (sim/clone.h); `sc`
 /// stays untouched while the copy runs. nullopt when any part — a
-/// process, module, oracle, scheduler, invariant, eventual property or
-/// liveness clause — is not cloneable.
+/// process, module, oracle, scheduler or invariant — is not cloneable.
 [[nodiscard]] std::optional<Scenario> clone_scenario(
     const Scenario& sc, sim::ChoiceSource& choices);
 

@@ -242,7 +242,7 @@ class GiveUpLeaderConsensusModule
       : consensus::OmegaSigmaConsensusModule<int>(bug_options()) {}
 
   [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return clone_as<GiveUpLeaderConsensusModule>();
+    return std::make_unique<GiveUpLeaderConsensusModule>(*this);
   }
 
  private:
@@ -271,7 +271,7 @@ class DeferToPromisedConsensusModule
       : consensus::OmegaSigmaConsensusModule<int>(bug_options()) {}
 
   [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return clone_as<DeferToPromisedConsensusModule>();
+    return std::make_unique<DeferToPromisedConsensusModule>(*this);
   }
 
  private:

@@ -23,7 +23,9 @@ void PsiExtractionModule::on_start() {
   WFD_CHECK_MSG(spec_.n == n(), "SandboxSpec.n must match the system size");
   // The real execution of A must exist from the start so this process
   // serves it (as acceptor/participant) even before proposing.
-  outer_ = &outer_factory_(host(), name() + "/outer");
+  outer_ = dynamic_cast<sim::Module&>(
+               outer_factory_(host(), name() + "/outer"))
+               .index();
 }
 
 void PsiExtractionModule::on_message(ProcessId, const sim::Payload& msg) {
@@ -91,13 +93,11 @@ void PsiExtractionModule::forest_round() {
                   .deciding_prefix;
   }
   stage_ = Stage::kAgreeing;
-  outer_->propose(prop, [this](const qc::QcResult<ExtractProposal>& r) {
-    on_outer_decided(r);
-  });
+  host().module_at<qc::QcApi<ExtractProposal>>(outer_).propose(prop, hook());
 }
 
-void PsiExtractionModule::on_outer_decided(
-    const qc::QcResult<ExtractProposal>& r) {
+void PsiExtractionModule::on_result(std::uint64_t,
+                                    const qc::QcResult<ExtractProposal>& r) {
   if (r.quit || r.value.red_evidence) {
     // Lines 16-18: behave like FS, permanently red. Legal because a Q
     // (or red-evidence, which stems from a simulated Q) implies, via

@@ -61,7 +61,11 @@ struct ExtractProposal {
   }
 };
 
-class PsiExtractionModule : public sim::Module, public sim::FdSource {
+/// Listens to the real execution of A.
+class PsiExtractionModule
+    : public sim::Module,
+      public sim::FdSource,
+      public sim::Listener<qc::QcResult<ExtractProposal>> {
  public:
   /// Creates the real execution of A over ExtractProposal values in the
   /// host process, under the given module name.
@@ -92,6 +96,9 @@ class PsiExtractionModule : public sim::Module, public sim::FdSource {
   void on_start() override;
   void on_message(ProcessId from, const sim::Payload& msg) override;
   void on_tick() override;
+  /// The real execution of A decided `r` (lines 16-20).
+  void on_result(std::uint64_t,
+                 const qc::QcResult<ExtractProposal>& r) override;
 
   /// FdSource: the emulated Psi output (omega/sigma components also
   /// populated once the (Omega, Sigma) branch is live, mirroring
@@ -158,7 +165,6 @@ class PsiExtractionModule : public sim::Module, public sim::FdSource {
 
   [[nodiscard]] std::vector<ScriptStep> spine_window() const;
   void forest_round();
-  void on_outer_decided(const qc::QcResult<ExtractProposal>& r);
   void setup_sigma_configs(const ExtractProposal& tuple);
   void omega_round(const std::vector<ScriptStep>& window);
   void sigma_round();
@@ -172,7 +178,7 @@ class PsiExtractionModule : public sim::Module, public sim::FdSource {
   SampleDag dag_;
   Stage stage_ = Stage::kForest;
   Time ticks_ = 0;
-  qc::QcApi<ExtractProposal>* outer_ = nullptr;
+  std::size_t outer_ = sim::Hook::kNone;  ///< A's position in the host.
 
   // (Omega, Sigma) branch state.
   ProcessId omega_output_ = kNoProcess;

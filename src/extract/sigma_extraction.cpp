@@ -17,9 +17,16 @@ void SigmaExtractionModule::start_iteration() {
   ++k_;
   state_ = PhaseState::kWriting;
   tracker_->begin_write(k_);
-  const std::uint64_t k = k_;
-  regs_[static_cast<std::size_t>(self())].write(ei_, [this, k] {
-    if (k != k_) return;
+  host()
+      .module_at<reg::RegisterApi<QuorumList>>(
+          regs_[static_cast<std::size_t>(self())])
+      .write(ei_, hook(k_ << 1));
+}
+
+void SigmaExtractionModule::on_result(std::uint64_t tag,
+                                      const QuorumList& value) {
+  if ((tag >> 1) != k_) return;
+  if ((tag & 1) == 0) {
     // Lines 8-10: P_i(k) := participants; E_i += {P_i(k)}; F_i := P_i(k-1).
     // E_i has set semantics ("the set of subsets of processes that
     // participate"), so duplicates are not re-added — this is what keeps
@@ -35,7 +42,18 @@ void SigmaExtractionModule::start_iteration() {
     read_index_ = 0;
     probe_sets_.clear();
     read_next_register();
-  });
+    return;
+  }
+  // Lines 13-16 gather the sets to probe; dedupe to bound the probe
+  // fan-out (probing a set twice selects the same kind of witness).
+  for (const ProcessSet& x : value) {
+    if (x.empty()) continue;
+    if (std::find(probe_sets_.begin(), probe_sets_.end(), x) ==
+        probe_sets_.end()) {
+      probe_sets_.push_back(x);
+    }
+  }
+  read_next_register();
 }
 
 void SigmaExtractionModule::read_next_register() {
@@ -43,21 +61,10 @@ void SigmaExtractionModule::read_next_register() {
     start_probes();
     return;
   }
-  const std::uint64_t k = k_;
-  const int j = read_index_++;
-  regs_[static_cast<std::size_t>(j)].read([this, k](const QuorumList& lj) {
-    if (k != k_) return;
-    // Lines 13-16 gather the sets to probe; dedupe to bound the probe
-    // fan-out (probing a set twice selects the same kind of witness).
-    for (const ProcessSet& x : lj) {
-      if (x.empty()) continue;
-      if (std::find(probe_sets_.begin(), probe_sets_.end(), x) ==
-          probe_sets_.end()) {
-        probe_sets_.push_back(x);
-      }
-    }
-    read_next_register();
-  });
+  host()
+      .module_at<reg::RegisterApi<QuorumList>>(
+          regs_[static_cast<std::size_t>(read_index_++)])
+      .read(hook((k_ << 1) | 1));
 }
 
 void SigmaExtractionModule::start_probes() {

@@ -24,12 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
 #include "common/process_set.h"
 #include "extract/participant_tracker.h"
+#include "reg/register_api.h"
 #include "sim/module.h"
 #include "sim/trace.h"
 
@@ -39,30 +39,29 @@ namespace wfd::extract {
 /// participant sets of its writes so far; index 0 is Pi).
 using QuorumList = std::vector<ProcessSet>;
 
-/// Abstract register handle so the extraction can run over any register
-/// implementation (ABD over Sigma, ABD over majorities, SMR-backed).
-struct RegisterHandle {
-  std::function<void(const QuorumList&, std::function<void()>)> write;
-  std::function<void(std::function<void(const QuorumList&)>)> read;
-};
-
-class SigmaExtractionModule : public sim::Module, public sim::FdSource {
+/// Runs over any register implementation (ABD over Sigma, ABD over
+/// majorities, SMR-backed) through reg::RegisterApi, and listens to its
+/// operations' completions.
+class SigmaExtractionModule : public sim::Module,
+                              public sim::FdSource,
+                              public sim::Listener<QuorumList> {
  public:
   struct Options {
     /// Record a Sigma-output sample every so many own steps (0 = 8).
     Time sample_period = 0;
   };
 
-  /// `registers[j]` must access Reg_j; `tracker` must be installed as the
+  /// `registers[j]` is the position in this host of Reg_j (a
+  /// reg::RegisterApi<QuorumList>); `tracker` must be installed as the
   /// host's transport instrument; `sink` (optional) receives periodic
   /// FdSampleRecords of the emulated output for history checking.
-  SigmaExtractionModule(std::vector<RegisterHandle> registers,
+  SigmaExtractionModule(std::vector<std::size_t> registers,
                         ParticipantTracker* tracker,
                         std::vector<sim::FdSampleRecord>* sink)
       : SigmaExtractionModule(std::move(registers), tracker, sink,
                               Options{}) {}
 
-  SigmaExtractionModule(std::vector<RegisterHandle> registers,
+  SigmaExtractionModule(std::vector<std::size_t> registers,
                         ParticipantTracker* tracker,
                         std::vector<sim::FdSampleRecord>* sink, Options opt)
       : opt_(opt),
@@ -76,6 +75,9 @@ class SigmaExtractionModule : public sim::Module, public sim::FdSource {
   void on_start() override;
   void on_message(ProcessId from, const sim::Payload& msg) override;
   void on_tick() override;
+  /// A register operation of iteration `tag >> 1` completed: the write
+  /// (tag bit 0 clear) or the read returning `value`.
+  void on_result(std::uint64_t tag, const QuorumList& value) override;
 
   /// FdSource: the emulated Sigma output.
   [[nodiscard]] fd::FdValue fd_value() const override {
@@ -144,7 +146,7 @@ class SigmaExtractionModule : public sim::Module, public sim::FdSource {
   void finish_iteration();
 
   Options opt_;
-  std::vector<RegisterHandle> regs_;
+  std::vector<std::size_t> regs_;  ///< Positions of Reg_0..Reg_{n-1}.
   ParticipantTracker* tracker_;
   std::vector<sim::FdSampleRecord>* sink_;
 

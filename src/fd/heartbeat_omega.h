@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/process_set.h"
@@ -78,6 +79,10 @@ class HeartbeatOmegaModule : public sim::Module, public sim::FdSource {
   /// All deadlines are folded relative to the latest observed host time
   /// so equal futures hash equally regardless of when they were reached.
   void encode_state(sim::StateEncoder& enc) const override;
+
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<HeartbeatOmegaModule>(*this);
+  }
 
  private:
   struct Beat;

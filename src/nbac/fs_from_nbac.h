@@ -20,7 +20,10 @@
 
 namespace wfd::nbac {
 
-class FsFromNbacModule : public sim::Module, public sim::FdSource {
+/// Listens to each instance's decision.
+class FsFromNbacModule : public sim::Module,
+                         public sim::FdSource,
+                         public sim::Listener<Decision> {
  public:
   /// Builds a fresh NBAC stack on the host under the given module-name
   /// prefix. Every process must build the same stack under the same
@@ -54,11 +57,13 @@ class FsFromNbacModule : public sim::Module, public sim::FdSource {
     idle_ = 0;
     in_flight_ = true;
     const std::uint64_t k = launched_++;
-    NbacApi& inst = factory_(name() + "/inst/" + std::to_string(k));
-    inst.vote(Vote::kYes, [this](Decision d) {
-      in_flight_ = false;
-      if (d == Decision::kAbort) red_ = true;
-    });
+    factory_(name() + "/inst/" + std::to_string(k)).vote(Vote::kYes, hook());
+  }
+
+  /// The instance in flight decided `d`.
+  void on_result(std::uint64_t, const Decision& d) override {
+    in_flight_ = false;
+    if (d == Decision::kAbort) red_ = true;
   }
 
   /// FdSource: the emulated FS output.

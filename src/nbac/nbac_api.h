@@ -3,22 +3,21 @@
 // processes voted Yes; Abort requires a No vote or a failure.
 #pragma once
 
-#include <functional>
+#include "sim/module.h"
 
 namespace wfd::nbac {
 
 enum class Vote { kYes, kNo };
 enum class Decision { kCommit, kAbort };
 
+/// A listener hooked to vote() implements sim::Listener<Decision>.
 class NbacApi {
  public:
-  using DecideCb = std::function<void(Decision)>;
-
   virtual ~NbacApi() = default;
 
-  /// Cast this process's vote; may be called outside a step — the
-  /// protocol starts at the host's next step.
-  virtual void vote(Vote v, DecideCb cb) = 0;
+  /// Cast this process's vote; `done` hears the decision. May be called
+  /// outside a step — the protocol starts at the host's next step.
+  virtual void vote(Vote v, sim::Hook done = {}) = 0;
 
   [[nodiscard]] virtual bool decided() const = 0;
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -25,13 +26,16 @@
 
 namespace wfd::nbac {
 
-class NbacFromPerfectModule : public sim::Module, public NbacApi {
+/// Listens to its consensus instance's decision.
+class NbacFromPerfectModule : public sim::Module,
+                              public NbacApi,
+                              public sim::Listener<int> {
  public:
-  void vote(Vote v, DecideCb cb) override {
+  void vote(Vote v, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!voted_, "vote called twice");
     voted_ = true;
     my_vote_ = v;
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -84,9 +88,12 @@ class NbacFromPerfectModule : public sim::Module, public NbacApi {
     proposed_ = true;
     auto& cons = host().add_module<consensus::StrongConsensusModule<int>>(
         name() + "/cons");
-    cons.propose(proposal, [this](const int& d) {
-      finish(d == 1 ? Decision::kCommit : Decision::kAbort);
-    });
+    cons.propose(proposal, hook());
+  }
+
+  /// The consensus instance decided `d`.
+  void on_result(std::uint64_t, const int& d) override {
+    finish(d == 1 ? Decision::kCommit : Decision::kAbort);
   }
 
   void encode_state(sim::StateEncoder& enc) const override {
@@ -127,18 +134,14 @@ class NbacFromPerfectModule : public sim::Module, public NbacApi {
     decided_ = true;
     decision_ = d;
     emit("nbac-decide", d == Decision::kCommit ? 1 : 0);
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(decision_);
-    }
+    notify(std::exchange(done_, {}), decision_);
   }
 
   bool voted_ = false;
   bool announced_ = false;
   bool proposed_ = false;
   Vote my_vote_ = Vote::kYes;
-  DecideCb cb_;
+  sim::Hook done_;
   std::vector<std::optional<Vote>> votes_;
   int received_ = 0;
   bool decided_ = false;

@@ -14,6 +14,8 @@
 // at every correct process.
 #pragma once
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -23,20 +25,21 @@
 
 namespace wfd::nbac {
 
-class NbacFromQcModule : public sim::Module, public NbacApi {
+/// Listens to the QC instance's result.
+class NbacFromQcModule : public sim::Module,
+                         public NbacApi,
+                         public sim::Listener<qc::QcResult<int>> {
  public:
-  /// `inner` is any QC solution (typically a PsiQcModule hosted in the
-  /// same process); the FS component is read from this module's
-  /// detector source.
-  explicit NbacFromQcModule(qc::QcApi<int>* inner) : inner_(inner) {
-    WFD_CHECK(inner_ != nullptr);
-  }
+  /// `inner`: the position of any QC solution hosted in the same
+  /// process (typically a PsiQcModule); the FS component is read from
+  /// this module's detector source.
+  explicit NbacFromQcModule(std::size_t inner) : inner_(inner) {}
 
-  void vote(Vote v, DecideCb cb) override {
+  void vote(Vote v, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!voted_, "vote called twice");
     voted_ = true;
     my_vote_ = v;
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -92,11 +95,17 @@ class NbacFromQcModule : public sim::Module, public NbacApi {
       }
     }
     proposed_ = true;
-    inner_->propose(proposal, [this](const qc::QcResult<int>& r) {
-      // Lines 8-11: Commit iff the decision is 1.
-      finish((!r.quit && r.value == 1) ? Decision::kCommit
-                                       : Decision::kAbort);
-    });
+    host().module_at<qc::QcApi<int>>(inner_).propose(proposal, hook());
+  }
+
+  /// The QC instance decided `r`.
+  void on_result(std::uint64_t, const qc::QcResult<int>& r) override {
+    // Lines 8-11: Commit iff the decision is 1.
+    finish((!r.quit && r.value == 1) ? Decision::kCommit : Decision::kAbort);
+  }
+
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<NbacFromQcModule>(*this);
   }
 
   void encode_state(sim::StateEncoder& enc) const override {
@@ -151,19 +160,15 @@ class NbacFromQcModule : public sim::Module, public NbacApi {
     decided_ = true;
     decision_ = d;
     emit("nbac-decide", d == Decision::kCommit ? 1 : 0);
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(decision_);
-    }
+    notify(std::exchange(done_, {}), decision_);
   }
 
-  qc::QcApi<int>* inner_;
+  std::size_t inner_;  ///< The QC module's position.
   bool voted_ = false;
   bool announced_ = false;
   bool proposed_ = false;
   Vote my_vote_ = Vote::kYes;
-  DecideCb cb_;
+  sim::Hook done_;
   std::vector<std::optional<Vote>> votes_;
   int votes_received_ = 0;
   bool decided_ = false;

@@ -5,29 +5,28 @@
 // of the Figure 3 extraction tests and benches.
 #pragma once
 
+#include <utility>
+
+#include "common/check.h"
 #include "consensus/omega_sigma_consensus.h"
 #include "qc/qc_api.h"
 #include "sim/module.h"
 
 namespace wfd::qc {
 
+/// Listens to its inner consensus's decision.
 template <typename V>
-class ConsensusAsQcModule : public sim::Module, public QcApi<V> {
+class ConsensusAsQcModule : public sim::Module,
+                            public QcApi<V>,
+                            public sim::Listener<V> {
  public:
-  using typename QcApi<V>::DecideCb;
+  using Inner = consensus::OmegaSigmaConsensusModule<V>;
 
-  void propose(const V& value, DecideCb cb) override {
-    cb_ = std::move(cb);
-    ensure_inner();
-    inner_->propose(value, [this](const V& d) {
-      decided_ = true;
-      result_ = QcResult<V>::value_result(d);
-      if (cb_) {
-        auto cb = std::move(cb_);
-        cb_ = nullptr;
-        cb(result_);
-      }
-    });
+  void propose(const V& value, sim::Hook done = {}) override {
+    WFD_CHECK_MSG(!proposed_, "propose called twice");
+    proposed_ = true;
+    done_ = done;
+    ensure_inner().propose(value, hook());
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -35,30 +34,36 @@ class ConsensusAsQcModule : public sim::Module, public QcApi<V> {
     WFD_CHECK(decided_);
     return result_;
   }
-  [[nodiscard]] bool done() const override {
-    return inner_ == nullptr || decided_;
-  }
+  [[nodiscard]] bool done() const override { return !proposed_ || decided_; }
 
   void on_start() override { ensure_inner(); }
   void on_message(ProcessId, const sim::Payload&) override {}
 
+  /// The inner consensus decided `d`.
+  void on_result(std::uint64_t, const V& d) override {
+    decided_ = true;
+    result_ = QcResult<V>::value_result(d);
+    notify(std::exchange(done_, {}), result_);
+  }
+
   void encode_state(sim::StateEncoder& enc) const override {
-    enc.field("has-inner", inner_ != nullptr);
+    enc.field("has-inner", inner_ != sim::Hook::kNone);
     enc.field("decided", decided_);
     enc.field("quit", result_.quit);
     sim::encode_field(enc, "result", result_.value);
   }
 
  private:
-  void ensure_inner() {
-    if (inner_ == nullptr) {
-      inner_ = &host().template add_module<
-          consensus::OmegaSigmaConsensusModule<V>>(name() + "/cons");
+  Inner& ensure_inner() {
+    if (inner_ == sim::Hook::kNone) {
+      inner_ = host().template add_module<Inner>(name() + "/cons").index();
     }
+    return host().template module_at<Inner>(inner_);
   }
 
-  consensus::OmegaSigmaConsensusModule<V>* inner_ = nullptr;
-  DecideCb cb_;
+  std::size_t inner_ = sim::Hook::kNone;  ///< The inner module's position.
+  bool proposed_ = false;
+  sim::Hook done_;
   bool decided_ = false;
   QcResult<V> result_;
 };

@@ -9,6 +9,9 @@
 // its decision.
 #pragma once
 
+#include <memory>
+#include <utility>
+
 #include "common/check.h"
 #include "consensus/consensus_api.h"
 #include "consensus/omega_sigma_consensus.h"
@@ -17,17 +20,19 @@
 
 namespace wfd::qc {
 
+/// Listens to its inner consensus's decision.
 template <typename V>
-class PsiQcModule : public sim::Module, public QcApi<V> {
+class PsiQcModule : public sim::Module,
+                    public QcApi<V>,
+                    public sim::Listener<V> {
  public:
-  using typename QcApi<V>::DecideCb;
   using InnerConsensus = consensus::OmegaSigmaConsensusModule<V>;
 
-  void propose(const V& value, DecideCb cb) override {
+  void propose(const V& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
     proposal_ = value;
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -40,7 +45,7 @@ class PsiQcModule : public sim::Module, public QcApi<V> {
   /// Before a proposal or after dispatch the tick returns without the
   /// detector read; none of the three latches is written by a message
   /// handler (propose() runs in a tick, finish() in the inner consensus
-  /// callback, whose messages are not tick-insensitive).
+  /// hook, whose messages are not tick-insensitive).
   [[nodiscard]] bool tick_noop() const override {
     return !proposed_ || decided_ || dispatched_;
   }
@@ -64,9 +69,7 @@ class PsiQcModule : public sim::Module, public QcApi<V> {
         dispatched_ = true;
         auto& cons =
             host().template add_module<InnerConsensus>(name() + "/cons");
-        cons.propose(proposal_, [this](const V& d) {
-          finish(QcResult<V>::value_result(d));
-        });
+        cons.propose(proposal_, hook());
         return;
       }
     }
@@ -81,6 +84,15 @@ class PsiQcModule : public sim::Module, public QcApi<V> {
     sim::encode_field(enc, "result", result_.value);
   }
 
+  /// The inner consensus decided `d`.
+  void on_result(std::uint64_t, const V& d) override {
+    finish(QcResult<V>::value_result(d));
+  }
+
+  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
+    return std::make_unique<PsiQcModule>(*this);
+  }
+
  private:
   void finish(QcResult<V> r) {
     if (decided_) return;
@@ -90,17 +102,13 @@ class PsiQcModule : public sim::Module, public QcApi<V> {
     // in the library's scenarios are non-negative).
     emit("qc-decide",
          result_.quit ? -1 : consensus::decide_event_value(result_.value));
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(result_);
-    }
+    notify(std::exchange(done_, {}), result_);
   }
 
   bool proposed_ = false;
   bool dispatched_ = false;
   V proposal_{};
-  DecideCb cb_;
+  sim::Hook done_;
   bool decided_ = false;
   QcResult<V> result_;
 };

@@ -6,9 +6,8 @@
 // only an option.
 #pragma once
 
-#include <functional>
-
 #include "common/check.h"
+#include "sim/module.h"
 
 namespace wfd::qc {
 
@@ -32,16 +31,16 @@ struct QcResult {
   friend bool operator==(const QcResult&, const QcResult&) = default;
 };
 
+/// A listener hooked to propose() implements
+/// sim::Listener<QcResult<V>>.
 template <typename V>
 class QcApi {
  public:
-  using DecideCb = std::function<void(const QcResult<V>&)>;
-
   virtual ~QcApi() = default;
 
-  /// Propose a value; may be called outside a step — the protocol starts
-  /// at the host's next step.
-  virtual void propose(const V& value, DecideCb cb) = 0;
+  /// Propose a value; `done` hears the result. May be called outside a
+  /// step — the protocol starts at the host's next step.
+  virtual void propose(const V& value, sim::Hook done = {}) = 0;
 
   [[nodiscard]] virtual bool decided() const = 0;
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -21,21 +22,21 @@
 
 namespace wfd::qc {
 
+/// Listens to the NBAC instance's decision.
 template <typename V>
-class QcFromNbacModule : public sim::Module, public QcApi<V> {
+class QcFromNbacModule : public sim::Module,
+                         public QcApi<V>,
+                         public sim::Listener<nbac::Decision> {
  public:
-  using typename QcApi<V>::DecideCb;
+  /// `inner`: the position of any NBAC solution hosted in the same
+  /// process.
+  explicit QcFromNbacModule(std::size_t inner) : inner_(inner) {}
 
-  /// `inner` is any NBAC solution hosted in the same process.
-  explicit QcFromNbacModule(nbac::NbacApi* inner) : inner_(inner) {
-    WFD_CHECK(inner_ != nullptr);
-  }
-
-  void propose(const V& value, DecideCb cb) override {
+  void propose(const V& value, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!proposed_, "propose called twice");
     proposed_ = true;
     proposal_ = value;
-    cb_ = std::move(cb);
+    done_ = done;
   }
 
   [[nodiscard]] bool decided() const override { return decided_; }
@@ -71,16 +72,20 @@ class QcFromNbacModule : public sim::Module, public QcApi<V> {
       broadcast(sim::make_payload<ProposalMsg>(proposal_),
                 /*include_self=*/false);
       // Line 2: d := VOTE(Yes).
-      inner_->vote(nbac::Vote::kYes, [this](nbac::Decision d) {
-        nbac_decision_ = d;
-        if (d == nbac::Decision::kAbort) {
-          // Lines 3-4.
-          finish(QcResult<V>::quit_result());
-        } else {
-          // Lines 5-7: wait for all proposals, return the smallest.
-          try_finish_commit();
-        }
-      });
+      host().template module_at<nbac::NbacApi>(inner_).vote(nbac::Vote::kYes,
+                                                            hook());
+    }
+  }
+
+  /// The NBAC instance decided `d`.
+  void on_result(std::uint64_t, const nbac::Decision& d) override {
+    nbac_decision_ = d;
+    if (d == nbac::Decision::kAbort) {
+      // Lines 3-4.
+      finish(QcResult<V>::quit_result());
+    } else {
+      // Lines 5-7: wait for all proposals, return the smallest.
+      try_finish_commit();
     }
   }
 
@@ -140,18 +145,14 @@ class QcFromNbacModule : public sim::Module, public QcApi<V> {
     result_ = std::move(r);
     emit("qc-decide",
          result_.quit ? -1 : consensus::decide_event_value(result_.value));
-    if (cb_) {
-      auto cb = std::move(cb_);
-      cb_ = nullptr;
-      cb(result_);
-    }
+    notify(std::exchange(done_, {}), result_);
   }
 
-  nbac::NbacApi* inner_;
+  std::size_t inner_;  ///< The NBAC module's position.
   bool proposed_ = false;
   bool announced_ = false;
   V proposal_{};
-  DecideCb cb_;
+  sim::Hook done_;
   std::vector<std::optional<V>> proposals_;
   int received_ = 0;
   std::optional<nbac::Decision> nbac_decision_;

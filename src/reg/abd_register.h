@@ -23,13 +23,12 @@
 
 #include <concepts>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
 #include "common/process_set.h"
+#include "reg/register_api.h"
 #include "sim/module.h"
 #include "sim/payload.h"
 
@@ -57,22 +56,8 @@ enum class QuorumRule {
   kMajority,  ///< Replier set must be a strict majority (classical ABD).
 };
 
-/// A module that invokes operations on an AbdRegisterModule of its own
-/// host and learns of their completion through these hooks instead of a
-/// callback. The register keeps the client's position in the host plus
-/// the caller's tag, which a cloned host resolves to the client's copy
-/// (sim/clone.h); a copied std::function would call into the source.
 template <typename V>
-class RegisterClient : public sim::Module {
- public:
-  /// The write invoked with `tag` completed.
-  virtual void write_done(std::uint64_t tag) = 0;
-  /// The read invoked with `tag` completed, returning `value`.
-  virtual void read_done(std::uint64_t tag, const V& value) = 0;
-};
-
-template <typename V>
-class AbdRegisterModule : public sim::Module {
+class AbdRegisterModule : public sim::Module, public RegisterApi<V> {
  public:
   struct Options {
     QuorumRule rule = QuorumRule::kSigma;
@@ -84,53 +69,30 @@ class AbdRegisterModule : public sim::Module {
     bool atomic_reads = true;
   };
 
-  using WriteCb = std::function<void()>;
-  using ReadCb = std::function<void(const V&)>;
-
   AbdRegisterModule() : AbdRegisterModule(Options{}) {}
   explicit AbdRegisterModule(Options opt)
       : opt_(opt), value_(opt.initial) {}
 
-  /// Invoke a write; cb runs (within a later step) when it completes.
-  /// May be called outside a step (e.g. before the run); the protocol
-  /// starts at the host's next step.
-  void write(const V& v, WriteCb cb) {
+  void write(const V& v, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!busy_, "one register operation at a time per module");
     busy_ = true;
     ++op_;
     pending_is_write_ = true;
     pending_value_ = v;
-    write_cb_ = std::move(cb);
+    done_ = done;
     phase_ = 0;  // Phase 1 broadcast happens on the next tick.
   }
 
-  /// Invoke a read; cb receives the value when it completes. May be
-  /// called outside a step, like write().
-  void read(ReadCb cb) {
+  void read(sim::Hook done = {}) override {
     WFD_CHECK_MSG(!busy_, "one register operation at a time per module");
     busy_ = true;
     ++op_;
     pending_is_write_ = false;
-    read_cb_ = std::move(cb);
+    done_ = done;
     phase_ = 0;
   }
 
-  /// As write(v, cb), but completion calls client.write_done(tag);
-  /// `client` must be a module of this register's host.
-  void write(const V& v, const RegisterClient<V>& client, std::uint64_t tag) {
-    write(v, WriteCb{});
-    client_ = client.index();
-    tag_ = tag;
-  }
-
-  /// As read(cb), but completion calls client.read_done(tag, value).
-  void read(const RegisterClient<V>& client, std::uint64_t tag) {
-    read(ReadCb{});
-    client_ = client.index();
-    tag_ = tag;
-  }
-
-  [[nodiscard]] bool busy() const { return busy_; }
+  [[nodiscard]] bool busy() const override { return busy_; }
 
   /// Operations completed by this module as a client.
   [[nodiscard]] std::uint64_t completed_ops() const { return completed_; }
@@ -186,10 +148,7 @@ class AbdRegisterModule : public sim::Module {
   /// busy_, so the verdict holds on either side of such a delivery.
   [[nodiscard]] bool tick_noop() const override { return !busy_; }
 
-  /// Not cloneable while a completion callback is set: a copied
-  /// std::function would still act on the source's client.
   [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    if (write_cb_ || read_cb_) return nullptr;
     return std::make_unique<AbdRegisterModule>(*this);
   }
 
@@ -339,44 +298,15 @@ class AbdRegisterModule : public sim::Module {
         // Regular-register ablation: return without writing back.
         busy_ = false;
         ++completed_;
-        finish_read(best_value_);
+        notify(std::exchange(done_, {}), best_value_);
       }
       return;
     }
-    // Phase 2 complete: the operation is done.
+    // Phase 2 complete: the operation is done. A write's phase-2 value
+    // is the written one.
     busy_ = false;
     ++completed_;
-    if (pending_is_write_) {
-      if (RegisterClient<V>* c = take_client()) {
-        c->write_done(tag_);
-        return;
-      }
-      auto cb = std::move(write_cb_);
-      write_cb_ = nullptr;
-      if (cb) cb();
-    } else {
-      finish_read(phase2_value_);
-    }
-  }
-
-  void finish_read(const V& value) {
-    if (RegisterClient<V>* c = take_client()) {
-      c->read_done(tag_, value);
-      return;
-    }
-    auto cb = std::move(read_cb_);
-    read_cb_ = nullptr;
-    if (cb) cb(value);
-  }
-
-  /// The hook client of the finishing operation, if it has one; the
-  /// register forgets it before the hook runs, like a callback.
-  [[nodiscard]] RegisterClient<V>* take_client() {
-    if (client_ == kNoClient) return nullptr;
-    auto* c = dynamic_cast<RegisterClient<V>*>(&host().module_at(client_));
-    WFD_CHECK_MSG(c != nullptr, "register client is not a RegisterClient");
-    client_ = kNoClient;
-    return c;
+    notify(std::exchange(done_, {}), phase2_value_);
   }
 
   Options opt_;
@@ -395,14 +325,7 @@ class AbdRegisterModule : public sim::Module {
   Stamp best_stamp_;
   V best_value_{};
   ProcessSet repliers_;
-  WriteCb write_cb_;
-  ReadCb read_cb_;
-  /// The hook client of the operation in flight (its position in the
-  /// host) and the tag it passed.
-  static constexpr std::size_t kNoClient =
-      std::numeric_limits<std::size_t>::max();
-  std::size_t client_ = kNoClient;
-  std::uint64_t tag_ = 0;
+  sim::Hook done_;  ///< The operation in flight's listener.
   std::uint64_t completed_ = 0;
 };
 

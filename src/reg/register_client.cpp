@@ -38,10 +38,10 @@ std::size_t History::completed() const {
   return k;
 }
 
-RegisterWorkloadModule::RegisterWorkloadModule(
-    AbdRegisterModule<std::int64_t>* target, History* history, Options opt)
+RegisterWorkloadModule::RegisterWorkloadModule(std::size_t target,
+                                               History* history, Options opt)
     : target_(target), history_(history), opt_(opt) {
-  WFD_CHECK(target_ != nullptr && history_ != nullptr);
+  WFD_CHECK(history_ != nullptr);
 }
 
 void RegisterWorkloadModule::on_tick() {
@@ -60,26 +60,20 @@ void RegisterWorkloadModule::issue_next() {
   if (first_op_time_ == kNever) first_op_time_ = now();
   const bool is_write =
       static_cast<int>(rng().below(100)) < opt_.write_percent;
+  auto& target = host().module_at<RegisterApi<std::int64_t>>(target_);
   if (is_write) {
     // Globally unique value: (client, per-client counter).
     const std::int64_t v = static_cast<std::int64_t>(
         (next_value_++ << 8) | static_cast<std::uint64_t>(self()));
-    const std::size_t idx = history_->invoke(self(), true, v, now());
-    target_->write(v, *this, idx);
+    target.write(v, hook(history_->invoke(self(), true, v, now())));
   } else {
-    const std::size_t idx = history_->invoke(self(), false, 0, now());
-    target_->read(*this, idx);
+    target.read(hook(history_->invoke(self(), false, 0, now())));
   }
 }
 
-void RegisterWorkloadModule::write_done(std::uint64_t tag) {
-  history_->respond(static_cast<std::size_t>(tag), now(), 0);
-  last_response_time_ = now();
-  in_flight_ = false;
-}
-
-void RegisterWorkloadModule::read_done(std::uint64_t tag,
+void RegisterWorkloadModule::on_result(std::uint64_t tag,
                                        const std::int64_t& value) {
+  // History::respond ignores the value of a write.
   history_->respond(static_cast<std::size_t>(tag), now(), value);
   last_response_time_ = now();
   in_flight_ = false;

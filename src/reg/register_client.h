@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "reg/abd_register.h"
+#include "reg/register_api.h"
 #include "sim/module.h"
 
 namespace wfd::reg {
@@ -46,7 +46,8 @@ class History {
 /// A client issuing `num_ops` operations, alternating write/read or
 /// randomized, then reporting done. Values written are unique per client
 /// (client id in the low bits) so the checker can distinguish writes.
-class RegisterWorkloadModule : public RegisterClient<std::int64_t> {
+class RegisterWorkloadModule : public sim::Module,
+                               public sim::Listener<std::int64_t> {
  public:
   struct Options {
     int num_ops = 8;
@@ -56,17 +57,16 @@ class RegisterWorkloadModule : public RegisterClient<std::int64_t> {
     Time think_time = 0;
   };
 
-  /// `target` must be hosted next to this module (its completions
-  /// come back through the RegisterClient hooks).
-  RegisterWorkloadModule(AbdRegisterModule<std::int64_t>* target,
-                         History* history, Options opt);
+  /// `target`: the position in this host of the register to drive (a
+  /// RegisterApi<std::int64_t>).
+  RegisterWorkloadModule(std::size_t target, History* history, Options opt);
 
   void on_message(ProcessId, const sim::Payload&) override {}
   void on_tick() override;
   [[nodiscard]] bool done() const override { return ops_issued_ >= opt_.num_ops && !in_flight_; }
 
   /// The tick early-outs while an op is in flight or the script is
-  /// spent. in_flight_ only changes in completion callbacks driven by
+  /// spent. in_flight_ only changes in completion hooks driven by
   /// reply deliveries — which are not tick-insensitive — so the verdict
   /// is stable across every delivery the explorer may commute with.
   [[nodiscard]] bool tick_noop() const override {
@@ -87,21 +87,19 @@ class RegisterWorkloadModule : public RegisterClient<std::int64_t> {
     enc.field("next-value", next_value_);
   }
 
-  /// Completions record the response time into the History.
-  void write_done(std::uint64_t tag) override;
-  void read_done(std::uint64_t tag, const std::int64_t& value) override;
+  /// The operation tagged with its History index completed: records
+  /// the response time (and a read's value) into the History.
+  void on_result(std::uint64_t tag, const std::int64_t& value) override;
 
   [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
     return std::make_unique<RegisterWorkloadModule>(*this);
   }
 
-  /// The target register by position in the host; the History through
-  /// `map` (its owner, e.g. RegisterAtomicityInvariant, records it).
-  [[nodiscard]] bool relink(const sim::ModuleHost& from,
-                            const sim::CloneMap& map) override {
-    target_ = host().counterpart(from, target_);
+  /// The History through `map` (its owner, e.g.
+  /// RegisterAtomicityInvariant, records it).
+  [[nodiscard]] bool relink(const sim::CloneMap& map) override {
     history_ = map.find(history_);
-    return target_ != nullptr && history_ != nullptr;
+    return history_ != nullptr;
   }
 
   [[nodiscard]] Time first_op_time() const { return first_op_time_; }
@@ -110,7 +108,7 @@ class RegisterWorkloadModule : public RegisterClient<std::int64_t> {
  private:
   void issue_next();
 
-  AbdRegisterModule<std::int64_t>* target_;
+  std::size_t target_;
   History* history_;
   Options opt_;
   int ops_issued_ = 0;

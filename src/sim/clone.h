@@ -1,10 +1,10 @@
 // Cloning a running system (the explorer's checkpoints, DESIGN.md §12).
 //
-// Every component of a scenario — process, module, oracle, scheduler,
-// invariant, liveness clause — offers a clone() whose default returns
-// null, meaning "not cloneable" (the idiom of encode_state's opaque
-// default): a system with any such part is simply rebuilt and
-// re-executed instead. A clone copies its source's state and shares
+// Every component of a scenario offers a clone(). For processes,
+// modules, oracles, schedulers and invariants the default returns null,
+// meaning "not cloneable" (the idiom of encode_state's opaque default):
+// a system with any such part is simply rebuilt and re-executed
+// instead. A clone copies its source's state and shares
 // only immutable payloads (PayloadPtr) with it; every pointer the
 // source borrows is re-pointed at the clone's own copy of the borrowed
 // object, so the source stays untouched while the clone runs. The
@@ -25,21 +25,21 @@ namespace wfd::sim {
 /// decision source its choice points ask (ReplayScheduler, choice-driven
 /// oracles), and the copies of objects outside the simulator that
 /// modules borrow, such as a register History an invariant owns.
-/// Same-host module references are re-pointed by position instead
-/// (ModuleHost::counterpart).
+/// Same-host module references need no entry: they are positions and
+/// hooks (sim/module.h), which a copy keeps as they are.
 class CloneMap {
  public:
   explicit CloneMap(ChoiceSource& choices) : choices_(&choices) {}
 
   [[nodiscard]] ChoiceSource& choices() const { return *choices_; }
 
-  /// Record that `copy` is the clone's counterpart of `source`.
+  /// Record that `copy` is the clone's copy of `source`.
   void add(const void* source, void* copy) {
     WFD_CHECK_MSG(size_ < pairs_.size(), "raise CloneMap's capacity");
     pairs_[size_++] = {source, copy};
   }
 
-  /// The counterpart recorded for `source`; null when there is none.
+  /// The copy recorded for `source`; null when there is none.
   template <typename T>
   [[nodiscard]] T* find(const T* source) const {
     for (std::size_t i = 0; i < size_; ++i) {

@@ -15,19 +15,21 @@ fd::FdValue Module::detector() const {
 }
 
 void Module::send(ProcessId to, PayloadPtr payload) {
-  if (transport_ != nullptr) {
-    transport_->module_send(name_, to, std::move(payload));
+  if (transport_ != Hook::kNone) {
+    host().module_at<ModuleTransport>(transport_).module_send(
+        name_, to, std::move(payload));
     return;
   }
   host().module_out(name_, to, std::move(payload));
 }
 
 void Module::broadcast(PayloadPtr payload, bool include_self) {
-  if (transport_ != nullptr) {
+  if (transport_ != Hook::kNone) {
+    auto& transport = host().module_at<ModuleTransport>(transport_);
     const int count = n();
     for (ProcessId q = 0; q < count; ++q) {
       if (!include_self && q == self()) continue;
-      transport_->module_send(name_, q, payload);
+      transport.module_send(name_, q, payload);
     }
     return;
   }
@@ -50,11 +52,6 @@ ModuleHost::~ModuleHost() = default;
 Module* ModuleHost::find_module(const std::string& module_name) const {
   const auto it = by_name_->find(module_name);
   return it == by_name_->end() ? nullptr : modules_[it->second].get();
-}
-
-Module& ModuleHost::module_at(std::size_t index) const {
-  WFD_CHECK(index < modules_.size());
-  return *modules_[index];
 }
 
 void ModuleHost::attach_module(std::unique_ptr<Module> mod,
@@ -158,16 +155,8 @@ bool ModuleHost::clone_modules(ModuleHost& to, const CloneMap& map) const {
     copy->host_ = &to;
     to.modules_.push_back(std::move(copy));
   }
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    Module& copy = *to.modules_[i];
-    if (copy.transport_ != nullptr) {
-      // A transport is a module of the same host (set_transport).
-      const auto* t = dynamic_cast<const Module*>(copy.transport_);
-      Module* mine = to.counterpart(*this, t);
-      copy.transport_ = dynamic_cast<ModuleTransport*>(mine);
-      if (copy.transport_ == nullptr) return false;
-    }
-    if (!copy.relink(*this, map)) return false;
+  for (const auto& copy : to.modules_) {
+    if (!copy->relink(map)) return false;
   }
   to.by_name_ = by_name_;
   to.undelivered_ = undelivered_;

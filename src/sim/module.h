@@ -5,9 +5,10 @@
 // (Fig. 2), the Sigma extraction on top of n register instances (Fig. 1),
 // FS is built from infinitely many NBAC instances, and register-based
 // consensus uses n register instances. A ModuleHost hosts named modules
-// inside one process; messages are routed by module name, and modules
-// interact locally through direct method calls and completion callbacks,
-// all within the host's atomic steps.
+// inside one process. Messages are routed by module name. Inside the
+// host, a module reaches another by its position (Module::index()) and
+// learns of a result through a Hook, all within the host's atomic steps
+// (DESIGN.md §12, composition).
 //
 // Two hosts exist (the sim-vs-runtime contract, DESIGN.md §11):
 // sim::ModularProcess runs the modules as a process automaton inside the
@@ -18,6 +19,8 @@
 // ever talk to the world through the ModuleHost surface below.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -66,6 +69,30 @@ class ModuleTransport {
                            PayloadPtr payload) = 0;
 };
 
+/// Where a module reports a result: the listening module's position in
+/// the notifier's host (Module::index()) plus a tag the listener chose.
+/// A position survives a copy of the host unchanged, so a cloned
+/// notifier reports to the listener's copy with nothing to re-point. A
+/// default Hook names no listener.
+struct Hook {
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::size_t listener = kNone;
+  std::uint64_t tag = 0;
+
+  [[nodiscard]] explicit operator bool() const { return listener != kNone; }
+};
+
+/// Implemented by a module that listens for results of type R. The
+/// notifier calls it through its host, synchronously and inside the
+/// step that produced the result.
+template <typename R>
+class Listener {
+ public:
+  virtual ~Listener() = default;
+  /// The operation hooked with `tag` produced `result`.
+  virtual void on_result(std::uint64_t tag, const R& result) = 0;
+};
+
 /// Everything a Module needs from whatever is hosting it — the seam that
 /// lets one module codebase run under both the simulator/explorer and
 /// the concurrent runtime (aliased as runtime::Host there).
@@ -84,8 +111,8 @@ class ModuleTransport {
 ///
 /// Delivery and tick *scheduling* deliberately stay outside this
 /// interface: the host decides when on_message/on_tick run (the
-/// simulator per atomic step, the runtime per inbox batch and timer-
-/// wheel deadline); modules only ever observe the calls.
+/// simulator per atomic step, the runtime per inbox batch and tick
+/// deadline); modules only ever observe the calls.
 class ModuleHost {
  public:
   virtual ~ModuleHost();
@@ -111,15 +138,12 @@ class ModuleHost {
   template <typename M>
   [[nodiscard]] M& module(const std::string& module_name) const;
 
-  /// The module at position `index` of this host (Module::index()).
-  [[nodiscard]] Module& module_at(std::size_t index) const;
-
-  /// This host's module at the position `m` holds in host `from`: how a
-  /// cloned module re-points a same-host module reference (see
-  /// Module::relink). Null when `m` is not hosted by `from` or the copy
-  /// is not an M.
-  template <typename M>
-  [[nodiscard]] M* counterpart(const ModuleHost& from, const M* m) const;
+  /// The module at position `index` of this host (Module::index()), as
+  /// a T: how a module reaches another module of its host, such as a
+  /// hook's listener or a module it stacks on. Asserts on a bad
+  /// position or type.
+  template <typename T>
+  [[nodiscard]] T& module_at(std::size_t index) const;
 
   // --- Environment surface (what Module's protected helpers consume).
 
@@ -181,10 +205,11 @@ class ModuleHost {
   void encode_modules(StateEncoder& enc) const;
 
   /// Copies every module, the pre-existence buffer and the started flag
-  /// into `to`, a host without modules, then re-points each copy's host,
-  /// transport and (Module::relink) everything else it borrows. False
-  /// when some module is not cloneable or borrows something without a
-  /// counterpart; `to` is then unusable.
+  /// into `to`, a host without modules, then re-points each copy's host
+  /// and (Module::relink) the objects outside the simulator it borrows.
+  /// Positions and hooks need no re-pointing. False when some module is
+  /// not cloneable or borrows something without a copy; `to` is then
+  /// unusable.
   [[nodiscard]] bool clone_modules(ModuleHost& to, const CloneMap& map) const;
 
  private:
@@ -243,10 +268,12 @@ class Module {
   /// host's sample (pass nullptr to restore the host's detector).
   void set_fd_source(const FdSource* src) { fd_source_ = src; }
 
-  /// Route this module's send/broadcast through `t` instead of the raw
-  /// network (pass nullptr to restore direct sends). The transport must
-  /// live on the same host and must not itself have a transport set.
-  void set_transport(ModuleTransport* t) { transport_ = t; }
+  /// Route this module's send/broadcast through `transport`, a module of
+  /// the same host that implements ModuleTransport and has no transport
+  /// itself, instead of the raw network.
+  void set_transport(const Module& transport) {
+    transport_ = transport.index();
+  }
 
   /// Fold every member that influences this module's future behaviour
   /// into `enc` (see StateEncoder for the conventions). The host wraps
@@ -259,27 +286,28 @@ class Module {
 
   /// A member-wise copy for a cloned host (sim/clone.h), or null — the
   /// default, like encode_state's opaque one — when this module cannot
-  /// be copied; a module holding a callback it cannot re-point must
-  /// return null. The copy keeps this module's pointers until the host
-  /// re-points them: host and transport itself, the rest via relink().
+  /// be copied. Positions and hooks copy as they are; the host sets the
+  /// copy's host pointer, and relink() re-points the rest.
   [[nodiscard]] virtual std::unique_ptr<Module> clone() const {
     return nullptr;
   }
 
-  /// Re-points what a fresh copy borrows, once every module of its host
-  /// has been copied: a module of the source host `from` through
-  /// host().counterpart(from, ...), an object outside the simulator
-  /// through `map`. False when something has no counterpart, which
-  /// fails the clone. The default borrows nothing.
-  [[nodiscard]] virtual bool relink(const ModuleHost& from,
-                                    const CloneMap& map) {
-    (void)from;
+  /// Re-points what a fresh copy borrows from outside the simulator
+  /// (such as a register History an invariant owns) through `map`.
+  /// False when something has no copy there, which fails the clone. The
+  /// default borrows nothing.
+  [[nodiscard]] virtual bool relink(const CloneMap& map) {
     (void)map;
     return true;
   }
 
   /// This module's position in its host's module list (add order).
   [[nodiscard]] std::size_t index() const { return index_; }
+
+  /// A hook naming this module as the listener, with `tag`.
+  [[nodiscard]] Hook hook(std::uint64_t tag = 0) const {
+    return Hook{index_, tag};
+  }
 
  protected:
   /// The failure-detector value this module should act on in this step:
@@ -296,13 +324,23 @@ class Module {
   Rng& rng();
   [[nodiscard]] ModuleHost& host() const;
 
+  /// Report `result` to the listener `to` names (nothing when `to` is
+  /// empty). A one-shot hook is cleared before the call, so the
+  /// listener may arm a new one: notify(std::exchange(hook_, {}), r).
+  template <typename R>
+  void notify(const Hook& to, const R& result) const {
+    if (!to) return;
+    host().template module_at<Listener<R>>(to.listener)
+        .on_result(to.tag, result);
+  }
+
  private:
   friend class ModuleHost;
   ModuleHost* host_ = nullptr;
   std::size_t index_ = 0;
   std::string name_;
   const FdSource* fd_source_ = nullptr;
-  ModuleTransport* transport_ = nullptr;
+  std::size_t transport_ = Hook::kNone;  ///< A position, or kNone.
 };
 
 template <typename M>
@@ -314,14 +352,12 @@ M& ModuleHost::module(const std::string& module_name) const {
   return *typed;
 }
 
-template <typename M>
-M* ModuleHost::counterpart(const ModuleHost& from, const M* m) const {
-  const Module* base = m;
-  if (base == nullptr || base->host_ != &from ||
-      base->index_ >= modules_.size()) {
-    return nullptr;
-  }
-  return dynamic_cast<M*>(modules_[base->index_].get());
+template <typename T>
+T& ModuleHost::module_at(std::size_t index) const {
+  WFD_CHECK_MSG(index < modules_.size(), "no module at this position");
+  auto* typed = dynamic_cast<T*>(modules_[index].get());
+  WFD_CHECK_MSG(typed != nullptr, "module type mismatch at this position");
+  return *typed;
 }
 
 /// Wire format: every inter-process message of a module is wrapped with

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -27,6 +26,7 @@
 
 #include "common/check.h"
 #include "consensus/omega_sigma_consensus.h"
+#include "reg/register_api.h"
 #include "sim/module.h"
 
 namespace wfd::smr {
@@ -60,18 +60,18 @@ struct BasicRegCommand {
   }
 };
 
+/// Listens to each slot's decided command (the hook's tag is the slot).
 template <typename V>
-class BasicSmrRegisterModule : public sim::Module {
+class BasicSmrRegisterModule : public sim::Module,
+                               public reg::RegisterApi<V>,
+                               public sim::Listener<BasicRegCommand<V>> {
  public:
   using RegCommand = BasicRegCommand<V>;
-  using WriteCb = std::function<void()>;
-  using ReadCb = std::function<void(const V&)>;
   using SlotConsensus = consensus::OmegaSigmaConsensusModule<RegCommand>;
 
-  /// May be called outside a step; the protocol starts at the next tick.
-  void write(const V& v, WriteCb cb) {
+  void write(const V& v, sim::Hook done = {}) override {
     WFD_CHECK_MSG(!busy(), "one SMR register operation at a time");
-    write_cb_ = std::move(cb);
+    done_ = done;
     RegCommand cmd;
     cmd.client = kPendingSelf;
     cmd.op_id = next_op_id_++;
@@ -80,9 +80,9 @@ class BasicSmrRegisterModule : public sim::Module {
     submit(cmd);
   }
 
-  void read(ReadCb cb) {
+  void read(sim::Hook done = {}) override {
     WFD_CHECK_MSG(!busy(), "one SMR register operation at a time");
-    read_cb_ = std::move(cb);
+    done_ = done;
     RegCommand cmd;
     cmd.client = kPendingSelf;
     cmd.op_id = next_op_id_++;
@@ -90,7 +90,9 @@ class BasicSmrRegisterModule : public sim::Module {
     submit(cmd);
   }
 
-  [[nodiscard]] bool busy() const { return own_pending_.has_value(); }
+  [[nodiscard]] bool busy() const override {
+    return own_pending_.has_value();
+  }
 
   /// Replica state after all applied slots (for tests).
   [[nodiscard]] const V& replica_value() const { return value_; }
@@ -121,6 +123,13 @@ class BasicSmrRegisterModule : public sim::Module {
   }
 
   [[nodiscard]] bool done() const override { return !busy(); }
+
+  /// Slot `slot` decided `cmd`.
+  void on_result(std::uint64_t slot, const RegCommand& cmd) override {
+    decisions_.emplace(slot, cmd);
+    apply_ready_slots();
+    drive_log();  // Keep the log moving while an operation is in flight.
+  }
 
   void encode_state(sim::StateEncoder& enc) const override {
     sim::encode_field(enc, "value", value_);
@@ -214,15 +223,7 @@ class BasicSmrRegisterModule : public sim::Module {
     auto& inst = host().template add_module<SlotConsensus>(
         name() + "/slot/" + std::to_string(slot));
     broadcast(sim::make_payload<AnnounceSlot>(slot), /*include_self=*/false);
-    inst.propose(pick_proposal(), [this, slot](const RegCommand& cmd) {
-      on_slot_decided(slot, cmd);
-    });
-  }
-
-  void on_slot_decided(std::uint64_t slot, const RegCommand& cmd) {
-    decisions_.emplace(slot, cmd);
-    apply_ready_slots();
-    drive_log();  // Keep the log moving while an operation is in flight.
+    inst.propose(pick_proposal(), hook(slot));
   }
 
   void apply_ready_slots() {
@@ -237,15 +238,8 @@ class BasicSmrRegisterModule : public sim::Module {
       if (cmd.is_write) value_ = cmd.value;
       if (own_pending_.has_value() && cmd == *own_pending_) {
         own_pending_.reset();
-        if (cmd.is_write) {
-          auto cb = std::move(write_cb_);
-          write_cb_ = nullptr;
-          if (cb) cb();
-        } else {
-          auto cb = std::move(read_cb_);
-          read_cb_ = nullptr;
-          if (cb) cb(value_);
-        }
+        // A write's command has just set value_ to the written value.
+        notify(std::exchange(done_, {}), value_);
       }
     }
   }
@@ -256,8 +250,7 @@ class BasicSmrRegisterModule : public sim::Module {
 
   std::optional<RegCommand> own_pending_;
   bool unannounced_ = false;
-  WriteCb write_cb_;
-  ReadCb read_cb_;
+  sim::Hook done_;  ///< The operation in flight's listener.
 
   std::set<RegCommand> pool_;  ///< Known, not-yet-applied commands.
   std::set<std::pair<ProcessId, std::uint64_t>> applied_cmds_;

@@ -22,7 +22,9 @@
 
 namespace wfd::smr {
 
-class ReplicatedObjectModule : public sim::Module {
+/// Listens to its abcast module's TO-deliveries.
+class ReplicatedObjectModule : public sim::Module,
+                               public sim::Listener<broadcast::AppMessage> {
  public:
   /// Deterministic transition: (command) -> result, mutating captured
   /// state. Every process must install the same function.
@@ -51,7 +53,7 @@ class ReplicatedObjectModule : public sim::Module {
   /// function of the applied prefix of the abcast total order, which the
   /// abcast module encodes — so folding the counters suffices.
   void encode_state(sim::StateEncoder& enc) const override {
-    enc.field("has-abcast", ab_ != nullptr);
+    enc.field("has-abcast", ab_ != sim::Hook::kNone);
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       enc.push("pending", i);
       enc.field("cmd", pending_[i].first);
@@ -66,7 +68,21 @@ class ReplicatedObjectModule : public sim::Module {
     enc.field("applied", applied_);
   }
 
+  /// The abcast module TO-delivered `m`: apply it, and resolve this
+  /// replica's own command with its result.
+  void on_result(std::uint64_t, const broadcast::AppMessage& m) override {
+    const std::int64_t result = apply_(m.body);
+    ++applied_;
+    if (m.origin != self()) return;
+    auto it = inflight_.find(m.seq);
+    if (it == inflight_.end()) return;
+    auto cb = std::move(it->second);
+    inflight_.erase(it);
+    if (cb) cb(result);
+  }
+
   void on_tick() override {
+    if (pending_.empty()) return;
     auto& ab = ensure_abcast();
     while (!pending_.empty()) {
       auto [cmd, cb] = std::move(pending_.front());
@@ -80,27 +96,17 @@ class ReplicatedObjectModule : public sim::Module {
 
  private:
   broadcast::AtomicBroadcastModule& ensure_abcast() {
-    if (ab_ == nullptr) {
-      ab_ = &host().add_module<broadcast::AtomicBroadcastModule>(
+    if (ab_ == sim::Hook::kNone) {
+      auto& ab = host().add_module<broadcast::AtomicBroadcastModule>(
           name() + "/ab");
-      ab_->set_deliver([this](const broadcast::AppMessage& m) {
-        const std::int64_t result = apply_(m.body);
-        ++applied_;
-        if (m.origin == self()) {
-          auto it = inflight_.find(m.seq);
-          if (it != inflight_.end()) {
-            auto cb = std::move(it->second);
-            inflight_.erase(it);
-            if (cb) cb(result);
-          }
-        }
-      });
+      ab.set_deliver(hook());
+      ab_ = ab.index();
     }
-    return *ab_;
+    return host().module_at<broadcast::AtomicBroadcastModule>(ab_);
   }
 
   ApplyFn apply_;
-  broadcast::AtomicBroadcastModule* ab_ = nullptr;
+  std::size_t ab_ = sim::Hook::kNone;  ///< The abcast module's position.
   std::vector<std::pair<std::int64_t, ResultCb>> pending_;
   std::map<std::uint64_t, ResultCb> inflight_;
   std::uint64_t next_seq_ = 1;  ///< Mirrors UrbModule's numbering.

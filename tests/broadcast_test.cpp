@@ -171,18 +171,17 @@ TEST(ConsensusFromAbcastTest, EquivalenceRoundTrip) {
   cfg.max_steps = 400000;
   cfg.seed = 17;
   sim::Simulator s(cfg, f, test::omega_sigma(), test::random_sched());
-  std::vector<std::optional<std::int64_t>> decisions(n);
+  std::vector<const consensus::ConsensusFromAbcastModule*> cons;
   const std::vector<std::int64_t> proposals = {11, 22, 33};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<consensus::ConsensusFromAbcastModule>("cfa");
-    c.propose(proposals[static_cast<std::size_t>(i)],
-              [&decisions, i](const std::int64_t& d) {
-                decisions[static_cast<std::size_t>(i)] = d;
-              });
+    c.propose(proposals[static_cast<std::size_t>(i)]);
+    cons.push_back(&c);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
+  const auto decisions = test::decisions(cons);
   std::optional<std::int64_t> agreed;
   for (int i = 0; i < n; ++i) {
     if (f.correct().contains(i)) {
@@ -198,6 +197,42 @@ TEST(ConsensusFromAbcastTest, EquivalenceRoundTrip) {
   ASSERT_TRUE(agreed.has_value());
   EXPECT_TRUE(std::find(proposals.begin(), proposals.end(), *agreed) !=
               proposals.end());
+}
+
+/// Records the result its hook hears.
+class DecisionProbe : public sim::Module, public sim::Listener<std::int64_t> {
+ public:
+  void on_message(ProcessId, const sim::Payload&) override {}
+  void on_result(std::uint64_t, const std::int64_t& d) override { heard = d; }
+  std::optional<std::int64_t> heard;
+};
+
+// A process decides on the first TO-delivered message, proposer or not,
+// so a propose that comes after its decision must report it at once.
+TEST(ConsensusFromAbcastTest, LateProposeLearnsDecision) {
+  const int n = 3;
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.max_steps = 400000;
+  cfg.seed = 17;
+  sim::Simulator s(cfg, test::pattern(n), test::omega_sigma(),
+                   test::random_sched());
+  std::vector<consensus::ConsensusFromAbcastModule*> cons;
+  DecisionProbe* probe = nullptr;
+  for (int i = 0; i < n; ++i) {
+    auto& host = s.add_process<sim::ModularProcess>();
+    auto& c = host.add_module<consensus::ConsensusFromAbcastModule>("cfa");
+    if (i < 2) c.propose(11 * (i + 1));
+    cons.push_back(&c);
+    if (i == 2) probe = &host.add_module<DecisionProbe>("probe");
+  }
+  s.set_halt_on_done(false);
+  s.run_for(20000);
+  ASSERT_TRUE(cons[0]->decided() && cons[2]->decided());
+  cons[2]->propose(33, probe->hook());
+  ASSERT_TRUE(probe->heard.has_value());
+  EXPECT_EQ(*probe->heard, cons[2]->decision());
+  EXPECT_EQ(*probe->heard, cons[0]->decision());
 }
 
 }  // namespace

@@ -3,12 +3,12 @@
 // and re-executing the prefix, so a copy must continue exactly as its
 // source, and a search must count the same whichever path it takes.
 //
-//  1. Lockstep: for every problem whose parts are cloneable, seeded
-//     random runs are cloned at every step boundary; the copy, the
-//     source and a rebuild replayed to the same boundary then take the
-//     same decisions to the end and must agree after every step.
-//  2. Defaults: the problems whose parts keep the not-cloneable default,
-//     and a scenario with a forwarding invariant decorator, refuse.
+//  1. Lockstep: for every problem, seeded random runs are cloned at
+//     every step boundary; the copy, the source and a rebuild replayed
+//     to the same boundary then take the same decisions to the end and
+//     must agree after every step.
+//  2. Defaults: a scenario whose invariant sits behind a forwarding
+//     decorator that keeps the not-cloneable default refuses.
 //  3. Fingerprint caches: a copy inherits its source's cached process
 //     and in-flight encodings, so along seeded random runs of every
 //     problem — copies included — the cached fold must equal a full
@@ -100,9 +100,9 @@ std::string observe(Scenario& sc) {
 /// True when some process's register module has an operation in flight
 /// (its completion hook is live).
 bool register_busy(const Scenario& sc) {
-  for (ProcessId p = 0; p < sc.sim->n(); ++p) {
-    const auto* host =
-        dynamic_cast<const sim::ModuleHost*>(&sc.sim->process(p));
+  const sim::Simulator& s = *sc.sim;  // The const accessor keeps caches.
+  for (ProcessId p = 0; p < s.n(); ++p) {
+    const auto* host = dynamic_cast<const sim::ModuleHost*>(&s.process(p));
     if (host == nullptr) continue;
     const sim::Module* m = host->find_module("reg");
     const auto* r =
@@ -112,9 +112,30 @@ bool register_busy(const Scenario& sc) {
   return false;
 }
 
+/// True when some process's inner QC consensus or abcast round consensus
+/// has proposed but not decided: its decision hook into the module above
+/// is armed.
+bool consensus_hook_armed(const Scenario& sc) {
+  const sim::Simulator& s = *sc.sim;
+  for (ProcessId p = 0; p < s.n(); ++p) {
+    const auto* host = dynamic_cast<const sim::ModuleHost*>(&s.process(p));
+    if (host == nullptr) continue;
+    // An (Omega, Sigma) consensus is done() unless proposed and undecided.
+    const sim::Module* m = host->find_module("qc/cons");
+    if (m != nullptr && !m->done()) return true;
+    for (int k = 0; (m = host->find_module("abcast/round/" +
+                                           std::to_string(k))) != nullptr;
+         ++k) {
+      if (!m->done()) return true;
+    }
+  }
+  return false;
+}
+
 struct Lockstep {
   std::uint64_t clone_points = 0;
   std::uint64_t busy_points = 0;  ///< Clone points with a register op live.
+  std::uint64_t armed_points = 0;  ///< With a consensus decision hook armed.
 };
 
 /// Clones a random run of `opt` at every step boundary and steps the
@@ -139,6 +160,7 @@ Lockstep check_lockstep(const ScenarioOptions& opt, std::uint64_t seed) {
     if (!copy.has_value()) return out;
     ++out.clone_points;
     if (register_busy(source.sc)) ++out.busy_points;
+    if (consensus_hook_armed(source.sc)) ++out.armed_points;
     EXPECT_EQ(observe(*copy), observe(rebuild.sc));
     for (std::uint64_t step = k + 1;; ++step) {
       const bool a = copy->sim->step();
@@ -191,11 +213,27 @@ const std::vector<Converted>& converted() {
         "--crashes=1", "--fd=static", "--liveness=termination",
         "--depth=40"}},
       {"sigma", {"--problem=sigma", "--n=3", "--depth=20"}},
+      {"qc", {"--problem=qc", "--n=3", "--depth=40"}},
+      {"nbac", {"--problem=nbac", "--n=3", "--depth=40"}},
+      {"rb", {"--problem=rb", "--n=3", "--depth=40"}},
+      {"abcast", {"--problem=abcast", "--n=2", "--depth=40"}},
+      {"omega-impl", {"--problem=omega-impl", "--n=3", "--depth=30"}},
+      {"omega-impl fd-completeness",
+       {"--problem=omega-impl", "--n=3", "--liveness=fd-completeness",
+        "--reduction=none", "--depth=30"}},
   };
   return kCases;
 }
 
 TEST(CheckpointLockstepTest, CopiesSourcesAndRebuildsStayEqual) {
+  // Every problem of the table has a row.
+  for (const std::string& problem : ScenarioFactory::problems()) {
+    EXPECT_TRUE(std::any_of(converted().begin(), converted().end(),
+                            [&problem](const Converted& c) {
+                              return c.flags[0] == "--problem=" + problem;
+                            }))
+        << problem;
+  }
   for (const Converted& c : converted()) {
     SCOPED_TRACE(c.name);
     const ScenarioOptions opt = scenario(c.flags);
@@ -205,11 +243,17 @@ TEST(CheckpointLockstepTest, CopiesSourcesAndRebuildsStayEqual) {
       const Lockstep l = check_lockstep(opt, seed);
       total.clone_points += l.clone_points;
       total.busy_points += l.busy_points;
+      total.armed_points += l.armed_points;
     }
     EXPECT_GT(total.clone_points, 3u);
     if (opt.problem.rfind("register", 0) == 0) {
       EXPECT_GT(total.busy_points, 0u)
           << "no clone point with a register operation in flight";
+    }
+    if (opt.problem == "qc" || opt.problem == "nbac" ||
+        opt.problem == "abcast") {
+      EXPECT_GT(total.armed_points, 0u)
+          << "no clone point with a consensus decision hook armed";
     }
   }
 }
@@ -242,23 +286,7 @@ ScenarioBuilder decorated(ScenarioBuilder inner) {
 }
 
 TEST(CheckpointDefaultsTest, UnconvertedPartsAreNotCloneable) {
-  const std::vector<std::vector<std::string>> unconverted = {
-      {"--problem=qc", "--n=3"},
-      {"--problem=nbac", "--n=3"},
-      {"--problem=rb", "--n=3"},
-      {"--problem=abcast", "--n=2"},
-      {"--problem=omega-impl", "--n=3"},
-  };
-  for (const auto& flags : unconverted) {
-    SCOPED_TRACE(flags[0]);
-    const ScenarioOptions opt = scenario(flags);
-    sim::RandomChoices choices(1);
-    Scenario sc = ScenarioFactory(opt).build(choices);
-    for (int i = 0; i < 5 && sc.sim->step(); ++i) {
-    }
-    EXPECT_FALSE(clone_scenario(sc, choices).has_value());
-  }
-  // A converted scenario behind a decorator that keeps the default.
+  // A cloneable scenario behind a decorator that keeps the default.
   const ScenarioOptions opt = scenario({"--problem=register", "--n=3"});
   sim::RandomChoices choices(1);
   Scenario plain = ScenarioFactory(opt).build(choices);
@@ -490,6 +518,16 @@ TEST(CheckpointDifferentialTest, ConsensusSymmetry) {
 TEST(CheckpointDifferentialTest, ConsensusAdversarial) {
   expect_paths_agree({"--problem=consensus", "--n=3", "--fd=adversarial",
                       "--depth=10", "--max-states=5000"});
+}
+
+TEST(CheckpointDifferentialTest, NbacSymmetry) {
+  expect_paths_agree({"--problem=nbac", "--n=3", "--fd=static",
+                      "--symmetry", "--depth=12"});
+}
+
+TEST(CheckpointDifferentialTest, AbcastTwoProcesses) {
+  expect_paths_agree({"--problem=abcast", "--n=2", "--fd=static",
+                      "--depth=12"});
 }
 
 TEST(CheckpointDifferentialTest, CrashLivenessLasso) {

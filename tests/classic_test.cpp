@@ -54,18 +54,18 @@ TEST_P(StrongConsensusSweep, DecidesWithAgreementAndValidity) {
     oracle = std::make_unique<fd::StrongOracle>();
   }
   sim::Simulator s(cfg, f, std::move(oracle), test::random_sched());
-  std::vector<std::optional<int>> decisions(prm.n);
+  std::vector<const consensus::ConsensusApi<int>*> mods;
   std::vector<int> proposals;
   for (int i = 0; i < prm.n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<StrongConsensusModule<int>>("scons");
     const int v = 100 + i;  // Distinct proposals stress the relay rounds.
     proposals.push_back(v);
-    c.propose(v, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    c.propose(v);
+    mods.push_back(&c);
   }
   const auto res = s.run();
+  const auto decisions = test::decisions(mods);
   EXPECT_TRUE(res.all_done);
   std::optional<int> agreed;
   for (int i = 0; i < prm.n; ++i) {
@@ -114,17 +114,16 @@ TEST_P(NbacFromPerfectSweep, SpecHolds) {
   cfg.seed = prm.seed;
   sim::Simulator s(cfg, f, std::make_unique<fd::PerfectOracle>(),
                    test::random_sched());
-  std::vector<std::optional<nbac::Decision>> decisions(n);
+  std::vector<const nbac::NbacApi*> mods;
   bool all_yes = prm.no_votes == 0;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& nb = host.add_module<nbac::NbacFromPerfectModule>("nbac");
-    nb.vote(i < prm.no_votes ? nbac::Vote::kNo : nbac::Vote::kYes,
-            [&decisions, i](nbac::Decision d) {
-              decisions[static_cast<std::size_t>(i)] = d;
-            });
+    nb.vote(i < prm.no_votes ? nbac::Vote::kNo : nbac::Vote::kYes);
+    mods.push_back(&nb);
   }
   const auto res = s.run();
+  const auto decisions = test::decisions(mods);
   EXPECT_TRUE(res.all_done);
   std::optional<nbac::Decision> agreed;
   for (int i = 0; i < n; ++i) {
@@ -174,15 +173,15 @@ TEST(OmegaMajorityConsensus, LiveWithCorrectMajority) {
   sim::Simulator s(cfg, f, test::omega(), test::random_sched());
   OmegaSigmaConsensusModule<int>::Options opt;
   opt.quorum_rule = ConsensusQuorumRule::kMajority;
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const consensus::ConsensusApi<int>*> mods;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons", opt);
-    c.propose(i % 2, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    c.propose(i % 2);
+    mods.push_back(&c);
   }
   const auto res = s.run();
+  const auto decisions = test::decisions(mods);
   EXPECT_TRUE(res.all_done);
   for (ProcessId p : f.correct().members()) {
     EXPECT_TRUE(decisions[static_cast<std::size_t>(p)].has_value());
@@ -204,15 +203,15 @@ TEST(OmegaMajorityConsensus, BlocksWithoutMajority) {
   sim::Simulator s(cfg, f, test::omega(), test::random_sched());
   OmegaSigmaConsensusModule<int>::Options opt;
   opt.quorum_rule = ConsensusQuorumRule::kMajority;
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const consensus::ConsensusApi<int>*> mods;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons", opt);
-    c.propose(i % 2, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    c.propose(i % 2);
+    mods.push_back(&c);
   }
   const auto res = s.run();
+  const auto decisions = test::decisions(mods);
   EXPECT_FALSE(res.all_done);
   for (int i = 0; i < n; ++i) {
     EXPECT_FALSE(decisions[static_cast<std::size_t>(i)].has_value());
@@ -241,7 +240,8 @@ TEST(RegularRegisterAblation, AtomicReadsStayLinearizable) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg",
                                                                      ropt);
-    host.add_module<reg::RegisterWorkloadModule>("load", &r, &history, wopt);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 wopt);
   }
   EXPECT_TRUE(s.run().all_done);
   EXPECT_TRUE(reg::is_linearizable(history));
@@ -249,11 +249,11 @@ TEST(RegularRegisterAblation, AtomicReadsStayLinearizable) {
 
 // A driver that issues one register operation at a fixed local tick and
 // records it in a shared history.
-class ScriptedOp : public sim::Module {
+class ScriptedOp : public sim::Module, public sim::Listener<std::int64_t> {
  public:
-  ScriptedOp(reg::AbdRegisterModule<std::int64_t>* target,
-             reg::History* history, Time start_tick, bool is_write,
-             std::int64_t value)
+  /// `target`: the register's position in this host.
+  ScriptedOp(std::size_t target, reg::History* history, Time start_tick,
+             bool is_write, std::int64_t value)
       : target_(target),
         history_(history),
         start_tick_(start_tick),
@@ -265,26 +265,28 @@ class ScriptedOp : public sim::Module {
   void on_tick() override {
     if (issued_ || ++ticks_ < start_tick_) return;
     issued_ = true;
+    auto& target =
+        host().module_at<reg::AbdRegisterModule<std::int64_t>>(target_);
+    const auto idx = history_->invoke(self(), is_write_,
+                                      is_write_ ? value_ : 0, now());
     if (is_write_) {
-      const auto idx = history_->invoke(self(), true, value_, now());
-      target_->write(value_, [this, idx] {
-        history_->respond(idx, now(), 0);
-        finished_ = true;
-      });
+      target.write(value_, hook(idx));
     } else {
-      const auto idx = history_->invoke(self(), false, 0, now());
-      target_->read([this, idx](const std::int64_t& v) {
-        history_->respond(idx, now(), v);
-        finished_ = true;
-      });
+      target.read(hook(idx));
     }
+  }
+
+  /// The operation recorded at History index `idx` completed.
+  void on_result(std::uint64_t idx, const std::int64_t& v) override {
+    history_->respond(static_cast<std::size_t>(idx), now(), v);
+    finished_ = true;
   }
 
   [[nodiscard]] bool done() const override { return finished_; }
   [[nodiscard]] bool finished() const { return finished_; }
 
  private:
-  reg::AbdRegisterModule<std::int64_t>* target_;
+  std::size_t target_;
   reg::History* history_;
   Time start_tick_;
   bool is_write_;
@@ -333,11 +335,14 @@ TEST(RegularRegisterAblation, DroppingWriteBackAllowsNewOldInversion) {
     auto& r =
         host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg", ropt);
     if (i == 0) {
-      ops[0] = &host.add_module<ScriptedOp>("op", &r, &history, 1, true, 7);
+      ops[0] = &host.add_module<ScriptedOp>("op", r.index(), &history, 1,
+                                            true, 7);
     } else if (i == 3) {
-      ops[3] = &host.add_module<ScriptedOp>("op", &r, &history, 400, false, 0);
+      ops[3] = &host.add_module<ScriptedOp>("op", r.index(), &history, 400,
+                                            false, 0);
     } else if (i == 2) {
-      ops[2] = &host.add_module<ScriptedOp>("op", &r, &history, 2500, false, 0);
+      ops[2] = &host.add_module<ScriptedOp>("op", r.index(), &history, 2500,
+                                            false, 0);
     }
   }
   s.set_halt_on_done(false);

@@ -16,6 +16,7 @@
 namespace wfd {
 namespace {
 
+using consensus::ConsensusApi;
 using consensus::MultivaluedFromBinaryModule;
 using consensus::OmegaSigmaConsensusModule;
 using consensus::RegisterConsensusModule;
@@ -66,18 +67,19 @@ TEST_P(ConsensusSweep, OmegaSigmaConsensusDecides) {
   cfg.max_steps = 150000;
   cfg.seed = prm.seed;
   sim::Simulator s(cfg, f, test::omega_sigma(), test::random_sched());
-  std::vector<std::optional<int>> decisions(prm.n);
+  std::vector<const ConsensusApi<int>*> cons;
   std::vector<int> proposals;
   for (int i = 0; i < prm.n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons");
     const int v = static_cast<int>(rng.below(2));
     proposals.push_back(v);
-    c.propose(v, [&decisions, i](const int& d) { decisions[static_cast<std::size_t>(i)] = d; });
+    c.propose(v);
+    cons.push_back(&c);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
-  check_consensus_outcome(decisions, proposals, f);
+  check_consensus_outcome(test::decisions(cons), proposals, f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,17 +106,17 @@ TEST(ConsensusEdge, SingleSurvivorDecides) {
   cfg.max_steps = 150000;
   cfg.seed = 13;
   sim::Simulator s(cfg, f, test::omega_sigma(), test::random_sched());
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const ConsensusApi<int>*> cons;
   std::vector<int> proposals = {1, 0, 1, 0};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons");
-    c.propose(proposals[static_cast<std::size_t>(i)],
-              [&decisions, i](const int& d) { decisions[static_cast<std::size_t>(i)] = d; });
+    c.propose(proposals[static_cast<std::size_t>(i)]);
+    cons.push_back(&c);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
-  check_consensus_outcome(decisions, proposals, f);
+  check_consensus_outcome(test::decisions(cons), proposals, f);
 }
 
 // All-same-proposal must decide that value (follows from validity, but
@@ -127,16 +129,17 @@ TEST(ConsensusEdge, UnanimousProposalWins) {
   cfg.seed = 17;
   sim::Simulator s(cfg, test::pattern(n), test::omega_sigma(),
                    test::random_sched());
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const ConsensusApi<int>*> cons;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons");
-    c.propose(1, [&decisions, i](const int& d) { decisions[static_cast<std::size_t>(i)] = d; });
+    c.propose(1);
+    cons.push_back(&c);
   }
   s.run();
-  for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(decisions[static_cast<std::size_t>(i)].has_value());
-    EXPECT_EQ(*decisions[static_cast<std::size_t>(i)], 1);
+  for (const ConsensusApi<int>* c : cons) {
+    ASSERT_TRUE(c->decided());
+    EXPECT_EQ(c->decision(), 1);
   }
 }
 
@@ -164,17 +167,18 @@ TEST(ConsensusEdge, LeaderIsolationDelaysButNeverBreaksAgreement) {
   sim::Simulator s(
       cfg, test::pattern(n), std::move(oracle),
       std::make_unique<sim::FilteredScheduler>(test::random_sched(), filter));
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const ConsensusApi<int>*> cons;
   std::vector<int> proposals = {0, 1, 1};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons");
-    c.propose(proposals[static_cast<std::size_t>(i)],
-              [&decisions, i](const int& d) { decisions[static_cast<std::size_t>(i)] = d; });
+    c.propose(proposals[static_cast<std::size_t>(i)]);
+    cons.push_back(&c);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
-  check_consensus_outcome(decisions, proposals, test::pattern(n));
+  check_consensus_outcome(test::decisions(cons), proposals,
+                          test::pattern(n));
 }
 
 // ------------------------------------------------- register-based consensus
@@ -189,23 +193,23 @@ TEST(RegisterConsensusTest, DecidesOverSigmaBackedRegisters) {
   cfg.max_steps = 400000;
   cfg.seed = 23;
   sim::Simulator s(cfg, f, test::omega_sigma(), test::random_sched());
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const ConsensusApi<int>*> cons;
   std::vector<int> proposals = {0, 1, 0};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    std::vector<RegisterConsensusModule<int>::Register*> regs;
+    std::vector<std::size_t> regs;
     for (int j = 0; j < n; ++j) {
-      regs.push_back(
-          &host.add_module<RegisterConsensusModule<int>::Register>(
-              "breg/" + std::to_string(j)));
+      regs.push_back(host.add_module<RegisterConsensusModule<int>::Register>(
+                             "breg/" + std::to_string(j))
+                         .index());
     }
     auto& c = host.add_module<RegisterConsensusModule<int>>("rcons", regs);
-    c.propose(proposals[static_cast<std::size_t>(i)],
-              [&decisions, i](const int& d) { decisions[static_cast<std::size_t>(i)] = d; });
+    c.propose(proposals[static_cast<std::size_t>(i)]);
+    cons.push_back(&c);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
-  check_consensus_outcome(decisions, proposals, f);
+  check_consensus_outcome(test::decisions(cons), proposals, f);
 }
 
 // ------------------------------------------------ binary -> multivalued
@@ -220,17 +224,17 @@ TEST(MultivaluedTest, DecidesAProposedValue) {
   cfg.max_steps = 400000;
   cfg.seed = 29;
   sim::Simulator s(cfg, f, test::omega_sigma(), test::random_sched());
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const ConsensusApi<int>*> cons;
   std::vector<int> proposals = {100, 200, 300, 400};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<MultivaluedFromBinaryModule<int>>("mv");
-    c.propose(proposals[static_cast<std::size_t>(i)],
-              [&decisions, i](const int& d) { decisions[static_cast<std::size_t>(i)] = d; });
+    c.propose(proposals[static_cast<std::size_t>(i)]);
+    cons.push_back(&c);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
-  check_consensus_outcome(decisions, proposals, f);
+  check_consensus_outcome(test::decisions(cons), proposals, f);
 }
 
 }  // namespace

@@ -42,14 +42,41 @@ TEST(SingleProcessTest, ConsensusDecidesOwnProposal) {
   cfg.seed = 1;
   sim::Simulator s(cfg, test::pattern(1), test::omega_sigma(64),
                    test::round_robin());
-  std::optional<int> decision;
   auto& host = s.add_process<sim::ModularProcess>();
   auto& c = host.add_module<consensus::OmegaSigmaConsensusModule<int>>("c");
-  c.propose(7, [&decision](const int& d) { decision = d; });
+  c.propose(7);
   EXPECT_TRUE(s.run().all_done);
-  ASSERT_TRUE(decision.has_value());
-  EXPECT_EQ(*decision, 7);
+  ASSERT_TRUE(c.decided());
+  EXPECT_EQ(c.decision(), 7);
 }
+
+/// Writes `value` to the register at position `target` on its first
+/// step, then reads the register back.
+struct WriteThenRead : sim::Module, sim::Listener<std::int64_t> {
+  WriteThenRead(std::size_t t, std::int64_t v) : target(t), value(v) {}
+  std::size_t target;
+  std::int64_t value;
+  std::optional<std::int64_t> final_read;
+  bool started = false;
+  void on_message(ProcessId, const sim::Payload&) override {}
+  void on_tick() override {
+    if (started) return;
+    started = true;
+    reg().write(value, hook(0));
+  }
+  /// The write (tag 0), then the read (tag 1), completed.
+  void on_result(std::uint64_t tag, const std::int64_t& v) override {
+    if (tag == 0) {
+      reg().read(hook(1));
+    } else {
+      final_read = v;
+    }
+  }
+  [[nodiscard]] bool done() const override { return final_read.has_value(); }
+  [[nodiscard]] reg::RegisterApi<std::int64_t>& reg() const {
+    return host().module_at<reg::RegisterApi<std::int64_t>>(target);
+  }
+};
 
 TEST(SingleProcessTest, RegisterReadsOwnWrites) {
   sim::SimConfig cfg;
@@ -60,14 +87,11 @@ TEST(SingleProcessTest, RegisterReadsOwnWrites) {
                    test::round_robin());
   auto& host = s.add_process<sim::ModularProcess>();
   auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg");
-  std::optional<std::int64_t> got;
-  r.write(99, [&r, &got] {
-    r.read([&got](const std::int64_t& v) { got = v; });
-  });
+  auto& d = host.add_module<WriteThenRead>("driver", r.index(), 99);
   s.set_halt_on_done(false);
   s.run_for(5000);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 99);
+  ASSERT_TRUE(d.final_read.has_value());
+  EXPECT_EQ(*d.final_read, 99);
 }
 
 TEST(SingleProcessTest, QcOmegaSigmaBranch) {
@@ -79,14 +103,13 @@ TEST(SingleProcessTest, QcOmegaSigmaBranch) {
                    test::psi_oracle(fd::PsiOracle::Branch::kOmegaSigma, 64,
                                     64),
                    test::round_robin());
-  std::optional<qc::QcResult<int>> result;
   auto& host = s.add_process<sim::ModularProcess>();
   auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-  q.propose(5, [&result](const qc::QcResult<int>& r) { result = r; });
+  q.propose(5);
   EXPECT_TRUE(s.run().all_done);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->quit);
-  EXPECT_EQ(result->value, 5);
+  ASSERT_TRUE(q.decided());
+  EXPECT_FALSE(q.result().quit);
+  EXPECT_EQ(q.result().value, 5);
 }
 
 // -------------------------------------------------- concurrent multi-writer
@@ -102,30 +125,12 @@ TEST(MultiWriterTest, ConcurrentWritersConvergeToOneFinalValue) {
   sim::Simulator s(cfg, test::pattern(n), test::sigma_oracle(200),
                    test::random_sched());
 
-  struct WriteThenRead : sim::Module {
-    reg::AbdRegisterModule<std::int64_t>* target = nullptr;
-    std::optional<std::int64_t> final_read;
-    bool started = false;
-    void on_message(ProcessId, const sim::Payload&) override {}
-    void on_tick() override {
-      if (started) return;
-      started = true;
-      target->write(1000 + self(), [this] {
-        target->read([this](const std::int64_t& v) { final_read = v; });
-      });
-    }
-    [[nodiscard]] bool done() const override {
-      return final_read.has_value();
-    }
-  };
-
   std::vector<WriteThenRead*> drivers;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg");
-    auto& d = host.add_module<WriteThenRead>("driver");
-    d.target = &r;
-    drivers.push_back(&d);
+    drivers.push_back(
+        &host.add_module<WriteThenRead>("driver", r.index(), 1000 + i));
   }
   EXPECT_TRUE(s.run().all_done);
   // Everyone read SOME written value; reads after all writes complete
@@ -145,7 +150,7 @@ TEST(MultiWriterTest, ConcurrentWritersConvergeToOneFinalValue) {
 TEST(LateProposerTest, DecisionBeforeProposeStillDelivers) {
   // Processes 1..3 propose immediately; process 0 proposes only after
   // t=20000 — by then the others have long decided. The late propose
-  // must still deliver the (already known) decision via its callback.
+  // must still deliver the (already known) decision via its hook.
   const int n = 4;
   sim::SimConfig cfg;
   cfg.n = n;
@@ -154,8 +159,9 @@ TEST(LateProposerTest, DecisionBeforeProposeStillDelivers) {
   sim::Simulator s(cfg, test::pattern(n), test::omega_sigma(100),
                    test::random_sched());
 
-  struct LateProposer : sim::Module {
-    consensus::OmegaSigmaConsensusModule<int>* target = nullptr;
+  struct LateProposer : sim::Module, sim::Listener<int> {
+    explicit LateProposer(std::size_t t) : target(t) {}
+    std::size_t target;  ///< The consensus module's position.
     std::optional<int> decision;
     Time ticks = 0;
     bool proposed = false;
@@ -163,27 +169,27 @@ TEST(LateProposerTest, DecisionBeforeProposeStillDelivers) {
     void on_tick() override {
       if (proposed || ++ticks < 5000) return;
       proposed = true;
-      target->propose(0, [this](const int& d) { decision = d; });
+      host()
+          .module_at<consensus::OmegaSigmaConsensusModule<int>>(target)
+          .propose(0, hook());
     }
+    void on_result(std::uint64_t, const int& d) override { decision = d; }
     [[nodiscard]] bool done() const override {
       return decision.has_value();
     }
   };
 
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const consensus::OmegaSigmaConsensusModule<int>*> cons;
   LateProposer* late = nullptr;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c =
         host.add_module<consensus::OmegaSigmaConsensusModule<int>>("cons");
+    cons.push_back(&c);
     if (i == 0) {
-      auto& lp = host.add_module<LateProposer>("late");
-      lp.target = &c;
-      late = &lp;
+      late = &host.add_module<LateProposer>("late", c.index());
     } else {
-      c.propose(1, [&decisions, i](const int& d) {
-        decisions[static_cast<std::size_t>(i)] = d;
-      });
+      c.propose(1);
     }
   }
   EXPECT_TRUE(s.run().all_done);
@@ -191,8 +197,8 @@ TEST(LateProposerTest, DecisionBeforeProposeStillDelivers) {
   ASSERT_TRUE(late->decision.has_value());
   EXPECT_EQ(*late->decision, 1);  // The early majority's value won.
   for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(decisions[static_cast<std::size_t>(i)].has_value());
-    EXPECT_EQ(*decisions[static_cast<std::size_t>(i)], 1);
+    ASSERT_TRUE(cons[static_cast<std::size_t>(i)]->decided());
+    EXPECT_EQ(cons[static_cast<std::size_t>(i)]->decision(), 1);
   }
 }
 
@@ -209,19 +215,19 @@ TEST(TwoProcessTest, NbacWithOneCrashAborts) {
   cfg.seed = 9;
   sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kFs, 300),
                    test::random_sched());
-  std::optional<nbac::Decision> decision;
+  const nbac::NbacFromQcModule* voter = nullptr;
   for (int i = 0; i < 2; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-    auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
+    auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", q.index());
     if (i == 0) {
-      nb.vote(nbac::Vote::kYes,
-              [&decision](nbac::Decision d) { decision = d; });
+      nb.vote(nbac::Vote::kYes);
+      voter = &nb;
     }
   }
   EXPECT_TRUE(s.run().all_done);
-  ASSERT_TRUE(decision.has_value());
-  EXPECT_EQ(*decision, nbac::Decision::kAbort);
+  ASSERT_TRUE(voter->decided());
+  EXPECT_EQ(voter->decision(), nbac::Decision::kAbort);
 }
 
 TEST(WorkloadHistoryTest, RespondTwiceIsRejected) {

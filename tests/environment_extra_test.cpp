@@ -65,16 +65,16 @@ TEST(OrderedCrashEnvironmentTest, ConsensusWorksInIt) {
   cfg.max_steps = 120000;
   cfg.seed = 11;
   sim::Simulator s(cfg, f, test::omega_sigma(), test::random_sched());
-  std::vector<std::optional<int>> decisions(4);
+  std::vector<const consensus::ConsensusApi<int>*> mods;
   for (int i = 0; i < 4; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<consensus::OmegaSigmaConsensusModule<int>>(
         "cons");
-    c.propose(i % 2, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    c.propose(i % 2);
+    mods.push_back(&c);
   }
   EXPECT_TRUE(s.run().all_done);
+  const auto decisions = test::decisions(mods);
   for (ProcessId p : f.correct().members()) {
     EXPECT_TRUE(decisions[static_cast<std::size_t>(p)].has_value());
   }
@@ -125,7 +125,7 @@ TEST(OmegaFromSuspicionsTest, ConsensusOverTransformedDetectors) {
   sim::Simulator s(cfg, f,
                    std::make_unique<fd::EventuallyPerfectOracle>(opt),
                    test::random_sched());
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const consensus::ConsensusApi<int>*> mods;
   std::vector<std::unique_ptr<sim::MergedFdSource>> sources;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
@@ -135,11 +135,11 @@ TEST(OmegaFromSuspicionsTest, ConsensusOverTransformedDetectors) {
     auto& c = host.add_module<consensus::OmegaSigmaConsensusModule<int>>(
         "cons");
     c.set_fd_source(sources.back().get());
-    c.propose(i % 2, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    c.propose(i % 2);
+    mods.push_back(&c);
   }
   EXPECT_TRUE(s.run().all_done);
+  const auto decisions = test::decisions(mods);
   std::optional<int> agreed;
   for (int i = 0; i < n; ++i) {
     if (f.correct().contains(i)) {
@@ -186,18 +186,17 @@ TEST_P(SchedulerMatrix, ConsensusDecidesUnderEveryScheduler) {
   cfg.max_steps = 150000;
   cfg.seed = prm.seed;
   sim::Simulator s(cfg, f, test::omega_sigma(), std::move(sched));
-  std::vector<std::optional<int>> decisions(n);
+  std::vector<const consensus::ConsensusApi<int>*> mods;
   std::vector<int> proposals = {3, 1, 4, 1};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& c = host.add_module<consensus::OmegaSigmaConsensusModule<int>>(
         "cons");
-    c.propose(proposals[static_cast<std::size_t>(i)],
-              [&decisions, i](const int& d) {
-                decisions[static_cast<std::size_t>(i)] = d;
-              });
+    c.propose(proposals[static_cast<std::size_t>(i)]);
+    mods.push_back(&c);
   }
   EXPECT_TRUE(s.run().all_done);
+  const auto decisions = test::decisions(mods);
   std::optional<int> agreed;
   for (int i = 0; i < n; ++i) {
     if (!decisions[static_cast<std::size_t>(i)].has_value()) continue;

@@ -21,7 +21,6 @@ namespace {
 
 using extract::ParticipantTracker;
 using extract::QuorumList;
-using extract::RegisterHandle;
 using extract::SigmaExtractionModule;
 using Reg = reg::AbdRegisterModule<QuorumList>;
 
@@ -39,22 +38,15 @@ void build_extraction(sim::Simulator& s, int n, reg::QuorumRule rule,
     auto& host = s.add_process<sim::ModularProcess>();
     rig.trackers.push_back(std::make_unique<ParticipantTracker>(i));
     host.set_instrument(rig.trackers.back().get());
-    std::vector<RegisterHandle> handles;
+    std::vector<std::size_t> registers;
     for (int j = 0; j < n; ++j) {
       Reg::Options opt;
       opt.rule = rule;
-      auto& r = host.add_module<Reg>("xreg/" + std::to_string(j), opt);
-      RegisterHandle h;
-      h.write = [&r](const QuorumList& v, std::function<void()> cb) {
-        r.write(v, std::move(cb));
-      };
-      h.read = [&r](std::function<void(const QuorumList&)> cb) {
-        r.read(std::move(cb));
-      };
-      handles.push_back(std::move(h));
+      registers.push_back(
+          host.add_module<Reg>("xreg/" + std::to_string(j), opt).index());
     }
     rig.extractors.push_back(&host.add_module<SigmaExtractionModule>(
-        "extract", std::move(handles), rig.trackers.back().get(),
+        "extract", std::move(registers), rig.trackers.back().get(),
         &rig.samples));
   }
 }
@@ -224,20 +216,13 @@ TEST(ExtractSigmaFromConsensus, Corollary3Composition) {
     auto& host = s.add_process<sim::ModularProcess>();
     rig.trackers.push_back(std::make_unique<ParticipantTracker>(i));
     host.set_instrument(rig.trackers.back().get());
-    std::vector<RegisterHandle> handles;
+    std::vector<std::size_t> registers;
     for (int j = 0; j < n; ++j) {
-      auto& r = host.add_module<SmrReg>("sreg/" + std::to_string(j));
-      RegisterHandle h;
-      h.write = [&r](const QuorumList& v, std::function<void()> cb) {
-        r.write(v, std::move(cb));
-      };
-      h.read = [&r](std::function<void(const QuorumList&)> cb) {
-        r.read(std::move(cb));
-      };
-      handles.push_back(std::move(h));
+      registers.push_back(
+          host.add_module<SmrReg>("sreg/" + std::to_string(j)).index());
     }
     rig.extractors.push_back(&host.add_module<SigmaExtractionModule>(
-        "extract", std::move(handles), rig.trackers.back().get(),
+        "extract", std::move(registers), rig.trackers.back().get(),
         &rig.samples));
   }
   s.set_halt_on_done(false);

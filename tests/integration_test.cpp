@@ -43,7 +43,6 @@ TEST_P(OracleFreeSweep, ConsensusWithImplementedDetectorsOnly) {
   cfg.seed = GetParam();
   sim::Simulator s(cfg, f, std::make_unique<fd::NullOracle>(),
                    std::make_unique<sim::PartialSynchronyScheduler>(20000));
-  std::vector<std::optional<int>> decisions(n);
   std::vector<std::unique_ptr<sim::MergedFdSource>> sources;
   std::vector<const consensus::OmegaSigmaConsensusModule<int>*> conses;
   for (int i = 0; i < n; ++i) {
@@ -54,12 +53,11 @@ TEST_P(OracleFreeSweep, ConsensusWithImplementedDetectorsOnly) {
     auto& cons =
         host.add_module<consensus::OmegaSigmaConsensusModule<int>>("cons");
     cons.set_fd_source(sources.back().get());
-    cons.propose(i % 2, [&decisions, i](const int& d) {
-      decisions[static_cast<std::size_t>(i)] = d;
-    });
+    cons.propose(i % 2);
     conses.push_back(&cons);
   }
   s.run();
+  const auto decisions = test::decisions(conses);
   // The heartbeat Omega is a service and never reports done(), so the
   // run goes to the horizon; what must be done is consensus, at every
   // process still alive.
@@ -108,7 +106,8 @@ TEST(OracleFreeRegisters, LinearizableOverJoinQuorumSigma) {
     sigmas.push_back(&sigma);
     auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg");
     r.set_fd_source(&sigma);
-    host.add_module<reg::RegisterWorkloadModule>("load", &r, &history, wopt);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 wopt);
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
@@ -132,16 +131,16 @@ TEST(FullTower, NbacOverQcOverConsensusWithCrash) {
     sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kAuto, 400),
                      round_robin ? test::round_robin()
                                  : test::random_sched());
-    std::vector<std::optional<nbac::Decision>> decisions(n);
+    std::vector<const nbac::NbacApi*> mods;
     for (int i = 0; i < n; ++i) {
       auto& host = s.add_process<sim::ModularProcess>();
       auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-      auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
-      nb.vote(nbac::Vote::kYes, [&decisions, i](nbac::Decision d) {
-        decisions[static_cast<std::size_t>(i)] = d;
-      });
+      auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", q.index());
+      nb.vote(nbac::Vote::kYes);
+      mods.push_back(&nb);
     }
     const auto res = s.run();
+    const auto decisions = test::decisions(mods);
     EXPECT_TRUE(res.all_done);
     std::optional<nbac::Decision> agreed;
     for (int i = 0; i < n; ++i) {

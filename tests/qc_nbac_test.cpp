@@ -11,6 +11,7 @@
 #include "fd/history_checker.h"
 #include "nbac/fs_from_nbac.h"
 #include "nbac/nbac_from_qc.h"
+#include "qc/consensus_qc.h"
 #include "qc/psi_qc.h"
 #include "qc/qc_from_nbac.h"
 #include "sim/fd_sampler.h"
@@ -52,18 +53,18 @@ TEST_P(PsiQcSweep, SatisfiesQcSpec) {
   cfg.max_steps = 120000;
   cfg.seed = prm.seed;
   sim::Simulator s(cfg, f, test::psi_oracle(prm.branch), test::random_sched());
-  std::vector<std::optional<QcResult<int>>> results(n);
+  std::vector<const PsiQcModule<int>*> qcs;
   std::vector<int> proposals;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& q = host.add_module<PsiQcModule<int>>("qc");
     const int v = static_cast<int>(rng.below(2));
     proposals.push_back(v);
-    q.propose(v, [&results, i](const QcResult<int>& r) {
-      results[static_cast<std::size_t>(i)] = r;
-    });
+    q.propose(v);
+    qcs.push_back(&q);
   }
   const auto res = s.run();
+  const auto results = test::decisions(qcs);
 
   // Termination for correct processes.
   EXPECT_TRUE(res.all_done);
@@ -105,6 +106,37 @@ INSTANTIATE_TEST_SUITE_P(
         QcParam{8, 0, fd::PsiOracle::Branch::kAuto},
         QcParam{9, 3, fd::PsiOracle::Branch::kAuto}));
 
+// A ConsensusAsQcModule that never proposes keeps no run alive, like
+// every other module: p2 only serves the consensus p0 and p1 run (its
+// Omega points at p0, so p2 never needs to lead).
+TEST(ConsensusAsQcTest, NonProposerLetsTheRunHalt) {
+  const int n = 3;
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.max_steps = 50000;
+  cfg.seed = 71;
+  fd::OmegaOracle::Options oo;
+  oo.fixed_leader = 0;
+  auto oracle = std::make_unique<fd::TupleOracle>(
+      std::make_unique<fd::OmegaOracle>(oo), test::sigma_oracle());
+  sim::Simulator s(cfg, test::pattern(n), std::move(oracle),
+                   test::random_sched());
+  std::vector<const qc::ConsensusAsQcModule<int>*> qcs;
+  for (int i = 0; i < n; ++i) {
+    auto& q = s.add_process<sim::ModularProcess>()
+                  .add_module<qc::ConsensusAsQcModule<int>>("qc");
+    if (i < 2) q.propose(i);
+    qcs.push_back(&q);
+  }
+  const auto res = s.run();
+  EXPECT_TRUE(res.all_done);
+  EXPECT_LT(res.steps, cfg.max_steps);
+  ASSERT_TRUE(qcs[0]->decided() && qcs[1]->decided());
+  EXPECT_EQ(qcs[0]->result(), qcs[1]->result());
+  EXPECT_FALSE(qcs[2]->decided());
+  EXPECT_TRUE(qcs[2]->done());
+}
+
 // ------------------------------------------------------- NBAC from QC + FS
 
 struct NbacOutcome {
@@ -121,16 +153,17 @@ NbacOutcome run_nbac(const sim::FailurePattern& f,
   cfg.max_steps = 150000;
   cfg.seed = seed;
   sim::Simulator s(cfg, f, test::psi_fs(branch), test::random_sched());
-  NbacOutcome out;
-  out.decisions.resize(static_cast<std::size_t>(n));
+  std::vector<const NbacFromQcModule*> nbacs;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& q = host.add_module<PsiQcModule<int>>("qc");
-    auto& nb = host.add_module<NbacFromQcModule>("nbac", &q);
-    nb.vote(votes[static_cast<std::size_t>(i)],
-            [&out, i](Decision d) { out.decisions[static_cast<std::size_t>(i)] = d; });
+    auto& nb = host.add_module<NbacFromQcModule>("nbac", q.index());
+    nb.vote(votes[static_cast<std::size_t>(i)]);
+    nbacs.push_back(&nb);
   }
+  NbacOutcome out;
   out.all_done = s.run().all_done;
+  out.decisions = test::decisions(nbacs);
   return out;
 }
 
@@ -252,19 +285,18 @@ TEST(QcFromNbacTest, CommitPathReturnsSmallestProposal) {
   sim::Simulator s(cfg, f,
                    test::psi_fs(fd::PsiOracle::Branch::kOmegaSigma),
                    test::random_sched());
-  std::vector<std::optional<QcResult<int>>> results(n);
+  std::vector<const QcFromNbacModule<int>*> qcs;
   const std::vector<int> proposals = {5, 3, 9};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& inner_qc = host.add_module<PsiQcModule<int>>("iqc");
-    auto& nb = host.add_module<NbacFromQcModule>("nbac", &inner_qc);
-    auto& q = host.add_module<QcFromNbacModule<int>>("qc", &nb);
-    q.propose(proposals[static_cast<std::size_t>(i)],
-              [&results, i](const QcResult<int>& r) {
-                results[static_cast<std::size_t>(i)] = r;
-              });
+    auto& nb = host.add_module<NbacFromQcModule>("nbac", inner_qc.index());
+    auto& q = host.add_module<QcFromNbacModule<int>>("qc", nb.index());
+    q.propose(proposals[static_cast<std::size_t>(i)]);
+    qcs.push_back(&q);
   }
   EXPECT_TRUE(s.run().all_done);
+  const auto results = test::decisions(qcs);
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(results[static_cast<std::size_t>(i)].has_value());
     EXPECT_FALSE(results[static_cast<std::size_t>(i)]->quit);
@@ -282,17 +314,17 @@ TEST(QcFromNbacTest, AbortPathQuitsOnlyWithRealFailure) {
   cfg.seed = 53;
   sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kFs),
                    test::random_sched());
-  std::vector<std::optional<QcResult<int>>> results(n);
+  std::vector<const QcFromNbacModule<int>*> qcs;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& inner_qc = host.add_module<PsiQcModule<int>>("iqc");
-    auto& nb = host.add_module<NbacFromQcModule>("nbac", &inner_qc);
-    auto& q = host.add_module<QcFromNbacModule<int>>("qc", &nb);
-    q.propose(i, [&results, i](const QcResult<int>& r) {
-      results[static_cast<std::size_t>(i)] = r;
-    });
+    auto& nb = host.add_module<NbacFromQcModule>("nbac", inner_qc.index());
+    auto& q = host.add_module<QcFromNbacModule<int>>("qc", nb.index());
+    q.propose(i);
+    qcs.push_back(&q);
   }
   EXPECT_TRUE(s.run().all_done);
+  const auto results = test::decisions(qcs);
   for (int i = 1; i < n; ++i) {
     ASSERT_TRUE(results[static_cast<std::size_t>(i)].has_value());
     EXPECT_TRUE(results[static_cast<std::size_t>(i)]->quit);
@@ -317,7 +349,7 @@ TEST(FsFromNbacTest, EmulatedFsHistoryIsLegal) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto factory = [&host](const std::string& prefix) -> nbac::NbacApi& {
       auto& q = host.add_module<PsiQcModule<int>>(prefix + "/qc");
-      return host.add_module<NbacFromQcModule>(prefix + "/nbac", &q);
+      return host.add_module<NbacFromQcModule>(prefix + "/nbac", q.index());
     };
     auto& fs = host.add_module<FsFromNbacModule>("fs", factory);
     host.add_module<sim::FdSamplerModule>("sampler", &fs, &samples,
@@ -344,7 +376,7 @@ TEST(FsFromNbacTest, StaysGreenWhenCrashFree) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto factory = [&host](const std::string& prefix) -> nbac::NbacApi& {
       auto& q = host.add_module<PsiQcModule<int>>(prefix + "/qc");
-      return host.add_module<NbacFromQcModule>(prefix + "/nbac", &q);
+      return host.add_module<NbacFromQcModule>(prefix + "/nbac", q.index());
     };
     fss.push_back(&host.add_module<FsFromNbacModule>("fs", factory));
   }
@@ -374,17 +406,16 @@ TEST(MultivaluedQcTest, DecidesOneProposedValue) {
   sim::Simulator s(cfg, test::pattern(n),
                    test::psi_oracle(fd::PsiOracle::Branch::kOmegaSigma),
                    test::random_sched());
-  std::vector<std::optional<QcResult<std::int64_t>>> results(n);
+  std::vector<const qc::PsiQcModule<std::int64_t>*> qcs;
   std::vector<std::int64_t> proposals = {1000, 2000, 3000, 4000};
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& q = host.add_module<qc::PsiQcModule<std::int64_t>>("qc");
-    q.propose(proposals[static_cast<std::size_t>(i)],
-              [&results, i](const QcResult<std::int64_t>& r) {
-                results[static_cast<std::size_t>(i)] = r;
-              });
+    q.propose(proposals[static_cast<std::size_t>(i)]);
+    qcs.push_back(&q);
   }
   EXPECT_TRUE(s.run().all_done);
+  const auto results = test::decisions(qcs);
   std::optional<std::int64_t> agreed;
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(results[static_cast<std::size_t>(i)].has_value());

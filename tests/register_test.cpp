@@ -155,7 +155,8 @@ class AbdSweep : public ::testing::TestWithParam<AbdParam> {
     for (int i = 0; i < prm.n; ++i) {
       auto& host = s.add_process<sim::ModularProcess>();
       auto& r = host.add_module<AbdRegisterModule<std::int64_t>>("reg", ropt);
-      host.add_module<RegisterWorkloadModule>("load", &r, &history, wopt);
+      host.add_module<RegisterWorkloadModule>("load", r.index(), &history,
+                                              wopt);
     }
     const auto res = s.run();
     return {std::move(history), res.all_done};
@@ -214,7 +215,8 @@ TEST(AbdNegative, MajorityAbdBlocksWithoutMajority) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r = host.add_module<AbdRegisterModule<std::int64_t>>("reg", ropt);
     loads.push_back(
-        &host.add_module<RegisterWorkloadModule>("load", &r, &history, wopt));
+        &host.add_module<RegisterWorkloadModule>("load", r.index(), &history,
+                                                 wopt));
   }
   const auto res = s.run();
   EXPECT_FALSE(res.all_done);
@@ -232,28 +234,32 @@ TEST(AbdRegression, MonotoneReadsAcrossRounds) {
   sim::Simulator s(cfg, test::pattern(n), test::sigma_oracle(),
                    test::random_sched());
 
-  struct Driver : sim::Module {
-    AbdRegisterModule<std::int64_t>* target = nullptr;
-    bool writer = false;
+  struct Driver : sim::Module, sim::Listener<std::int64_t> {
+    Driver(std::size_t t, bool w) : target(t), writer(w) {}
+    std::size_t target;  ///< The register's position.
+    bool writer;
     int rounds_left = 12;
     std::int64_t next = 1;
     std::int64_t last_read = 0;
     bool ok = true;
     void on_message(ProcessId, const sim::Payload&) override {}
     void on_tick() override {
-      if (rounds_left == 0 || target->busy()) return;
+      auto& r = host().module_at<AbdRegisterModule<std::int64_t>>(target);
+      if (rounds_left == 0 || r.busy()) return;
       if (writer) {
-        target->write(next, [this] {
-          ++next;
-          --rounds_left;
-        });
+        r.write(next, hook());
       } else {
-        target->read([this](const std::int64_t& v) {
-          ok = ok && (v >= last_read);  // Monotone: no new-old inversion.
-          last_read = v;
-          --rounds_left;
-        });
+        r.read(hook());
       }
+    }
+    void on_result(std::uint64_t, const std::int64_t& v) override {
+      if (writer) {
+        ++next;
+      } else {
+        ok = ok && (v >= last_read);  // Monotone: no new-old inversion.
+        last_read = v;
+      }
+      --rounds_left;
     }
     [[nodiscard]] bool done() const override { return rounds_left == 0; }
   };
@@ -262,10 +268,7 @@ TEST(AbdRegression, MonotoneReadsAcrossRounds) {
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r = host.add_module<AbdRegisterModule<std::int64_t>>("reg");
-    auto& d = host.add_module<Driver>("driver");
-    d.target = &r;
-    d.writer = (i == 0);
-    drivers.push_back(&d);
+    drivers.push_back(&host.add_module<Driver>("driver", r.index(), i == 0));
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);

@@ -17,48 +17,13 @@ namespace {
 
 using smr::SmrRegisterModule;
 
-// A workload driver against the SMR register (the ABD workload module is
-// typed to the ABD register, so this mirrors it).
-class SmrWorkload : public sim::Module {
- public:
-  SmrWorkload(SmrRegisterModule* target, reg::History* history, int num_ops)
-      : target_(target), history_(history), ops_left_(num_ops) {}
-
-  void on_message(ProcessId, const sim::Payload&) override {}
-
-  void on_tick() override {
-    if (in_flight_ || ops_left_ == 0) return;
-    in_flight_ = true;
-    --ops_left_;
-    const bool is_write = rng().chance(1, 2);
-    if (is_write) {
-      const std::int64_t v = static_cast<std::int64_t>(
-          (++counter_ << 8) | static_cast<std::uint64_t>(self()));
-      const auto idx = history_->invoke(self(), true, v, now());
-      target_->write(v, [this, idx] {
-        history_->respond(idx, now(), 0);
-        in_flight_ = false;
-      });
-    } else {
-      const auto idx = history_->invoke(self(), false, 0, now());
-      target_->read([this, idx](std::int64_t v) {
-        history_->respond(idx, now(), v);
-        in_flight_ = false;
-      });
-    }
-  }
-
-  [[nodiscard]] bool done() const override {
-    return ops_left_ == 0 && !in_flight_;
-  }
-
- private:
-  SmrRegisterModule* target_;
-  reg::History* history_;
-  int ops_left_;
-  bool in_flight_ = false;
-  std::uint64_t counter_ = 0;
-};
+/// The shared register workload (random reads and writes), which drives
+/// any register implementation.
+reg::RegisterWorkloadModule::Options workload(int num_ops) {
+  reg::RegisterWorkloadModule::Options o;
+  o.num_ops = num_ops;
+  return o;
+}
 
 class SmrSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -77,7 +42,8 @@ TEST_P(SmrSweep, SmrRegisterIsLinearizable) {
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r = host.add_module<SmrRegisterModule>("smr");
-    host.add_module<SmrWorkload>("load", &r, &history, 3);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 workload(3));
   }
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
@@ -101,7 +67,8 @@ TEST(SmrTest, ReplicasConvergeOnAppliedPrefix) {
     auto& host = s.add_process<sim::ModularProcess>();
     auto& r = host.add_module<SmrRegisterModule>("smr");
     regs.push_back(&r);
-    host.add_module<SmrWorkload>("load", &r, &history, 4);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 workload(4));
   }
   const auto res = s.run();
   ASSERT_TRUE(res.all_done);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -93,6 +94,26 @@ inline std::unique_ptr<sim::Scheduler> random_sched() {
 
 inline std::unique_ptr<sim::Scheduler> round_robin() {
   return std::make_unique<sim::RoundRobinScheduler>();
+}
+
+/// What each module decided — decision(), or a QC module's result() —
+/// or nullopt where it has not: how a test reads outcomes after the run.
+template <typename M>
+auto decisions(const std::vector<M*>& modules) {
+  const auto outcome = [](const M& m) {
+    if constexpr (requires { m.result(); }) {
+      return m.result();
+    } else {
+      return m.decision();
+    }
+  };
+  using V = decltype(outcome(*modules.front()));
+  std::vector<std::optional<V>> out;
+  for (const M* m : modules) {
+    out.push_back(m->decided() ? std::optional<V>(outcome(*m))
+                               : std::nullopt);
+  }
+  return out;
 }
 
 /// A process that does nothing (for pure-oracle runs).
