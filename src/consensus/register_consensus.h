@@ -95,8 +95,6 @@ class RegisterConsensusModule : public sim::Module,
   }
   [[nodiscard]] bool done() const override { return !proposed_ || decided_; }
 
-  [[nodiscard]] std::uint64_t rounds_started() const { return rounds_; }
-
   void on_message(ProcessId, const sim::Payload& msg) override {
     if (const auto* m = sim::payload_cast<DecideMsg>(msg)) {
       decide(m->value);
@@ -231,7 +229,6 @@ class RegisterConsensusModule : public sim::Module,
   void start_attempt() {
     round_ = next_own_round(std::max(round_, max_seen_));
     max_seen_ = round_;
-    ++rounds_;
     ++attempt_;
     attempt_active_ = true;
     stall_ = 0;
@@ -282,7 +279,6 @@ class RegisterConsensusModule : public sim::Module,
   std::uint64_t best_bal_ = 0;
   std::optional<V> best_val_;
   V chosen_{};
-  std::uint64_t rounds_ = 0;
 
   bool decided_ = false;
   V decision_{};

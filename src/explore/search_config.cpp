@@ -267,13 +267,24 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
 
 std::string config_to_json(const SearchConfig& cfg) {
   const ScenarioOptions& s = cfg.scenario;
+  // kNever (no scripted crash time, never stabilizes) renders as null.
+  const auto time = [](Time t) {
+    return t == kNever ? std::string("null") : std::to_string(t);
+  };
   std::ostringstream out;
   out << "{\"problem\":\"" << json_escape(s.problem) << "\",\"n\":" << s.n
       << ",\"crashes\":" << s.crashes << ",\"crash_mode\":\""
-      << json_escape(s.crash_mode) << "\",\"loss_drops\":" << s.loss_drops
+      << json_escape(s.crash_mode) << "\",\"crash_time\":" << time(s.crash_time)
+      << ",\"loss_drops\":" << s.loss_drops
       << ",\"loss_dups\":" << s.loss_dups << ",\"depth\":" << s.max_steps
       << ",\"seed\":" << s.seed
+      << ",\"stabilization\":" << time(s.stabilization)
       << ",\"fd_per_query\":" << (s.fd_per_query ? "true" : "false")
+      << ",\"nbac_no_voter\":" << s.nbac_no_voter
+      << ",\"reg_ops\":" << s.reg_ops << ",\"reg_readers\":" << s.reg_readers
+      << ",\"abcast_senders\":" << s.abcast_senders
+      << ",\"oldest_per_channel\":"
+      << (s.oldest_per_channel ? "true" : "false")
       << ",\"liveness\":\"" << json_escape(s.liveness) << "\""
       << ",\"max_states\":" << cfg.max_states << ",\"reduction\":\""
       << reduction_to_text(cfg.reduction) << "\",\"symmetry\":"

@@ -107,7 +107,6 @@ class PsiExtractionModule
 
   enum class Stage { kForest, kAgreeing, kRed, kOmegaSigma };
   [[nodiscard]] Stage stage() const { return stage_; }
-  [[nodiscard]] const SampleDag& dag() const { return dag_; }
   [[nodiscard]] ProcessId omega_output() const { return omega_output_; }
   [[nodiscard]] ProcessSet sigma_output() const { return sigma_output_; }
   [[nodiscard]] std::uint64_t sigma_rounds() const { return sigma_rounds_; }

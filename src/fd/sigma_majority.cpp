@@ -65,7 +65,6 @@ void SigmaMajorityModule::on_message(ProcessId from, const sim::Payload& msg) {
     responders_.insert(from);
     if (2 * responders_.size() > n()) {
       quorum_ = responders_;
-      ++rounds_;
       round_done_ = true;  // Pace the next round from on_tick.
       ticks_since_round_ = 0;
     }

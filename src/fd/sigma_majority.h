@@ -39,9 +39,6 @@ class SigmaMajorityModule : public sim::Module, public sim::FdSource {
 
   [[nodiscard]] ProcessSet current_quorum() const { return quorum_; }
 
-  /// Rounds completed (quorums formed) so far.
-  [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
-
   void encode_state(sim::StateEncoder& enc) const override {
     enc.field("ticks-since-round", ticks_since_round_);
     enc.field("seq", seq_);
@@ -60,7 +57,6 @@ class SigmaMajorityModule : public sim::Module, public sim::FdSource {
   bool round_done_ = false;   ///< Round seq_ has formed its quorum.
   ProcessSet responders_;     ///< Acks collected for round seq_.
   ProcessSet quorum_;         ///< Latest formed quorum.
-  std::uint64_t rounds_ = 0;
 };
 
 }  // namespace wfd::fd

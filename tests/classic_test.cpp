@@ -247,6 +247,43 @@ TEST(RegularRegisterAblation, AtomicReadsStayLinearizable) {
   EXPECT_TRUE(reg::is_linearizable(history));
 }
 
+/// Messages per completed operation of a crash-free, read-heavy n=5
+/// workload, with or without the read write-back.
+double messages_per_op(bool atomic_reads, std::uint64_t seed) {
+  const int n = 5;
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.max_steps = 300000;
+  cfg.seed = seed;
+  sim::Simulator s(cfg, test::pattern(n), test::sigma_oracle(),
+                   test::random_sched());
+  reg::History history;
+  reg::AbdRegisterModule<std::int64_t>::Options ropt;
+  ropt.atomic_reads = atomic_reads;
+  reg::RegisterWorkloadModule::Options wopt;
+  wopt.num_ops = 6;
+  wopt.write_percent = 30;
+  for (int i = 0; i < n; ++i) {
+    auto& host = s.add_process<sim::ModularProcess>();
+    auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg",
+                                                                     ropt);
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 wopt);
+  }
+  EXPECT_TRUE(s.run().all_done);
+  return static_cast<double>(s.trace().stats().messages_sent) /
+         static_cast<double>(history.completed());
+}
+
+// E12a (EXPERIMENTS.md): the write-back is what atomicity costs — without
+// it, reads send fewer messages per operation.
+TEST(RegularRegisterAblation, RegularReadsSendFewerMessages) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    EXPECT_LT(messages_per_op(false, seed), messages_per_op(true, seed))
+        << "seed=" << seed;
+  }
+}
+
 // A driver that issues one register operation at a fixed local tick and
 // records it in a shared history.
 class ScriptedOp : public sim::Module, public sim::Listener<std::int64_t> {

@@ -181,6 +181,52 @@ TEST(ConsensusEdge, LeaderIsolationDelaysButNeverBreaksAgreement) {
                           test::pattern(n));
 }
 
+// E12c (EXPERIMENTS.md): Omega trusts process 0 from the first step, but
+// 0's messages are withheld until t = 30000, so every round it starts
+// before then stalls. An eager retry interval starts more of those
+// rounds than a lazy one; every process decides either way.
+std::uint64_t rounds_with_isolated_leader(Time retry_interval) {
+  const int n = 5;
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.max_steps = 400000;
+  cfg.seed = 19;
+  fd::OmegaOracle::Options oo;
+  oo.fixed_leader = 0;
+  oo.max_stabilization = 1;
+  fd::SigmaOracle::Options so;
+  so.max_stabilization = 100;
+  auto oracle = std::make_unique<fd::TupleOracle>(
+      std::make_unique<fd::OmegaOracle>(oo),
+      std::make_unique<fd::SigmaOracle>(so));
+  auto filter = [](const sim::Envelope& e, Time now) {
+    return e.from == 0 && now < 30000;
+  };
+  sim::Simulator s(
+      cfg, test::pattern(n), std::move(oracle),
+      std::make_unique<sim::FilteredScheduler>(test::random_sched(), filter));
+  OmegaSigmaConsensusModule<int>::Options opt;
+  opt.retry_interval = retry_interval;
+  std::vector<const OmegaSigmaConsensusModule<int>*> cons;
+  for (int i = 0; i < n; ++i) {
+    auto& host = s.add_process<sim::ModularProcess>();
+    auto& c = host.add_module<OmegaSigmaConsensusModule<int>>("cons", opt);
+    c.propose(i % 2);
+    cons.push_back(&c);
+  }
+  EXPECT_TRUE(s.run().all_done);
+  std::uint64_t rounds = 0;
+  for (const auto* c : cons) {
+    EXPECT_TRUE(c->decided());
+    rounds += c->rounds_started();
+  }
+  return rounds;
+}
+
+TEST(ConsensusEdge, EagerRetriesStartMoreRoundsThanLazyOnes) {
+  EXPECT_GT(rounds_with_isolated_leader(8), rounds_with_isolated_leader(2048));
+}
+
 // ------------------------------------------------- register-based consensus
 
 TEST(RegisterConsensusTest, DecidesOverSigmaBackedRegisters) {
@@ -210,6 +256,46 @@ TEST(RegisterConsensusTest, DecidesOverSigmaBackedRegisters) {
   const auto res = s.run();
   EXPECT_TRUE(res.all_done);
   check_consensus_outcome(test::decisions(cons), proposals, f);
+}
+
+// E5 (EXPERIMENTS.md): consensus derived from registers plus Omega
+// decides, but costs more steps and messages than (Omega, Sigma)
+// consensus directly.
+TEST(RegisterConsensusTest, CostsMoreThanOmegaSigmaConsensus) {
+  const auto cost = [](int n, std::uint64_t seed, bool over_registers) {
+    sim::SimConfig cfg;
+    cfg.n = n;
+    cfg.max_steps = 600000;
+    cfg.seed = seed;
+    sim::Simulator s(cfg, test::pattern(n), test::omega_sigma(),
+                     test::random_sched());
+    for (int i = 0; i < n; ++i) {
+      auto& host = s.add_process<sim::ModularProcess>();
+      if (!over_registers) {
+        host.add_module<OmegaSigmaConsensusModule<int>>("cons").propose(i % 2);
+        continue;
+      }
+      std::vector<std::size_t> regs;
+      for (int j = 0; j < n; ++j) {
+        regs.push_back(host.add_module<RegisterConsensusModule<int>::Register>(
+                               "breg/" + std::to_string(j))
+                           .index());
+      }
+      host.add_module<RegisterConsensusModule<int>>("cons", regs)
+          .propose(i % 2);
+    }
+    const auto res = s.run();
+    EXPECT_TRUE(res.all_done);
+    return std::pair(res.steps, s.trace().stats().messages_sent);
+  };
+  for (const int n : {3, 5}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      const auto [direct_steps, direct_msgs] = cost(n, seed, false);
+      const auto [derived_steps, derived_msgs] = cost(n, seed, true);
+      EXPECT_GT(derived_steps, direct_steps) << "n=" << n << " seed=" << seed;
+      EXPECT_GT(derived_msgs, direct_msgs) << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 // ------------------------------------------------ binary -> multivalued

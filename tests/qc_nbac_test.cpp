@@ -90,6 +90,15 @@ TEST_P(PsiQcSweep, SatisfiesQcSpec) {
       // Validity (b): Q only if a failure occurred.
       EXPECT_FALSE(f.faulty().empty());
     }
+    // E6 (EXPERIMENTS.md): the FS branch quits; the (Omega, Sigma)
+    // branch decides a proposed value.
+    if (prm.branch != fd::PsiOracle::Branch::kAuto) {
+      EXPECT_EQ(r.quit, prm.branch == fd::PsiOracle::Branch::kFs);
+    }
+  }
+  // E6: ...from the detector alone, with no protocol message.
+  if (prm.branch == fd::PsiOracle::Branch::kFs) {
+    EXPECT_EQ(s.trace().stats().messages_sent, 0u);
   }
 }
 
@@ -328,6 +337,51 @@ TEST(QcFromNbacTest, AbortPathQuitsOnlyWithRealFailure) {
   for (int i = 1; i < n; ++i) {
     ASSERT_TRUE(results[static_cast<std::size_t>(i)].has_value());
     EXPECT_TRUE(results[static_cast<std::size_t>(i)]->quit);
+  }
+}
+
+/// Messages a crash-free run sends at n processes with `layers`
+/// transformations over the Fig. 2 QC: 0 = the QC alone, 1 = NBAC from
+/// it (Fig. 4), 2 = QC from that NBAC (Fig. 5). Round-robin steps run the
+/// inner QC alike in all three stacks; under random schedules its own
+/// message count varies between runs by more than a layer adds.
+std::uint64_t layered_messages(int n, int layers, std::uint64_t seed) {
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.max_steps = 150000;
+  cfg.seed = seed;
+  sim::Simulator s(cfg, test::pattern(n),
+                   test::psi_fs(fd::PsiOracle::Branch::kOmegaSigma),
+                   test::round_robin());
+  for (int i = 0; i < n; ++i) {
+    auto& host = s.add_process<sim::ModularProcess>();
+    auto& q = host.add_module<PsiQcModule<int>>("qc");
+    if (layers == 0) {
+      q.propose(i % 2);
+      continue;
+    }
+    auto& nb = host.add_module<NbacFromQcModule>("nbac", q.index());
+    if (layers == 1) {
+      nb.vote(Vote::kYes);
+      continue;
+    }
+    host.add_module<QcFromNbacModule<int>>("oqc", nb.index()).propose(i % 2);
+  }
+  EXPECT_TRUE(s.run().all_done);
+  return s.trace().stats().messages_sent;
+}
+
+// E8 (EXPERIMENTS.md): each transformation layer adds messages on top of
+// the protocol it wraps.
+TEST(QcFromNbacTest, EachLayerAddsMessages) {
+  for (const int n : {3, 5, 7}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      const std::uint64_t qc = layered_messages(n, 0, seed);
+      const std::uint64_t nbac = layered_messages(n, 1, seed);
+      const std::uint64_t outer_qc = layered_messages(n, 2, seed);
+      EXPECT_LT(qc, nbac) << "n=" << n << " seed=" << seed;
+      EXPECT_LT(nbac, outer_qc) << "n=" << n << " seed=" << seed;
+    }
   }
 }
 

@@ -87,17 +87,32 @@ TEST(SearchConfigTest, JsonCarriesEverySoundnessLever) {
   const SearchConfig cfg = from_flags(
       {"--problem=register", "--n=3", "--reg-ops=1", "--reg-readers=1",
        "--loss=drop:2,dup:1", "--depth=20", "--reduction=dpor",
-       "--threads=4"});
+       "--threads=4", "--crash-time=5", "--stab=7", "--nbac-no-voter=1",
+       "--abcast-senders=1", "--all-pending"});
   const std::string json = config_to_json(cfg);
   for (const char* needle :
        {"\"problem\":\"register\"", "\"n\":3", "\"loss_drops\":2",
         "\"loss_dups\":1", "\"depth\":20", "\"reduction\":\"dpor\"",
         "\"symmetry\":false", "\"state_fingerprints\":true",
-        "\"threads\":4", "\"fd_per_query\":true"}) {
+        "\"threads\":4", "\"fd_per_query\":true", "\"reg_ops\":1",
+        "\"reg_readers\":1", "\"crash_time\":5", "\"stabilization\":7",
+        "\"nbac_no_voter\":1", "\"abcast_senders\":1",
+        "\"oldest_per_channel\":false"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << needle << " missing from " << json;
   }
   EXPECT_EQ(json.find("fd_adversarial"), std::string::npos) << json;
+  // Every field the snapshot header renders is in the JSON too (the
+  // horizon under its CLI name, depth), and kNever renders as null.
+  std::istringstream header(header_text(cfg));
+  for (std::string line; std::getline(header, line);) {
+    std::string key = line.substr(0, line.find('='));
+    if (key == "max_steps") key = "depth";
+    EXPECT_NE(json.find("\"" + key + "\":"), std::string::npos)
+        << key << " missing from " << json;
+  }
+  EXPECT_NE(config_to_json(SearchConfig{}).find("\"crash_time\":null"),
+            std::string::npos);
 }
 
 TEST(SearchConfigTest, JsonEscapeCoversQuotesBackslashesAndControls) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "reg/abd_register.h"
 #include "reg/linearizability.h"
 #include "reg/register_client.h"
 #include "smr/register_from_consensus.h"
@@ -85,6 +86,48 @@ TEST(SmrTest, ReplicasConvergeOnAppliedPrefix) {
       if (a->applied_slots() == b->applied_slots()) {
         EXPECT_EQ(a->replica_value(), b->replica_value());
       }
+    }
+  }
+}
+
+struct Cost {
+  Time steps = 0;
+  std::uint64_t messages = 0;
+};
+
+/// Every process runs workload(2) on its `Register`, crash-free; what the
+/// whole run cost.
+template <typename Register>
+Cost workload_cost(int n, std::uint64_t seed) {
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.max_steps = 600000;
+  cfg.seed = seed;
+  sim::Simulator s(cfg, test::pattern(n), test::omega_sigma(),
+                   test::random_sched());
+  reg::History history;
+  for (int i = 0; i < n; ++i) {
+    auto& host = s.add_process<sim::ModularProcess>();
+    auto& r = host.add_module<Register>("reg");
+    host.add_module<reg::RegisterWorkloadModule>("load", r.index(), &history,
+                                                 workload(2));
+  }
+  const auto res = s.run();
+  EXPECT_TRUE(res.all_done);
+  return {res.steps, s.trace().stats().messages_sent};
+}
+
+// E5 (EXPERIMENTS.md): the register derived from consensus works, but
+// costs more steps and messages than ABD over Sigma, the direct
+// construction, on the same workload.
+TEST(SmrTest, CostsMoreThanAbdOverSigma) {
+  for (const int n : {3, 5}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      const Cost abd =
+          workload_cost<reg::AbdRegisterModule<std::int64_t>>(n, seed);
+      const Cost smr = workload_cost<SmrRegisterModule>(n, seed);
+      EXPECT_GT(smr.steps, abd.steps) << "n=" << n << " seed=" << seed;
+      EXPECT_GT(smr.messages, abd.messages) << "n=" << n << " seed=" << seed;
     }
   }
 }
