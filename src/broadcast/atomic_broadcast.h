@@ -102,8 +102,10 @@ class AtomicBroadcastModule : public sim::Module,
     }
   }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<AtomicBroadcastModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
   /// URB delivered `m`: it awaits ordering unless already ordered.

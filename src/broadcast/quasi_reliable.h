@@ -95,9 +95,11 @@ class QuasiReliableModule : public sim::Module, public sim::ModuleTransport {
   [[nodiscard]] bool tick_noop() const override { return false; }
 
   /// The wrapped modules' transport pointers are re-pointed by their
-  /// host (ModuleHost::clone_modules); this module borrows nothing.
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<QuasiReliableModule>(*this);
+  /// host (ModuleHost::copy_modules); this module borrows nothing.
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
   [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }

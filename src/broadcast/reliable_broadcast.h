@@ -84,8 +84,10 @@ class UrbModule : public sim::Module {
     enc.field("delivered", delivered_n_);
   }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<UrbModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:

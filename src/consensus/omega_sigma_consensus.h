@@ -213,8 +213,10 @@ class OmegaSigmaConsensusModule : public sim::Module, public ConsensusApi<V> {
 
   void on_start() override { enc_n_ = n(); }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<OmegaSigmaConsensusModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
   // Uses the process count cached at on_start: the encoder runs outside

@@ -30,6 +30,7 @@
 #include "fd/oracle.h"
 #include "fd/values.h"
 #include "sim/choice.h"
+#include "sim/clone.h"
 #include "sim/failure_pattern.h"
 
 namespace wfd::explore {
@@ -80,11 +81,10 @@ class ChoiceOracle : public fd::Oracle {
   void on_crash(ProcessId p, Time t) override;
   [[nodiscard]] std::string name() const override { return "choice"; }
   void encode_state(sim::StateEncoder& enc, Time now) const override;
-  [[nodiscard]] std::unique_ptr<fd::Oracle> clone(
-      sim::ChoiceSource& choices) const override {
-    auto copy = std::make_unique<ChoiceOracle>(*this);
-    copy->choices_ = &choices;
-    return copy;
+  [[nodiscard]] bool copy_to(std::unique_ptr<fd::Oracle>& slot,
+                             sim::ChoiceSource& choices) const override {
+    sim::copy_into(*this, slot).choices_ = &choices;
+    return true;
   }
 
  private:

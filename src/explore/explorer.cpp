@@ -174,11 +174,19 @@ struct StepRec {
 /// checkpoint at or below the flipped frame and re-executes only the
 /// steps from there to the flip; a fresh build is the checkpoint at
 /// position 0, which a run falls back to when none qualifies, e.g.
-/// every run of a scenario with a non-cloneable part (clone_scenario).
+/// every run of a scenario with a non-cloneable part (copy_scenario).
 /// Either way the run counts the same: a restore adds the skipped
 /// prefix's steps and commute skips, and truncates the DPOR state to
 /// the checkpoint's lengths — the prefix's events, clocks and message
 /// records are the ones the previous run computed.
+///
+/// Copies reuse storage: a popped checkpoint stays in its slot as a
+/// spare, scenario and DPOR vectors included, and the next checkpoint
+/// taken at that depth is copied into it; a restore copies into the
+/// previous run's final scenario. Scenarios of one problem have the
+/// same parts, so a copy is mostly assignments into storage that has
+/// already grown (copy_scenario). The engine thus holds at most its
+/// deepest checkpoint stack plus the run's scenario.
 class UnitEngine {
  public:
   UnitEngine(ScenarioBuilder build, const WaveContext& ctx)
@@ -219,18 +227,22 @@ class UnitEngine {
       const std::size_t replay_len = u_->frames.size();
       // A checkpoint past the flipped frame holds a state of the path
       // before the flip.
-      while (!checkpoints_.empty() &&
-             checkpoints_.back().pos >= replay_len) {
-        checkpoints_.pop_back();
+      while (depth_ > 0 && checkpoints_[depth_ - 1].pos >= replay_len) {
+        --depth_;
       }
       run_blocked_ = false;
       // Commute skips this run's steps count, restored prefix included.
       const std::uint64_t commute_origin = res_.delta.commute_skips;
       std::uint64_t run_steps = 0;
       std::uint64_t cur_fp = 0;
-      const bool fresh = checkpoints_.empty();
-      source_.restart(fresh ? 0 : checkpoints_.back().pos);
-      Scenario sc = fresh ? build() : restore(run_steps, cur_fp);
+      const bool fresh = depth_ == 0;
+      source_.restart(fresh ? 0 : checkpoints_[depth_ - 1].pos);
+      if (fresh) {
+        run_ = build();
+      } else {
+        restore(run_steps, cur_fp);
+      }
+      Scenario& sc = run_;
       // The first step count at which this run may take a checkpoint:
       // a restored boundary has one already, or needs none.
       const std::uint64_t checkpoint_from = fresh ? 0 : run_steps + 1;
@@ -398,7 +410,8 @@ class UnitEngine {
   };
 
   /// A scenario copy taken before a step of the current path, with what
-  /// the run had computed by then.
+  /// the run had computed by then. Popped, it is a spare whose storage
+  /// the next checkpoint at its depth reuses.
   struct Checkpoint {
     std::size_t pos = 0;      ///< Frames consumed before the step.
     std::uint64_t steps = 0;  ///< Steps executed before it.
@@ -462,21 +475,21 @@ class UnitEngine {
     return res_.graph.root;
   }
 
-  /// The run's start at the deepest checkpoint, with the run's counters
-  /// and the DPOR state put back to where they stood there: a copy, or
-  /// the checkpoint itself when no frame it covers can be flipped again
-  /// (flippable_from), which saves the copy. Should a later backtrack
-  /// insertion reopen such a frame, that run restores from a shallower
-  /// checkpoint: it re-executes more steps and finds the same states.
-  Scenario restore(std::uint64_t& run_steps, std::uint64_t& cur_fp) {
-    Checkpoint& cp = checkpoints_.back();
+  /// Starts the run at the deepest checkpoint, with the run's counters
+  /// and the DPOR state put back to where they stood there: the run's
+  /// scenario becomes a copy, or the checkpoint itself when no frame it
+  /// covers can be flipped again (flippable_from), which saves the copy;
+  /// the popped slot then keeps the previous run's scenario as its
+  /// spare. Should a later backtrack insertion reopen such a frame, that
+  /// run restores from a shallower checkpoint: it re-executes more steps
+  /// and finds the same states.
+  void restore(std::uint64_t& run_steps, std::uint64_t& cur_fp) {
+    Checkpoint& cp = checkpoints_[depth_ - 1];
     const bool hand_over = !flippable_from(cp.pos);
-    std::optional<Scenario> sc;
     if (hand_over) {
-      sc = std::move(cp.sc);
+      std::swap(run_, cp.sc);
     } else {
-      sc = clone_scenario(cp.sc, source_);
-      WFD_CHECK_MSG(sc.has_value(), "a checkpoint stopped being cloneable");
+      WFD_CHECK_MSG(copy(cp.sc, run_), "a checkpoint stopped being cloneable");
     }
     run_steps = cp.steps;
     cur_fp = cp.fp;
@@ -501,11 +514,26 @@ class UnitEngine {
 #ifndef NDEBUG
     if (!restore_checked_) {
       restore_checked_ = true;
-      check_restore(*sc, cp.pos, cp.steps);
+      check_restore(run_, cp.pos, cp.steps);
     }
 #endif
-    if (hand_over) checkpoints_.pop_back();
-    return std::move(*sc);
+    if (hand_over) --depth_;
+  }
+
+  /// Copies `from` into `to`, which may hold an earlier state of the
+  /// scenario (copy_scenario). False when a part is not cloneable.
+  bool copy(const Scenario& from, Scenario& to) {
+#ifndef NDEBUG
+    const bool recycled = to.sim != nullptr;
+#endif
+    if (!copy_scenario(from, to, source_)) return false;
+#ifndef NDEBUG
+    if (recycled && !recycle_checked_) {
+      recycle_checked_ = true;
+      check_recycled_copy(from, to);
+    }
+#endif
+    return true;
   }
 
   /// Whether backtrack() could still flip a frame at or past `pos` to a
@@ -528,28 +556,29 @@ class UnitEngine {
   }
 
   /// Pushes a copy of `sc`, about to take step steps + 1 from frame
-  /// `pos`. The first copy that fails marks the scenario not cloneable
-  /// for the rest of the engine.
+  /// `pos`, into the slot above the stack's top. The first copy that
+  /// fails marks the scenario not cloneable for the rest of the engine.
   void take_checkpoint(const Scenario& sc, std::size_t pos,
                        std::uint64_t steps, std::uint64_t fp,
                        std::uint64_t commute_skips) {
-    std::optional<Scenario> copy = clone_scenario(sc, source_);
-    if (!copy.has_value()) {
+    if (depth_ == checkpoints_.size()) checkpoints_.emplace_back();
+    Checkpoint& cp = checkpoints_[depth_];
+    if (!copy(sc, cp.sc)) {
       cloneable_ = false;
+      cp.sc = Scenario{};
       return;
     }
-    Checkpoint& cp = checkpoints_.emplace_back();
+    ++depth_;
     cp.pos = pos;
     cp.steps = steps;
-    cp.sc = std::move(*copy);
     cp.fp = fp;
     cp.commute_skips = commute_skips;
     if (cfg_.reduction == Reduction::kDpor) {
-      cp.proc_events.reserve(proc_events_.size());
+      cp.proc_events.clear();
       for (const auto& events : proc_events_) {
         cp.proc_events.push_back(events.size());
       }
-      cp.clock.reserve(proc_events_.size() * proc_events_.size());
+      cp.clock.clear();
       for (const auto& row : clock_) {
         cp.clock.insert(cp.clock.end(), row.begin(), row.end());
       }
@@ -1154,7 +1183,7 @@ class UnitEngine {
   /// Builds without NDEBUG, at an engine's first restore: a rebuild
   /// replayed to the checkpoint's position, its invariants checked
   /// after every step as the run that took the copy checked them, must
-  /// match the copy. The fingerprint folds the invariants' state.
+  /// match the copy.
   void check_restore(const Scenario& restored, std::size_t pos,
                      std::uint64_t steps) {
     sim::FixedChoices replay(decisions());
@@ -1166,19 +1195,28 @@ class UnitEngine {
     }
     WFD_CHECK_MSG(replay.consumed() == pos,
                   "rebuild consumed other frames than the checkpoint");
-    WFD_CHECK_MSG(fresh.sim->trace().to_string() ==
-                      restored.sim->trace().to_string(),
-                  "restored trace differs from a rebuild");
-    WFD_CHECK_MSG(fresh.sim->last_step() == restored.sim->last_step(),
-                  "restored last step differs from a rebuild");
-    WFD_CHECK_MSG(fresh.sim->network().total_sent() ==
-                      restored.sim->network().total_sent(),
-                  "restored network differs from a rebuild");
-    const std::optional<std::uint64_t> fp = scenario_fingerprint(fresh);
-    if (fp.has_value()) {
-      WFD_CHECK_MSG(scenario_fingerprint(restored) == fp,
-                    "restored state differs from a rebuild");
-    }
+    WFD_CHECK_MSG(same_state(fresh, restored),
+                  "restored state differs from a rebuild");
+  }
+
+  /// Builds without NDEBUG, at an engine's first copy into a scenario
+  /// that held an earlier state: a fresh copy of the same source, into
+  /// an empty scenario, must match it.
+  void check_recycled_copy(const Scenario& from, const Scenario& copy) {
+    const std::optional<Scenario> fresh = clone_scenario(from, source_);
+    WFD_CHECK_MSG(fresh.has_value() && same_state(*fresh, copy),
+                  "a copy into a recycled scenario differs from a fresh "
+                  "copy");
+  }
+
+  /// Whether two scenarios agree on the trace, the last step, the
+  /// messages sent and the fingerprint, which folds the invariants'
+  /// state.
+  static bool same_state(const Scenario& a, const Scenario& b) {
+    return a.sim->trace().to_string() == b.sim->trace().to_string() &&
+           a.sim->last_step() == b.sim->last_step() &&
+           a.sim->network().total_sent() == b.sim->network().total_sent() &&
+           scenario_fingerprint(a) == scenario_fingerprint(b);
   }
 #endif
 
@@ -1195,13 +1233,19 @@ class UnitEngine {
   /// The decision source of every run, and of every checkpoint: a
   /// stored copy asks it only once a restore hands the copy to a run.
   DfsSource source_{*this};
-  /// Checkpoints along the current path, shallowest first; at most one
-  /// per step.
+  /// The current run's scenario. Kept after the run ends: the next
+  /// restore copies into it.
+  Scenario run_;
+  /// Checkpoint slots: the first depth_ are the checkpoints along the
+  /// current path, shallowest first, at most one per step; the rest
+  /// are popped checkpoints kept as spares.
   std::vector<Checkpoint> checkpoints_;
+  std::size_t depth_ = 0;
   /// Cleared by the first failed copy: no checkpoint is taken again.
   bool cloneable_ = true;
 #ifndef NDEBUG
   bool restore_checked_ = false;
+  bool recycle_checked_ = false;
 #endif
 
   UnitResult res_;

@@ -35,7 +35,7 @@ class Invariant {
   /// Inspect the run so far; nullopt = no violation. Called after every
   /// step with the same simulator (monotonically growing trace), so
   /// implementations keep a cursor instead of rescanning. A run that
-  /// starts from a restored checkpoint goes on with the clone() taken
+  /// starts from a restored checkpoint goes on with the copy taken
   /// there, whose cursor already covers the restored prefix.
   virtual std::optional<Violation> check(const sim::Simulator& sim) = 0;
   /// Fold whatever run-history state this invariant judges future steps
@@ -46,14 +46,16 @@ class Invariant {
   /// default is empty: correct for invariants whose verdicts depend only
   /// on simulator state the modules already encode.
   virtual void encode_state(sim::StateEncoder& enc) const { (void)enc; }
-  /// A copy for a cloned scenario (sim/clone.h), cursor included, or
-  /// null — the default — when the invariant cannot be copied. An
-  /// invariant owning an object that modules borrow records the copy's
-  /// object in `map`, so the cloned modules re-point to it.
-  [[nodiscard]] virtual std::unique_ptr<Invariant> clone(
-      sim::CloneMap& map) const {
+  /// Copies this invariant, cursor included, into `slot` for a copied
+  /// scenario (sim/clone.h); false — the default — when the invariant
+  /// cannot be copied. An invariant owning an object that modules borrow
+  /// records the copy's object in `map`, so the copied modules re-point
+  /// to it.
+  [[nodiscard]] virtual bool copy_to(std::unique_ptr<Invariant>& slot,
+                                     sim::CloneMap& map) const {
+    (void)slot;
     (void)map;
-    return nullptr;
+    return false;
   }
 };
 
@@ -63,8 +65,8 @@ class EventualProperty {
   virtual ~EventualProperty() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   virtual std::optional<Violation> check_final(const sim::Simulator& sim) = 0;
-  /// A copy for a cloned scenario.
-  [[nodiscard]] virtual std::unique_ptr<EventualProperty> clone() const = 0;
+  /// Copies this property into `slot` for a copied scenario.
+  virtual void copy_to(std::unique_ptr<EventualProperty>& slot) const = 0;
 };
 
 /// A liveness clause for fair-cycle checking over the explored state
@@ -86,8 +88,8 @@ class LivenessClause {
   virtual ~LivenessClause() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual bool goal(const sim::Simulator& sim) const = 0;
-  /// A copy for a cloned scenario.
-  [[nodiscard]] virtual std::unique_ptr<LivenessClause> clone() const = 0;
+  /// Copies this clause into `slot` for a copied scenario.
+  virtual void copy_to(std::unique_ptr<LivenessClause>& slot) const = 0;
 };
 
 /// Termination (consensus "decide", QC/NBAC decisions, rb delivery
@@ -100,8 +102,8 @@ class TerminationClause : public LivenessClause {
   [[nodiscard]] bool goal(const sim::Simulator& sim) const override {
     return sim.all_alive_done();
   }
-  [[nodiscard]] std::unique_ptr<LivenessClause> clone() const override {
-    return std::make_unique<TerminationClause>();
+  void copy_to(std::unique_ptr<LivenessClause>& slot) const override {
+    sim::copy_into(*this, slot);
   }
 };
 
@@ -118,8 +120,8 @@ class LeadershipClause : public LivenessClause {
   explicit LeadershipClause(std::size_t position) : position_(position) {}
   [[nodiscard]] std::string name() const override { return "leadership"; }
   [[nodiscard]] bool goal(const sim::Simulator& sim) const override;
-  [[nodiscard]] std::unique_ptr<LivenessClause> clone() const override {
-    return std::make_unique<LeadershipClause>(*this);
+  void copy_to(std::unique_ptr<LivenessClause>& slot) const override {
+    sim::copy_into(*this, slot);
   }
 
  private:
@@ -136,8 +138,8 @@ class FdCompletenessClause : public LivenessClause {
   explicit FdCompletenessClause(std::size_t position) : position_(position) {}
   [[nodiscard]] std::string name() const override { return "fd-completeness"; }
   [[nodiscard]] bool goal(const sim::Simulator& sim) const override;
-  [[nodiscard]] std::unique_ptr<LivenessClause> clone() const override {
-    return std::make_unique<FdCompletenessClause>(*this);
+  void copy_to(std::unique_ptr<LivenessClause>& slot) const override {
+    sim::copy_into(*this, slot);
   }
 
  private:
@@ -158,9 +160,10 @@ class AgreementInvariant : public Invariant {
     enc.field("have-first", have_first_);
     if (have_first_) enc.field("first-value", first_value_);
   }
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<AgreementInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -181,9 +184,10 @@ class ValidityInvariant : public Invariant {
     return "validity(" + kind_ + ")";
   }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<ValidityInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -198,9 +202,10 @@ class QuitValidityInvariant : public Invariant {
  public:
   [[nodiscard]] std::string name() const override { return "quit-validity"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<QuitValidityInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -215,9 +220,10 @@ class NbacValidityInvariant : public Invariant {
       : votes_(std::move(votes)) {}
   [[nodiscard]] std::string name() const override { return "nbac-validity"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<NbacValidityInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -242,9 +248,10 @@ class SigmaIntersectionInvariant : public Invariant {
       enc.merge("quorum", sub);
     }
   }
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<SigmaIntersectionInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -270,9 +277,10 @@ class FdPrefixInvariant : public Invariant {
   FdPrefixInvariant(bool fs, bool psi) : fs_(fs), psi_(psi) {}
   [[nodiscard]] std::string name() const override { return "fd-prefix"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<FdPrefixInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -301,11 +309,10 @@ class RegisterAtomicityInvariant : public Invariant {
   /// which past ops overlapped, not on when they ran.
   void encode_state(sim::StateEncoder& enc) const override;
   /// Records the copy's History in `map` for the clients' relink.
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap& map) const override {
-    auto copy = std::make_unique<RegisterAtomicityInvariant>(*this);
-    map.add(&history_, &copy->history_);
-    return copy;
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap& map) const override {
+    map.add(&history_, &sim::copy_into(*this, slot).history_);
+    return true;
   }
 
  private:
@@ -346,9 +353,10 @@ class TotalOrderInvariant : public DeliveryLogInvariant {
       : DeliveryLogInvariant(n, position) {}
   [[nodiscard]] std::string name() const override { return "total-order"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<TotalOrderInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 };
 
@@ -363,9 +371,10 @@ class UrbIntegrityInvariant : public DeliveryLogInvariant {
       : DeliveryLogInvariant(n, position), senders_(senders) {}
   [[nodiscard]] std::string name() const override { return "urb-integrity"; }
   std::optional<Violation> check(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<Invariant> clone(
-      sim::CloneMap&) const override {
-    return std::make_unique<UrbIntegrityInvariant>(*this);
+  [[nodiscard]] bool copy_to(std::unique_ptr<Invariant>& slot,
+                             sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -382,8 +391,8 @@ class EventualDecisionProperty : public EventualProperty {
     return "eventual(" + kind_ + ")";
   }
   std::optional<Violation> check_final(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<EventualProperty> clone() const override {
-    return std::make_unique<EventualDecisionProperty>(*this);
+  void copy_to(std::unique_ptr<EventualProperty>& slot) const override {
+    sim::copy_into(*this, slot);
   }
 
  private:
@@ -404,8 +413,8 @@ class EventualLeadershipProperty : public EventualProperty {
     return "eventual-leadership(" + kind_ + ")";
   }
   std::optional<Violation> check_final(const sim::Simulator& sim) override;
-  [[nodiscard]] std::unique_ptr<EventualProperty> clone() const override {
-    return std::make_unique<EventualLeadershipProperty>(*this);
+  void copy_to(std::unique_ptr<EventualProperty>& slot) const override {
+    sim::copy_into(*this, slot);
   }
 
  private:

@@ -28,9 +28,10 @@ namespace {
 class FdProbeProcess : public sim::Process {
  public:
   void on_step(sim::Context&, const sim::Envelope*) override {}
-  [[nodiscard]] std::unique_ptr<sim::Process> clone(
-      const sim::CloneMap&) const override {
-    return std::make_unique<FdProbeProcess>();
+  [[nodiscard]] bool copy_to(std::unique_ptr<sim::Process>& slot,
+                             const sim::CloneMap&) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 };
 
@@ -49,8 +50,10 @@ class UrbWaiter : public sim::Module {
   void on_message(ProcessId, const sim::Payload&) override {}
   [[nodiscard]] bool tick_noop() const override { return true; }
   void encode_state(sim::StateEncoder&) const override {}
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<UrbWaiter>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -587,24 +590,31 @@ std::optional<std::uint64_t> scenario_fingerprint(
   return enc.digest();
 }
 
-std::optional<Scenario> clone_scenario(const Scenario& sc,
-                                      sim::ChoiceSource& choices) {
+bool copy_scenario(const Scenario& sc, Scenario& to,
+                   sim::ChoiceSource& choices) {
   // Invariants first: one that owns an object modules borrow records its
   // copy in the map before the modules relink to it.
   sim::CloneMap map(choices);
+  to.invariants.resize(sc.invariants.size());
+  for (std::size_t i = 0; i < sc.invariants.size(); ++i) {
+    if (!sc.invariants[i]->copy_to(to.invariants[i], map)) return false;
+  }
+  if (!sc.sim->copy_to(to.sim, map)) return false;
+  to.eventuals.resize(sc.eventuals.size());
+  for (std::size_t i = 0; i < sc.eventuals.size(); ++i) {
+    sc.eventuals[i]->copy_to(to.eventuals[i]);
+  }
+  to.liveness.resize(sc.liveness.size());
+  for (std::size_t i = 0; i < sc.liveness.size(); ++i) {
+    sc.liveness[i]->copy_to(to.liveness[i]);
+  }
+  return true;
+}
+
+std::optional<Scenario> clone_scenario(const Scenario& sc,
+                                      sim::ChoiceSource& choices) {
   Scenario out;
-  out.invariants.reserve(sc.invariants.size());
-  for (const auto& inv : sc.invariants) {
-    std::unique_ptr<Invariant> copy = inv->clone(map);
-    if (copy == nullptr) return std::nullopt;
-    out.invariants.push_back(std::move(copy));
-  }
-  out.sim = sc.sim->clone(map);
-  if (out.sim == nullptr) return std::nullopt;
-  for (const auto& ev : sc.eventuals) out.eventuals.push_back(ev->clone());
-  for (const auto& clause : sc.liveness) {
-    out.liveness.push_back(clause->clone());
-  }
+  if (!copy_scenario(sc, out, choices)) return std::nullopt;
   return out;
 }
 

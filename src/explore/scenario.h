@@ -102,10 +102,19 @@ struct Scenario {
 [[nodiscard]] std::optional<std::uint64_t> scenario_fingerprint(
     const Scenario& sc, const std::vector<ProcessId>* renaming = nullptr);
 
-/// A deep copy of `sc` between steps that continues exactly as `sc`
-/// would, asking `choices` at every choice point (sim/clone.h); `sc`
-/// stays untouched while the copy runs. nullopt when any part — a
-/// process, module, oracle, scheduler or invariant — is not cloneable.
+/// Copies `sc`, between steps, into `to` (sim/clone.h): each part into
+/// the part `to` holds at the same position, by assignment when the
+/// types match, so a scenario of the same problem is refilled in the
+/// storage it already owns; missing parts are copied fresh and surplus
+/// ones dropped. The copy continues exactly as `sc` would, asking
+/// `choices` at every choice point, and `sc` stays untouched while the
+/// copy runs. False when any part — a process, module, oracle, scheduler
+/// or invariant — is not cloneable; `to` is then unusable.
+[[nodiscard]] bool copy_scenario(const Scenario& sc, Scenario& to,
+                                 sim::ChoiceSource& choices);
+
+/// copy_scenario into an empty scenario; nullopt when any part is not
+/// cloneable.
 [[nodiscard]] std::optional<Scenario> clone_scenario(
     const Scenario& sc, sim::ChoiceSource& choices);
 

@@ -81,8 +81,10 @@ class FirstHeardConsensusModule : public sim::Module {
     enc.field("decision", decision_);
   }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<FirstHeardConsensusModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -188,8 +190,10 @@ class CrashTimingConsensusModule : public sim::Module {
     enc.field("pending-phase2", pending_phase2_);
   }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<CrashTimingConsensusModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -241,8 +245,10 @@ class GiveUpLeaderConsensusModule
   GiveUpLeaderConsensusModule()
       : consensus::OmegaSigmaConsensusModule<int>(bug_options()) {}
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<GiveUpLeaderConsensusModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:
@@ -270,8 +276,10 @@ class DeferToPromisedConsensusModule
   DeferToPromisedConsensusModule()
       : consensus::OmegaSigmaConsensusModule<int>(bug_options()) {}
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<DeferToPromisedConsensusModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:

@@ -80,8 +80,10 @@ class HeartbeatOmegaModule : public sim::Module, public sim::FdSource {
   /// so equal futures hash equally regardless of when they were reached.
   void encode_state(sim::StateEncoder& enc) const override;
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<HeartbeatOmegaModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:

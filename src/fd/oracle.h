@@ -57,13 +57,14 @@ class Oracle {
     enc.opaque("oracle");
   }
 
-  /// A copy for a cloned simulator (sim/clone.h) whose choice points, if
-  /// any, ask `choices`; null — the default — when the oracle cannot be
-  /// copied.
-  [[nodiscard]] virtual std::unique_ptr<Oracle> clone(
-      sim::ChoiceSource& choices) const {
+  /// Copies this oracle into `slot` for a copied simulator
+  /// (sim/clone.h); the copy's choice points, if any, ask `choices`.
+  /// False — the default — when the oracle cannot be copied.
+  [[nodiscard]] virtual bool copy_to(std::unique_ptr<Oracle>& slot,
+                                     sim::ChoiceSource& choices) const {
+    (void)slot;
     (void)choices;
-    return nullptr;
+    return false;
   }
 };
 

@@ -104,8 +104,10 @@ class NbacFromQcModule : public sim::Module,
     finish((!r.quit && r.value == 1) ? Decision::kCommit : Decision::kAbort);
   }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<NbacFromQcModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
   void encode_state(sim::StateEncoder& enc) const override {

@@ -89,8 +89,10 @@ class PsiQcModule : public sim::Module,
     finish(QcResult<V>::value_result(d));
   }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<PsiQcModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
  private:

@@ -148,8 +148,10 @@ class AbdRegisterModule : public sim::Module, public RegisterApi<V> {
   /// busy_, so the verdict holds on either side of such a delivery.
   [[nodiscard]] bool tick_noop() const override { return !busy_; }
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<AbdRegisterModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
   void encode_state(sim::StateEncoder& enc) const override {

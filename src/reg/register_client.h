@@ -91,8 +91,10 @@ class RegisterWorkloadModule : public sim::Module,
   /// the response time (and a read's value) into the History.
   void on_result(std::uint64_t tag, const std::int64_t& value) override;
 
-  [[nodiscard]] std::unique_ptr<sim::Module> clone() const override {
-    return std::make_unique<RegisterWorkloadModule>(*this);
+  [[nodiscard]] bool copy_to(
+      std::unique_ptr<sim::Module>& slot) const override {
+    sim::copy_into(*this, slot);
+    return true;
   }
 
   /// The History through `map` (its owner, e.g.

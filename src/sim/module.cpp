@@ -1,5 +1,7 @@
 #include "sim/module.h"
 
+#include <typeinfo>
+
 #include "sim/simulator.h"
 
 namespace wfd::sim {
@@ -143,17 +145,14 @@ void ModuleHost::encode_modules(StateEncoder& enc) const {
   }
 }
 
-bool ModuleHost::clone_modules(ModuleHost& to, const CloneMap& map) const {
-  WFD_CHECK(to.modules_.empty());
-  to.modules_.reserve(modules_.size());
-  for (const auto& m : modules_) {
+bool ModuleHost::copy_modules(ModuleHost& to, const CloneMap& map) const {
+  to.modules_.resize(modules_.size());
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    const Module& m = *modules_[i];
     // A detector source is another object's pointer with no position to
     // re-point it by.
-    if (m->fd_source_ != nullptr) return false;
-    std::unique_ptr<Module> copy = m->clone();
-    if (copy == nullptr) return false;
-    copy->host_ = &to;
-    to.modules_.push_back(std::move(copy));
+    if (m.fd_source_ != nullptr || !m.copy_to(to.modules_[i])) return false;
+    to.modules_[i]->host_ = &to;
   }
   for (const auto& copy : to.modules_) {
     if (!copy->relink(map)) return false;
@@ -183,11 +182,15 @@ void ModularProcess::on_step(Context& ctx, const Envelope* msg) {
   current_ = nullptr;
 }
 
-std::unique_ptr<Process> ModularProcess::clone(const CloneMap& map) const {
-  if (instrument_ != nullptr) return nullptr;
-  auto copy = std::make_unique<ModularProcess>();
-  if (!clone_modules(*copy, map)) return nullptr;
-  return copy;
+bool ModularProcess::copy_to(std::unique_ptr<Process>& slot,
+                             const CloneMap& map) const {
+  WFD_CHECK_MSG(typeid(*this) == typeid(ModularProcess),
+                "copy_to not overridden");
+  if (instrument_ != nullptr) return false;
+  if (slot == nullptr || typeid(*slot) != typeid(ModularProcess)) {
+    slot = std::make_unique<ModularProcess>();
+  }
+  return copy_modules(static_cast<ModularProcess&>(*slot), map);
 }
 
 bool ModularProcess::tick_noop() const {

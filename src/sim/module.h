@@ -71,7 +71,7 @@ class ModuleTransport {
 
 /// Where a module reports a result: the listening module's position in
 /// the notifier's host (Module::index()) plus a tag the listener chose.
-/// A position survives a copy of the host unchanged, so a cloned
+/// A position survives a copy of the host unchanged, so a copied
 /// notifier reports to the listener's copy with nothing to re-point. A
 /// default Hook names no listener.
 struct Hook {
@@ -205,12 +205,14 @@ class ModuleHost {
   void encode_modules(StateEncoder& enc) const;
 
   /// Copies every module, the pre-existence buffer and the started flag
-  /// into `to`, a host without modules, then re-points each copy's host
-  /// and (Module::relink) the objects outside the simulator it borrows.
+  /// into `to`, by position: the module at each position is copied into
+  /// the one `to` holds there (Module::copy_to), and `to`'s module list
+  /// is resized to this one's. Then re-points each copy's host and
+  /// (Module::relink) the objects outside the simulator it borrows.
   /// Positions and hooks need no re-pointing. False when some module is
   /// not cloneable or borrows something without a copy; `to` is then
   /// unusable.
-  [[nodiscard]] bool clone_modules(ModuleHost& to, const CloneMap& map) const;
+  [[nodiscard]] bool copy_modules(ModuleHost& to, const CloneMap& map) const;
 
  private:
   struct BufferedMsg {
@@ -222,8 +224,8 @@ class ModuleHost {
   void start_module(Module& m);
 
   std::vector<std::unique_ptr<Module>> modules_;
-  /// Module positions by name, shared by a host and its clones until
-  /// one of them adds a module (copy on write): a clone copies no map.
+  /// Module positions by name, shared by a host and its copies until
+  /// one of them adds a module (copy on write): a copy copies no map.
   std::shared_ptr<std::map<std::string, std::size_t>> by_name_ =
       std::make_shared<std::map<std::string, std::size_t>>();
   std::map<std::string, std::vector<BufferedMsg>> undelivered_;
@@ -284,18 +286,21 @@ class Module {
     enc.opaque("module");
   }
 
-  /// A member-wise copy for a cloned host (sim/clone.h), or null — the
-  /// default, like encode_state's opaque one — when this module cannot
-  /// be copied. Positions and hooks copy as they are; the host sets the
-  /// copy's host pointer, and relink() re-points the rest.
-  [[nodiscard]] virtual std::unique_ptr<Module> clone() const {
-    return nullptr;
+  /// Copies this module into `slot` for a copied host (sim/clone.h):
+  /// an assignment when `slot` holds a module of the same type, else a
+  /// fresh copy (copy_into). False — the default, like encode_state's
+  /// opaque one — when this module cannot be copied. Positions and hooks
+  /// copy as they are; the host sets the copy's host pointer, and
+  /// relink() re-points the rest.
+  [[nodiscard]] virtual bool copy_to(std::unique_ptr<Module>& slot) const {
+    (void)slot;
+    return false;
   }
 
-  /// Re-points what a fresh copy borrows from outside the simulator
-  /// (such as a register History an invariant owns) through `map`.
-  /// False when something has no copy there, which fails the clone. The
-  /// default borrows nothing.
+  /// Re-points what a copy borrows from outside the simulator (such as
+  /// a register History an invariant owns) through `map`. False when
+  /// something has no copy there, which fails the copy. The default
+  /// borrows nothing.
   [[nodiscard]] virtual bool relink(const CloneMap& map) {
     (void)map;
     return true;
@@ -454,9 +459,9 @@ class ModularProcess : public Process, public ModuleHost {
 
   void set_instrument(TransportInstrument* ins) { instrument_ = ins; }
 
-  /// Null when a module is not cloneable or an instrument is set.
-  [[nodiscard]] std::unique_ptr<Process> clone(
-      const CloneMap& map) const override;
+  /// False when a module is not cloneable or an instrument is set.
+  [[nodiscard]] bool copy_to(std::unique_ptr<Process>& slot,
+                             const CloneMap& map) const override;
   [[nodiscard]] TransportInstrument* instrument() override {
     return instrument_;
   }

@@ -62,12 +62,14 @@ class Process {
     enc.opaque("process");
   }
 
-  /// A copy of this process for a cloned simulator, taken between steps
-  /// (sim/clone.h), or null — the default — when it cannot be copied.
-  [[nodiscard]] virtual std::unique_ptr<Process> clone(
-      const CloneMap& map) const {
+  /// Copies this process into `slot` for a copied simulator, between
+  /// steps (sim/clone.h); false — the default — when it cannot be
+  /// copied.
+  [[nodiscard]] virtual bool copy_to(std::unique_ptr<Process>& slot,
+                                     const CloneMap& map) const {
+    (void)slot;
     (void)map;
-    return nullptr;
+    return false;
   }
 };
 

@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <typeinfo>
 
 #include "common/check.h"
 #include "inject/fault_plan.h"
@@ -140,17 +141,24 @@ ReplayScheduler::ReplayScheduler(ChoiceSource* choices, Options opt)
   WFD_CHECK(choices_ != nullptr);
 }
 
-std::unique_ptr<Scheduler> ReplayScheduler::clone(
-    ChoiceSource& choices, const inject::FaultState* faults) const {
+bool ReplayScheduler::copy_to(std::unique_ptr<Scheduler>& slot,
+                              ChoiceSource& choices,
+                              const inject::FaultState* faults) const {
   // Options::faults borrows the simulator's ledger: the copy reads the
-  // clone's. The menu vectors are per-step scratch and are not copied.
-  if ((faults == nullptr) != (opt_.faults == nullptr)) return nullptr;
-  Options opt = opt_;
-  opt.faults = faults;
-  auto copy = std::make_unique<ReplayScheduler>(&choices, opt);
-  copy->n_ = n_;
-  copy->started_ = started_;
-  return copy;
+  // copy's. The menu vectors are per-step scratch: a copy keeps its own.
+  if ((faults == nullptr) != (opt_.faults == nullptr)) return false;
+  WFD_CHECK_MSG(typeid(*this) == typeid(ReplayScheduler),
+                "copy_to not overridden");
+  if (slot == nullptr || typeid(*slot) != typeid(ReplayScheduler)) {
+    slot = std::make_unique<ReplayScheduler>(&choices, opt_);
+  }
+  auto& to = static_cast<ReplayScheduler&>(*slot);
+  to.choices_ = &choices;
+  to.opt_ = opt_;
+  to.opt_.faults = faults;
+  to.n_ = n_;
+  to.started_ = started_;
+  return true;
 }
 
 void ReplayScheduler::begin_run(int n, const FailurePattern& f,

@@ -55,14 +55,17 @@ class Scheduler {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// A copy for a cloned simulator (sim/clone.h) whose choice points ask
-  /// `choices` and whose fault menus read `faults` (the clone's ledger),
-  /// or null — the default — when the scheduler cannot be copied.
-  [[nodiscard]] virtual std::unique_ptr<Scheduler> clone(
-      ChoiceSource& choices, const inject::FaultState* faults) const {
+  /// Copies this scheduler into `slot` for a copied simulator
+  /// (sim/clone.h); the copy's choice points ask `choices` and its fault
+  /// menus read `faults` (the copy's ledger). False — the default — when
+  /// the scheduler cannot be copied.
+  [[nodiscard]] virtual bool copy_to(std::unique_ptr<Scheduler>& slot,
+                                     ChoiceSource& choices,
+                                     const inject::FaultState* faults) const {
+    (void)slot;
     (void)choices;
     (void)faults;
-    return nullptr;
+    return false;
   }
 };
 
@@ -197,9 +200,9 @@ class ReplayScheduler : public Scheduler {
   StepChoice next(const Network& net, const FailurePattern& f,
                   Time now) override;
   [[nodiscard]] std::string name() const override { return "replay"; }
-  [[nodiscard]] std::unique_ptr<Scheduler> clone(
-      ChoiceSource& choices,
-      const inject::FaultState* faults) const override;
+  [[nodiscard]] bool copy_to(std::unique_ptr<Scheduler>& slot,
+                             ChoiceSource& choices,
+                             const inject::FaultState* faults) const override;
 
   /// Stable label of a schedule option: which process steps, which
   /// message (0 = lambda) it receives, and — bits 46..47 of the message
@@ -240,6 +243,7 @@ class ReplayScheduler : public Scheduler {
   int n_ = 0;
   ProcessSet started_;
   /// The menu of the current step; kept across steps to reuse storage.
+  /// A copy keeps its own.
   std::vector<StepChoice> options_;
   std::vector<std::uint64_t> labels_;
 };

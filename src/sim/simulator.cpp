@@ -30,33 +30,37 @@ const Process& Simulator::process(ProcessId p) const {
   return *procs_[static_cast<std::size_t>(p)].proc;
 }
 
-std::unique_ptr<Simulator> Simulator::clone(const CloneMap& map) const {
-  std::unique_ptr<inject::FaultState> faults;
-  if (faults_ != nullptr) {
-    faults = std::make_unique<inject::FaultState>(*faults_);
+bool Simulator::copy_to(std::unique_ptr<Simulator>& slot,
+                        const CloneMap& map) const {
+  if (slot == nullptr) slot.reset(new Simulator());
+  Simulator& to = *slot;
+  if (faults_ == nullptr) {
+    to.faults_.reset();
+  } else if (to.faults_ == nullptr) {
+    to.faults_ = std::make_unique<inject::FaultState>(*faults_);
+  } else {
+    *to.faults_ = *faults_;
   }
-  std::unique_ptr<fd::Oracle> oracle = oracle_->clone(map.choices());
-  std::unique_ptr<Scheduler> scheduler =
-      scheduler_->clone(map.choices(), faults.get());
-  if (oracle == nullptr || scheduler == nullptr) return nullptr;
-  auto copy = std::make_unique<Simulator>(cfg_, pattern_, std::move(oracle),
-                                          std::move(scheduler));
-  copy->faults_ = std::move(faults);
-  copy->procs_.reserve(procs_.size());
-  for (const ProcSlot& slot : procs_) {
-    std::unique_ptr<Process> p = slot.proc->clone(map);
-    if (p == nullptr) return nullptr;
-    copy->procs_.push_back(ProcSlot{std::move(p), slot.body});
+  if (!oracle_->copy_to(to.oracle_, map.choices()) ||
+      !scheduler_->copy_to(to.scheduler_, map.choices(), to.faults_.get())) {
+    return false;
   }
-  copy->started_p_ = started_p_;
-  copy->proc_rng_ = proc_rng_;
-  copy->net_ = net_;
-  copy->trace_ = trace_;
-  copy->now_ = now_;
-  copy->started_ = started_;
-  copy->halt_on_done_ = halt_on_done_;
-  copy->last_step_ = last_step_;
-  return copy;
+  to.procs_.resize(procs_.size());
+  for (std::size_t p = 0; p < procs_.size(); ++p) {
+    if (!procs_[p].proc->copy_to(to.procs_[p].proc, map)) return false;
+    to.procs_[p].body = procs_[p].body;
+  }
+  to.cfg_ = cfg_;
+  to.pattern_ = pattern_;
+  to.started_p_ = started_p_;
+  to.proc_rng_ = proc_rng_;
+  to.net_ = net_;
+  to.trace_ = trace_;
+  to.now_ = now_;
+  to.started_ = started_;
+  to.halt_on_done_ = halt_on_done_;
+  to.last_step_ = last_step_;
+  return true;
 }
 
 bool Simulator::all_alive_done() const {

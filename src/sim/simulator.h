@@ -92,13 +92,17 @@ class Simulator {
     return now_ >= cfg_.max_steps || (halt_on_done_ && all_alive_done());
   }
 
-  /// A deep copy taken between steps that continues exactly as this
-  /// simulator would, asking `map.choices()` wherever this one asks its
-  /// scheduler's and oracle's decision source (sim/clone.h). Shares only
-  /// immutable payloads with this simulator, which stays untouched while
-  /// the copy runs. Null when the oracle, the scheduler or a process is
-  /// not cloneable.
-  [[nodiscard]] std::unique_ptr<Simulator> clone(const CloneMap& map) const;
+  /// Copies this simulator, between steps, into `slot` (sim/clone.h):
+  /// member by member into the simulator `slot` holds, whose queues,
+  /// trace and process slots keep their storage, or into a fresh one.
+  /// The copy continues exactly as this simulator would, asking
+  /// `map.choices()` wherever this one asks its scheduler's and oracle's
+  /// decision source, and shares only immutable payloads with it, so
+  /// this simulator stays untouched while the copy runs. False when the
+  /// oracle, the scheduler or a process is not cloneable; `slot` is then
+  /// unusable.
+  [[nodiscard]] bool copy_to(std::unique_ptr<Simulator>& slot,
+                             const CloneMap& map) const;
 
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] int n() const { return cfg_.n; }
@@ -142,7 +146,7 @@ class Simulator {
   ///
   /// Under the identity renaming each process's body and the in-flight
   /// multiset come from caches: a body is encoded once after each of
-  /// its process's steps and kept, in copies too (clone), until the
+  /// its process's steps and kept, in copies too (copy_to), until the
   /// process steps again; the network keeps its in-flight fold current
   /// across sends and takes (Network::encode_state). A renaming rewrites
   /// every pid field, so a renamed encoder re-encodes everything. Builds
@@ -161,6 +165,9 @@ class Simulator {
 
  private:
   friend class Context;
+
+  /// An empty simulator for copy_to to fill.
+  Simulator() : pattern_(1) {}
 
   /// A process and the encoding of its body: what
   /// `push_proc("proc", p); encode_state(enc); pop()` folds into a fresh

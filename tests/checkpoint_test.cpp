@@ -4,11 +4,14 @@
 // source, and a search must count the same whichever path it takes.
 //
 //  1. Lockstep: for every problem, seeded random runs are cloned at
-//     every step boundary; the copy, the source and a rebuild replayed
-//     to the same boundary then take the same decisions to the end and
-//     must agree after every step.
+//     every step boundary, into an empty scenario and into recycled
+//     ones of the same problem that hold other states; the copies, the
+//     source and a rebuild replayed to the same boundary then take the
+//     same decisions to the end and must agree after every step.
 //  2. Defaults: a scenario whose invariant sits behind a forwarding
 //     decorator that keeps the not-cloneable default refuses.
+//  2b. Recycling: copying a mid-run scenario of every problem into a
+//     slot that already holds a copy of it allocates nothing.
 //  3. Fingerprint caches: a copy inherits its source's cached process
 //     and in-flight encodings, so along seeded random runs of every
 //     problem — copies included — the cached fold must equal a full
@@ -20,10 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -36,6 +42,30 @@
 #include "reg/abd_register.h"
 #include "sim/choice.h"
 #include "sim/module.h"
+
+namespace {
+
+// Counts global operator new calls while switched on (CheckpointRecycle
+// below); the rest of the binary allocates through it uncounted.
+std::atomic<bool> g_count_news{false};
+std::atomic<std::uint64_t> g_news{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line: inlined, GCC would pair the free() with operator new and
+// warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wfd::explore {
 namespace {
@@ -134,44 +164,70 @@ bool consensus_hook_armed(const Scenario& sc) {
 
 struct Lockstep {
   std::uint64_t clone_points = 0;
+  std::uint64_t recycled_points = 0;  ///< Copies into recycled scenarios.
   std::uint64_t busy_points = 0;  ///< Clone points with a register op live.
   std::uint64_t armed_points = 0;  ///< With a consensus decision hook armed.
 };
 
-/// Clones a random run of `opt` at every step boundary and steps the
-/// copy, the source and a rebuild together to the end.
+/// Clones a random run of `opt` at every step boundary — into an empty
+/// scenario, and into recycled scenarios holding the run's end state
+/// (a longer trace, more messages, for abcast more round modules) and
+/// its initial state — and steps the copies, the source and a rebuild
+/// together to the end.
 Lockstep check_lockstep(const ScenarioOptions& opt, std::uint64_t seed) {
   Lockstep out;
   const sim::DecisionLog log = random_log(opt, seed);
   Replayed probe = replay(opt, log, 0);
   std::uint64_t total = 0;
   while (probe.sc.sim->step()) ++total;
+  Replayed initial = replay(opt, log, 0);
   for (std::uint64_t k = 0; k <= total; ++k) {
     SCOPED_TRACE("clone before step " + std::to_string(k + 1));
     Replayed source = replay(opt, log, k);
     Replayed rebuild = replay(opt, log, k);
     const std::uint64_t used = source.choices->consumed();
-    sim::FixedChoices rest(sim::DecisionLog(
-        log.begin() + static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(
-                          used, log.size())),
-        log.end()));
+    const sim::DecisionLog suffix(
+        log.begin() + static_cast<std::ptrdiff_t>(
+                          std::min<std::uint64_t>(used, log.size())),
+        log.end());
+    sim::FixedChoices rest(suffix);
     std::optional<Scenario> copy = clone_scenario(source.sc, rest);
     EXPECT_TRUE(copy.has_value());
     if (!copy.has_value()) return out;
+    // Each recycled copy asks its own source of the same suffix.
+    std::vector<std::unique_ptr<sim::FixedChoices>> recycled_rest;
+    std::vector<Scenario> recycled;
+    for (const Scenario* held : {&probe.sc, &initial.sc}) {
+      recycled_rest.push_back(std::make_unique<sim::FixedChoices>(suffix));
+      std::optional<Scenario> target = clone_scenario(*held, rest);
+      EXPECT_TRUE(target.has_value());
+      if (!target.has_value()) return out;
+      EXPECT_TRUE(copy_scenario(source.sc, *target, *recycled_rest.back()));
+      recycled.push_back(std::move(*target));
+    }
     ++out.clone_points;
+    out.recycled_points += recycled.size();
     if (register_busy(source.sc)) ++out.busy_points;
     if (consensus_hook_armed(source.sc)) ++out.armed_points;
-    EXPECT_EQ(observe(*copy), observe(rebuild.sc));
+    const std::string at_copy = observe(rebuild.sc);
+    EXPECT_EQ(observe(*copy), at_copy);
+    for (Scenario& r : recycled) EXPECT_EQ(observe(r), at_copy) << "recycled";
     for (std::uint64_t step = k + 1;; ++step) {
       const bool a = copy->sim->step();
       const bool b = source.sc.sim->step();
       const bool c = rebuild.sc.sim->step();
       EXPECT_EQ(a, c) << "step " << step;
       EXPECT_EQ(b, c) << "step " << step;
+      for (Scenario& r : recycled) {
+        EXPECT_EQ(r.sim->step(), c) << "recycled copy at step " << step;
+      }
       if (!a || !b || !c) break;
       const std::string want = observe(rebuild.sc);
       EXPECT_EQ(observe(*copy), want) << "copy at step " << step;
       EXPECT_EQ(observe(source.sc), want) << "source at step " << step;
+      for (Scenario& r : recycled) {
+        EXPECT_EQ(observe(r), want) << "recycled copy at step " << step;
+      }
     }
   }
   return out;
@@ -242,10 +298,12 @@ TEST(CheckpointLockstepTest, CopiesSourcesAndRebuildsStayEqual) {
       SCOPED_TRACE("seed " + std::to_string(seed));
       const Lockstep l = check_lockstep(opt, seed);
       total.clone_points += l.clone_points;
+      total.recycled_points += l.recycled_points;
       total.busy_points += l.busy_points;
       total.armed_points += l.armed_points;
     }
     EXPECT_GT(total.clone_points, 3u);
+    EXPECT_EQ(total.recycled_points, 2 * total.clone_points);
     if (opt.problem.rfind("register", 0) == 0) {
       EXPECT_GT(total.busy_points, 0u)
           << "no clone point with a register operation in flight";
@@ -293,6 +351,32 @@ TEST(CheckpointDefaultsTest, UnconvertedPartsAreNotCloneable) {
   EXPECT_TRUE(clone_scenario(plain, choices).has_value());
   Scenario wrapped = decorated(ScenarioFactory(opt).builder())(choices);
   EXPECT_FALSE(clone_scenario(wrapped, choices).has_value());
+}
+
+// ---- Recycled copies -----------------------------------------------------
+
+TEST(CheckpointRecycleTest, RepeatCopyAllocatesNothing) {
+  for (const std::string& problem : ScenarioFactory::problems()) {
+    SCOPED_TRACE(problem);
+    const ScenarioOptions opt =
+        scenario({"--problem=" + problem, "--n=3", "--depth=40"});
+    const sim::DecisionLog log = random_log(opt, 1);
+    Replayed probe = replay(opt, log, 0);
+    std::uint64_t total = 0;
+    while (probe.sc.sim->step()) ++total;
+    Replayed mid = replay(opt, log, total / 2);
+    EXPECT_GT(total / 2, 0u);
+    sim::FixedChoices rest(log);
+    Scenario slot;
+    ASSERT_TRUE(copy_scenario(mid.sc, slot, rest));
+    g_news = 0;
+    g_count_news = true;
+    const bool copied = copy_scenario(mid.sc, slot, rest);
+    g_count_news = false;
+    EXPECT_TRUE(copied);
+    EXPECT_EQ(g_news.load(), 0u) << "allocations in a repeat copy";
+    EXPECT_EQ(observe(slot), observe(mid.sc));
+  }
 }
 
 // ---- Fingerprint caches --------------------------------------------------
