@@ -1152,28 +1152,11 @@ class UnitEngine {
     // lambda or start step (sim/scheduler.h label encoding).
     e.deliver = !e.fault && sim::ReplayScheduler::label_message(label) != 0;
     if (e.deliver) e.sender = sc.sim->last_step().from;
-    // The menu was captured before the step ran, so the one message the
-    // step consumed (delivered or dropped) is no longer in the network;
-    // its sender is on last_step(). Every other menu message still is.
-    const sim::Network& net = sc.sim->network();
-    const auto sender_of = [&](std::uint64_t id) -> ProcessId {
-      return net.contains(id) ? net.get(id).from : sc.sim->last_step().from;
-    };
-    std::uint64_t enabled = 0;
-    std::uint64_t deliverable = 0;
-    for (const std::uint64_t l : menu_) {
-      if (sim::ReplayScheduler::label_is_fault(l)) continue;
-      const ProcessId to = sim::ReplayScheduler::label_process(l);
-      enabled |= std::uint64_t{1} << to;
-      const std::uint64_t id = sim::ReplayScheduler::label_message(l);
-      if (id != 0) deliverable |= live_channel_bit(sender_of(id), to);
-    }
     {
       // Scoped: at() below may rehash and invalidate this reference.
       LiveGraphNode& src = res_.graph.at(src_fp);
       src.expanded = true;
-      src.enabled |= enabled;
-      src.deliverable |= deliverable;
+      note_menu_fairness(menu_, *sc.sim, &src.enabled, &src.deliverable);
       add_live_edge(src, std::move(e));
     }
     res_.graph.at(dst_fp).goal = goal.goal(*sc.sim);
@@ -1372,18 +1355,11 @@ std::vector<std::vector<ProcessId>> symmetry_permutations(
 }
 
 void merge_stats(ExploreStats& into, const ExploreStats& d) {
-  into.nodes += d.nodes;
-  into.runs += d.runs;
-  into.steps += d.steps;
-  into.sleep_skips += d.sleep_skips;
-  into.fp_prunes += d.fp_prunes;
-  into.hb_races += d.hb_races;
-  into.backtrack_points += d.backtrack_points;
-  into.commute_skips += d.commute_skips;
-  into.injected_crashes += d.injected_crashes;
-  into.injected_drops += d.injected_drops;
-  into.injected_dups += d.injected_dups;
-  into.violations += d.violations;
+  // Sums every counter. A unit's delta leaves the flags and the graph
+  // counters at zero: the search sets those itself.
+  for (const StatsField& f : kStatsFields) {
+    if (f.count != nullptr) into.*f.count += d.*f.count;
+  }
 }
 
 /// Splits a budget-stopped unit's subtree across fresh units — the

@@ -120,6 +120,37 @@ struct ExploreStats {
   std::uint64_t graph_truncated = 0;  ///< Nodes with horizon-cut futures.
 };
 
+/// One ExploreStats field and its snapshot key: a counter or a flag.
+struct StatsField {
+  const char* key;
+  std::uint64_t ExploreStats::*count = nullptr;
+  bool ExploreStats::*flag = nullptr;
+};
+
+/// Every ExploreStats field, in snapshot order: the one list that
+/// merge_stats and the snapshot's stats lines (state_store) walk.
+inline constexpr StatsField kStatsFields[] = {
+    {"nodes", &ExploreStats::nodes},
+    {"runs", &ExploreStats::runs},
+    {"steps", &ExploreStats::steps},
+    {"sleep_skips", &ExploreStats::sleep_skips},
+    {"fp_prunes", &ExploreStats::fp_prunes},
+    {"hb_races", &ExploreStats::hb_races},
+    {"backtrack_points", &ExploreStats::backtrack_points},
+    {"commute_skips", &ExploreStats::commute_skips},
+    {"injected_crashes", &ExploreStats::injected_crashes},
+    {"injected_drops", &ExploreStats::injected_drops},
+    {"injected_dups", &ExploreStats::injected_dups},
+    {"violations", &ExploreStats::violations},
+    {"exhausted", nullptr, &ExploreStats::exhausted},
+    // Not `liveness=`: that key belongs to the scenario header (the
+    // clause name), and header keys win the parse dispatch.
+    {"graph_liveness", nullptr, &ExploreStats::liveness},
+    {"graph_states", &ExploreStats::graph_states},
+    {"graph_edges", &ExploreStats::graph_edges},
+    {"graph_truncated", &ExploreStats::graph_truncated},
+};
+
 /// How completely the choice tree was covered.
 enum class Coverage {
   kBudget,              ///< Not exhausted: a state cap hit, or cancelled.

@@ -7,11 +7,30 @@
 #include <utility>
 
 #include "common/check.h"
-#include "explore/option_text.h"
+#include "explore/search_config.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 
 namespace wfd::explore {
+
+void note_menu_fairness(const std::vector<std::uint64_t>& menu,
+                        const sim::Simulator& sim, std::uint64_t* enabled,
+                        std::uint64_t* deliverable) {
+  // The menu predates the step, so the one message the step consumed
+  // (delivered or dropped) is off the network now; its sender is on
+  // last_step(). Every other menu message still is.
+  const sim::Network& net = sim.network();
+  for (const std::uint64_t l : menu) {
+    if (sim::ReplayScheduler::label_is_fault(l)) continue;
+    const ProcessId to = sim::ReplayScheduler::label_process(l);
+    *enabled |= std::uint64_t{1} << to;
+    const std::uint64_t id = sim::ReplayScheduler::label_message(l);
+    if (id == 0) continue;
+    const ProcessId from =
+        net.contains(id) ? net.get(id).from : sim.last_step().from;
+    *deliverable |= live_channel_bit(from, to);
+  }
+}
 
 void add_live_edge(LiveGraphNode& n, LiveGraphEdge e) {
   for (const LiveGraphEdge& have : n.edges) {
@@ -454,7 +473,9 @@ std::optional<Counterexample> find_fair_lasso(
       err << (i == 0 ? "" : ",") << log[i];
     }
     err << "\nscenario:\n";
-    detail::scenario_to_text(err, scenario);
+    SearchConfig header;
+    header.scenario = scenario;
+    search_header_to_text(err, header, /*scenario_only=*/true);
     *concretize_error = err.str();
   };
 

@@ -95,6 +95,14 @@ inline constexpr int kLiveChannelStride = 8;
          << (sender * kLiveChannelStride + receiver);
 }
 
+/// ORs the fairness evidence of one step's schedule `menu`, read from
+/// `sim` after the step ran, into `enabled` (bit p: process p has a
+/// move) and `deliverable` (live_channel_bit of each channel a delivery
+/// serves): the state graph's per-node record, and run_lasso's check.
+void note_menu_fairness(const std::vector<std::uint64_t>& menu,
+                        const sim::Simulator& sim, std::uint64_t* enabled,
+                        std::uint64_t* deliverable);
+
 /// One recorded transition: the decision block the step consumed, the
 /// destination fingerprint, the process the step ran.
 struct LiveGraphEdge {

@@ -1,42 +1,25 @@
-// Shared text (de)serialization of scenario options and scalars, used by
-// both persistence formats of the subsystem: replay files (replay_io)
-// and search snapshots (state_store). One implementation means one set
-// of overflow guards — a corrupted numeric field must fail the parse,
-// never silently wrap into a different valid value and replay (or
-// resume) the wrong schedule.
+// Strict scalar parsing and one-line escaping, shared by the field table
+// (search_config.h: each configuration field is one row there), replay
+// files, search snapshots and the tools' own flags. One set of overflow
+// guards: a corrupted numeric field must fail the parse, never wrap
+// into a different valid value and replay (or resume) the wrong run.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
-
-#include "explore/scenario.h"
+#include <string_view>
 
 namespace wfd::explore::detail {
 
 /// Strict decimal u64: digits only, and the value must fit — any digit
 /// that would overflow fails the parse instead of wrapping.
-bool parse_u64(const std::string& s, std::uint64_t* out);
+bool parse_u64(std::string_view s, std::uint64_t* out);
 
 /// Strict decimal int with an optional leading '-'; range-checked
 /// against INT_MIN/INT_MAX before the (otherwise UB-prone) cast.
-bool parse_int(const std::string& s, int* out);
+bool parse_int(std::string_view s, int* out);
 
-bool parse_bool(const std::string& s, bool* out);
-
-/// A Time is a u64 or the literal "never" (kNever).
-bool parse_time(const std::string& s, Time* out);
-std::string time_to_text(Time t);
-
-/// Renders every ScenarioOptions field as key=value lines — the shared
-/// scenario header of replay files and snapshots.
-void scenario_to_text(std::ostream& out, const ScenarioOptions& o);
-
-/// Applies one key=value line to `o`. Returns false when the key is not
-/// a scenario field (caller decides: other section, or ignored for
-/// forward compatibility); `*ok` reports whether the value parsed.
-bool scenario_apply(ScenarioOptions& o, const std::string& key,
-                    const std::string& val, bool* ok);
+bool parse_bool(std::string_view s, bool* out);
 
 /// One-line string escaping for values that may contain newlines (the
 /// replay note): '\\' -> "\\\\", '\n' -> "\\n", '\r' -> "\\r". unescape

@@ -8,14 +8,13 @@
 #include "common/check.h"
 #include "explore/liveness.h"
 #include "explore/option_text.h"
+#include "explore/search_config.h"
 #include "sim/scheduler.h"
 
 namespace wfd::explore {
 
 using detail::escape_line;
 using detail::parse_u64;
-using detail::scenario_apply;
-using detail::scenario_to_text;
 using detail::unescape_line;
 
 namespace {
@@ -51,7 +50,9 @@ std::string to_text(const ReplayFile& f) {
   // (e.g. a multi-line violation message) cannot break the line-oriented
   // format and make the file fail to re-parse.
   if (!f.note.empty()) out << "note=" << escape_line(f.note) << "\n";
-  scenario_to_text(out, f.scenario);
+  SearchConfig header;
+  header.scenario = f.scenario;
+  search_header_to_text(out, header, /*scenario_only=*/true);
   out << "decisions=";
   log_to_stream(out, f.decisions);
   out << "\n";
@@ -70,6 +71,7 @@ std::optional<ReplayFile> parse_replay(const std::string& text,
     return std::nullopt;
   };
   ReplayFile f;
+  SearchConfig header;  // Only its scenario is read; it becomes f.scenario.
   std::istringstream in(text);
   std::string line;
   bool saw_decisions = false;
@@ -81,7 +83,7 @@ std::optional<ReplayFile> parse_replay(const std::string& text,
     const std::string key = line.substr(0, eq);
     const std::string val = line.substr(eq + 1);
     bool ok = true;
-    if (scenario_apply(f.scenario, key, val, &ok)) {
+    if (search_header_apply(header, key, val, &ok, /*scenario_only=*/true)) {
       // Scenario field; ok already reflects the parse.
     } else if (key == "note") {
       if (!unescape_line(val, &f.note)) return fail("bad note escape: " + val);
@@ -101,6 +103,7 @@ std::optional<ReplayFile> parse_replay(const std::string& text,
     if (!ok) return fail("bad value for " + key + ": " + val);
   }
   if (!saw_decisions) return fail("missing decisions= line");
+  f.scenario = std::move(header.scenario);
   if (!f.loop.empty() && f.scenario.liveness.empty()) {
     return fail("loop= (a lasso) requires a liveness= clause");
   }
@@ -203,21 +206,9 @@ LassoOutcome run_lasso(const ScenarioBuilder& build,
       out.reason = "safety violation inside the loop";
       return out;
     }
-    // The menu predates the step, so the one message the step consumed
-    // is off the network now; its sender is on last_step().
-    const sim::Network& net = sc.sim->network();
-    const auto sender_of = [&](std::uint64_t id) -> ProcessId {
-      return net.contains(id) ? net.get(id).from : sc.sim->last_step().from;
-    };
-    std::uint64_t dl = 0;
-    for (const std::uint64_t l : choices.menu()) {
-      if (sim::ReplayScheduler::label_is_fault(l)) continue;
-      const ProcessId to = sim::ReplayScheduler::label_process(l);
-      enabled |= std::uint64_t{1} << to;
-      const std::uint64_t id = sim::ReplayScheduler::label_message(l);
-      if (id != 0) dl |= live_channel_bit(sender_of(id), to);
-    }
-    deliverable_all &= dl;
+    std::uint64_t deliverable = 0;
+    note_menu_fairness(choices.menu(), *sc.sim, &enabled, &deliverable);
+    deliverable_all &= deliverable;
     const std::uint64_t ex = choices.executed();
     if (sim::ReplayScheduler::label_is_fault(ex)) {
       // Crash / drop / duplicate budgets are finite; a loop containing

@@ -1,26 +1,25 @@
 // SearchConfig — the one validated configuration object for every
-// driver of the exploration subsystem.
+// driver of the exploration subsystem: wfd_check, the campaign driver,
+// the explorer, the snapshot store, tests and benches all construct
+// and pass the same object, with one validate().
 //
-// Before this existed, the same knobs lived in four places with four
-// parsers: ExplorerOptions (exhaustive search), CampaignOptions
-// (randomized campaign), the flag loop in tools/wfd_check.cpp, and the
-// scenario/options header of search snapshots (state_store). Each copy
-// drifted independently; adding a knob meant four edits and a silent
-// skew risk between what a snapshot recorded and what a resume
-// validated. SearchConfig collapses them: one struct, one validate(),
-// one CLI-flag parser, one JSON rendering and one snapshot-header
-// rendering — wfd_check, the campaign driver, the explorer, tests and
-// benches all construct and pass the same object.
+// Each field is declared once more, as one row of the field table in
+// search_config.cpp: its CLI flag, header key, JSON key, help group and
+// the codec that reads and prints its value. apply_cli_flag,
+// cli_flags_help, the snapshot and replay headers and config_to_json
+// only walk that table, so a new knob is its member plus one row.
+// Fields with no surface (stop_at_first, cancel) have no row.
 //
 // The snapshot header (search_header_to_text / search_header_apply)
-// intentionally renders ONLY the fields a stored frontier's soundness
-// depends on: the scenario plus reduction, symmetry and
-// state_fingerprints. Execution-shape knobs — threads, budgets,
-// save/resume paths, stop_at_first — are absent by design, so resuming
-// a snapshot with a different thread count or budget is legal (the
+// renders ONLY the rows with a header key: the fields a stored
+// frontier's soundness depends on, the scenario plus reduction,
+// symmetry and state_fingerprints. Execution-shape knobs — threads,
+// budgets, save/resume paths — are absent by design, so resuming a
+// snapshot with a different thread count or budget is legal (the
 // wave-scheduled search is deterministic in those), while resuming
 // under a different reduction configuration is rejected field by field
-// (state_store::resume_mismatch diffs the rendered headers).
+// (state_store::resume_mismatch diffs the rendered headers). A replay
+// file's header is the scenario rows alone (`scenario_only`).
 //
 // The campaign (explore/campaign.h) reads the scenario, threads,
 // stop_at_first and its own section; every other search field is
@@ -30,7 +29,9 @@
 #include <atomic>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "explore/scenario.h"
 
@@ -90,7 +91,7 @@ struct SearchConfig {
 /// Outcome of feeding one CLI argument to apply_cli_flag.
 enum class CliResult {
   kApplied,   ///< Flag recognized, value parsed, cfg updated.
-  kBadValue,  ///< Flag recognized but its value did not parse.
+  kBadValue,  ///< Flag recognized, value refused; cfg unchanged.
   kUnknown,   ///< Not a SearchConfig flag (caller's problem).
 };
 
@@ -103,14 +104,42 @@ CliResult apply_cli_flag(SearchConfig& cfg, const std::string& arg);
 /// the exhaustive-only and the campaign-only ones.
 [[nodiscard]] std::string cli_flags_help();
 
+/// The part of cli_flags_help that lists a flag.
+enum class FlagGroup { kEveryMode, kExhaustive, kCampaign };
+
+/// One row of the field table: a ScenarioOptions or SearchConfig field
+/// and every spelling it has. A reader leaves the config untouched when
+/// it refuses a value.
+struct ConfigField {
+  std::string_view flag;     ///< CLI name after "--"; empty: no flag.
+  std::string_view metavar;  ///< Help text after '='; empty: no value.
+  FlagGroup group;
+  std::string_view key;   ///< Header key; empty: not in the headers.
+  std::string_view json;  ///< config_to_json key; empty: not in it.
+  bool scenario;          ///< A ScenarioOptions field (replay header).
+  /// Read a header value, and a flag value: `read` unless the flag
+  /// spells the field its own way (a valueless flag gets "").
+  bool (*read)(SearchConfig& cfg, std::string_view v);
+  bool (*read_flag)(SearchConfig& cfg, std::string_view v);
+  /// Prints the value as the headers show it, or with `json` as JSON.
+  void (*print)(std::ostream& out, const SearchConfig& cfg, bool json);
+};
+
+/// The field table, in header order.
+[[nodiscard]] std::span<const ConfigField> config_fields();
+
 /// Renders the soundness-relevant header (scenario + reduction levers)
-/// as key=value lines — the shared snapshot header.
-void search_header_to_text(std::ostream& out, const SearchConfig& cfg);
+/// as key=value lines — the shared snapshot header — or, with
+/// `scenario_only`, its scenario lines alone: a replay file's header.
+void search_header_to_text(std::ostream& out, const SearchConfig& cfg,
+                           bool scenario_only = false);
 
 /// Applies one key=value line of the header. Returns false when the key
-/// is not a header field; *ok reports whether the value parsed.
+/// is not a header field (a scenario field, with `scenario_only`); *ok
+/// reports whether the value parsed.
 bool search_header_apply(SearchConfig& cfg, const std::string& key,
-                         const std::string& val, bool* ok);
+                         const std::string& val, bool* ok,
+                         bool scenario_only = false);
 
 /// The full configuration as one JSON object (scenario + search knobs),
 /// for --json reports and tooling.
@@ -122,6 +151,5 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 [[nodiscard]] std::string reduction_to_text(Reduction r);
-[[nodiscard]] bool parse_reduction(const std::string& s, Reduction* out);
 
 }  // namespace wfd::explore

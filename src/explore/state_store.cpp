@@ -258,68 +258,22 @@ bool parse_gedge(const std::string& s, LiveGraphEdge* e) {
 }
 
 void stats_to_text(std::ostream& out, const ExploreStats& st) {
-  out << "nodes=" << st.nodes << "\n";
-  out << "runs=" << st.runs << "\n";
-  out << "steps=" << st.steps << "\n";
-  out << "sleep_skips=" << st.sleep_skips << "\n";
-  out << "fp_prunes=" << st.fp_prunes << "\n";
-  out << "hb_races=" << st.hb_races << "\n";
-  out << "backtrack_points=" << st.backtrack_points << "\n";
-  out << "commute_skips=" << st.commute_skips << "\n";
-  out << "injected_crashes=" << st.injected_crashes << "\n";
-  out << "injected_drops=" << st.injected_drops << "\n";
-  out << "injected_dups=" << st.injected_dups << "\n";
-  out << "violations=" << st.violations << "\n";
-  out << "exhausted=" << (st.exhausted ? 1 : 0) << "\n";
-  // Not `liveness=`: that key belongs to the scenario header (the
-  // clause name), and header keys win the parse dispatch.
-  out << "graph_liveness=" << (st.liveness ? 1 : 0) << "\n";
-  out << "graph_states=" << st.graph_states << "\n";
-  out << "graph_edges=" << st.graph_edges << "\n";
-  out << "graph_truncated=" << st.graph_truncated << "\n";
+  for (const StatsField& f : kStatsFields) {
+    out << f.key << "="
+        << (f.count != nullptr ? st.*f.count : (st.*f.flag ? 1 : 0)) << "\n";
+  }
 }
 
 bool stats_apply(ExploreStats& st, const std::string& key,
                  const std::string& val, bool* ok) {
   *ok = true;
-  if (key == "nodes") {
-    *ok = parse_u64(val, &st.nodes);
-  } else if (key == "runs") {
-    *ok = parse_u64(val, &st.runs);
-  } else if (key == "steps") {
-    *ok = parse_u64(val, &st.steps);
-  } else if (key == "sleep_skips") {
-    *ok = parse_u64(val, &st.sleep_skips);
-  } else if (key == "fp_prunes") {
-    *ok = parse_u64(val, &st.fp_prunes);
-  } else if (key == "hb_races") {
-    *ok = parse_u64(val, &st.hb_races);
-  } else if (key == "backtrack_points") {
-    *ok = parse_u64(val, &st.backtrack_points);
-  } else if (key == "commute_skips") {
-    *ok = parse_u64(val, &st.commute_skips);
-  } else if (key == "injected_crashes") {
-    *ok = parse_u64(val, &st.injected_crashes);
-  } else if (key == "injected_drops") {
-    *ok = parse_u64(val, &st.injected_drops);
-  } else if (key == "injected_dups") {
-    *ok = parse_u64(val, &st.injected_dups);
-  } else if (key == "violations") {
-    *ok = parse_u64(val, &st.violations);
-  } else if (key == "exhausted") {
-    *ok = parse_bool(val, &st.exhausted);
-  } else if (key == "graph_liveness") {
-    *ok = parse_bool(val, &st.liveness);
-  } else if (key == "graph_states") {
-    *ok = parse_u64(val, &st.graph_states);
-  } else if (key == "graph_edges") {
-    *ok = parse_u64(val, &st.graph_edges);
-  } else if (key == "graph_truncated") {
-    *ok = parse_u64(val, &st.graph_truncated);
-  } else {
-    return false;
+  for (const StatsField& f : kStatsFields) {
+    if (key != f.key) continue;
+    *ok = f.count != nullptr ? parse_u64(val, &(st.*f.count))
+                             : parse_bool(val, &(st.*f.flag));
+    return true;
   }
-  return true;
+  return false;
 }
 
 }  // namespace

@@ -124,6 +124,7 @@ class Simulator {
   Process& process(ProcessId p);
   [[nodiscard]] const Process& process(ProcessId p) const;
   Network& network() { return net_; }
+  [[nodiscard]] const Network& network() const { return net_; }
   Trace& trace() { return trace_; }
   [[nodiscard]] const Trace& trace() const { return trace_; }
   fd::Oracle& oracle() { return *oracle_; }
