@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
+#include "explore/fingerprint_table.h"
 #include "explore/liveness.h"
 #include "explore/state_store.h"
 #include "inject/fault_plan.h"
@@ -94,7 +95,7 @@ struct UnitResult {
   std::set<std::string> conservative;
   /// Fingerprints first seen (or seen earlier) by this unit; merged
   /// min-wise into the committed set at the barrier.
-  std::unordered_map<std::uint64_t, std::uint64_t> fps_overlay;
+  FingerprintTable fps_overlay;
   std::vector<DeferredOp> deferred;
   std::optional<Counterexample> cex;
   /// Liveness mode: the state-graph fragment this unit observed, merged
@@ -125,7 +126,7 @@ struct WaveContext {
   /// unless SearchConfig::symmetry).
   const std::vector<std::vector<ProcessId>>* perms = nullptr;
   /// Fingerprints committed at the wave start (frozen for the wave).
-  const std::unordered_map<std::uint64_t, std::uint64_t>* fps = nullptr;
+  const FingerprintTable* fps = nullptr;
   /// Per-unit cap on nodes materialized this wave.
   std::uint64_t wave_budget = 0;
 };
@@ -293,7 +294,7 @@ class UnitEngine {
         // Liveness mode: record the step's transition. A backtrack
         // flips the chosen option of an existing frame, so the step that
         // consumes it — the "replayed" flipped step — is in fact a new
-        // transition. add_live_edge dedups by decision block, so a
+        // transition. LiveGraph::add_edge dedups by decision block, so a
         // re-executed step re-records its transition harmlessly.
         std::optional<std::uint64_t> fp;
         if (liveness_) {
@@ -326,8 +327,7 @@ class UnitEngine {
           if (dpor) expand_path_on_prune();
           break;
         }
-        const auto [it, fresh] = res_.fps_overlay.emplace(*fp, t);
-        if (!fresh && it->second > t) it->second = t;
+        res_.fps_overlay.keep_min(*fp, t);
       }
       // Liveness mode: a run that ended only because the horizon ran
       // out leaves its final state's future unexplored — mark it, so
@@ -336,7 +336,8 @@ class UnitEngine {
       // blocked, or violated are complete at cur_fp.
       if (liveness_ && !violation.has_value() && !pruned && !run_blocked_ &&
           !sc.sim->all_alive_done()) {
-        res_.graph.at(cur_fp).truncated = true;
+        LiveGraph& g = res_.graph;
+        g.nodes[g.add_node(cur_fp)].truncated = true;
       }
       u_->path_pending = false;
       // A prune armed every schedule frame on the path with its whole
@@ -469,7 +470,7 @@ class UnitEngine {
       if (!res_.graph.have_root) {
         res_.graph.root = *root;
         res_.graph.have_root = true;
-        res_.graph.at(*root).goal = goal.goal(*sc.sim);
+        res_.graph.nodes[res_.graph.add_node(*root)].goal = goal.goal(*sc.sim);
       }
     }
     return res_.graph.root;
@@ -1110,12 +1111,9 @@ class UnitEngine {
   [[nodiscard]] std::optional<std::uint64_t> fps_lookup(
       std::uint64_t fp) const {
     std::optional<std::uint64_t> t;
-    if (const auto it = ctx_.fps->find(fp); it != ctx_.fps->end()) {
-      t = it->second;
-    }
-    if (const auto it = res_.fps_overlay.find(fp);
-        it != res_.fps_overlay.end()) {
-      t = t.has_value() ? std::min(*t, it->second) : it->second;
+    if (const std::uint64_t* committed = ctx_.fps->find(fp)) t = *committed;
+    if (const std::uint64_t* own = res_.fps_overlay.find(fp)) {
+      t = t.has_value() ? std::min(*t, *own) : *own;
     }
     return t;
   }
@@ -1126,14 +1124,16 @@ class UnitEngine {
   void record_transition(const Scenario& sc, const LivenessClause& goal,
                          std::uint64_t src_fp, std::uint64_t dst_fp,
                          std::size_t pos_before, std::size_t pos_after) {
+    LiveGraph& g = res_.graph;
+    const std::uint32_t src = g.add_node(src_fp);
     LiveGraphEdge e;
-    e.dst = dst_fp;
-    e.choices.reserve(pos_after - pos_before);
+    e.to = g.add_node(dst_fp);
+    block_.clear();
     std::uint64_t label = 0;
     bool have_label = false;
     for (std::size_t j = pos_before; j < pos_after; ++j) {
       const FrameState& f = u_->frames[j];
-      e.choices.push_back(f.chosen);
+      block_.push_back(f.chosen);
       if (f.kind == sim::ChoiceKind::kSchedule) {
         label = f.labels[f.chosen];
         have_label = true;
@@ -1152,14 +1152,11 @@ class UnitEngine {
     // lambda or start step (sim/scheduler.h label encoding).
     e.deliver = !e.fault && sim::ReplayScheduler::label_message(label) != 0;
     if (e.deliver) e.sender = sc.sim->last_step().from;
-    {
-      // Scoped: at() below may rehash and invalidate this reference.
-      LiveGraphNode& src = res_.graph.at(src_fp);
-      src.expanded = true;
-      note_menu_fairness(menu_, *sc.sim, &src.enabled, &src.deliverable);
-      add_live_edge(src, std::move(e));
-    }
-    res_.graph.at(dst_fp).goal = goal.goal(*sc.sim);
+    LiveGraphNode& from = g.nodes[src];
+    from.expanded = true;
+    note_menu_fairness(menu_, *sc.sim, &from.enabled, &from.deliverable);
+    g.add_edge(src, block_, e);
+    g.nodes[e.to].goal = goal.goal(*sc.sim);
   }
 
 #ifndef NDEBUG
@@ -1238,6 +1235,9 @@ class UnitEngine {
   /// reported by the scheduler's note_enabled hook — captured even for
   /// singleton menus that never reach choose().
   std::vector<std::uint64_t> menu_;
+  /// Liveness mode: the decision block of the step being recorded
+  /// (record_transition's scratch).
+  std::vector<std::uint32_t> block_;
   /// Deferred insertions of this wave per prefix depth (< floor): the
   /// labels already deferred — one op per (depth, label) — and whether
   /// a prune already deferred the depth's whole menu.
@@ -1352,6 +1352,11 @@ std::vector<std::vector<ProcessId>> symmetry_permutations(
     if (c == pick.size()) break;
   }
   return perms;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 void merge_stats(ExploreStats& into, const ExploreStats& d) {
@@ -1505,7 +1510,7 @@ ExploreReport Explorer::run() {
   // The committed search state. Mutated only here, between waves.
   std::map<std::uint64_t, Unit> queue;
   std::map<ChainKey, NodeReg> registry;
-  std::unordered_map<std::uint64_t, std::uint64_t> fps;
+  FingerprintTable fps;
   LiveGraph graph;
   ExploreStats stats;
   std::set<std::string> conservative;
@@ -1535,7 +1540,8 @@ ExploreReport Explorer::run() {
     wave = snap->wave;
     next_unit_id = snap->next_unit_id;
     gen = snap->resume_generation;
-    for (const auto& [fp, t] : snap->fingerprints) fps.emplace(fp, t);
+    fps.reserve(snap->fingerprints.size());
+    for (const auto& [fp, t] : snap->fingerprints) fps.try_emplace(fp, t);
     graph = snap->graph;
     for (const NodeState& ns : snap->nodes) {
       registry.emplace(ChainKey{ns.key[0], ns.key[1]},
@@ -1622,6 +1628,7 @@ ExploreReport Explorer::run() {
       for (std::thread& th : pool) th.join();
     }
 
+    const auto barrier_start = std::chrono::steady_clock::now();
     // Barrier. A wave any unit of which was cancelled is discarded
     // wholesale (determinism: a partial wave's merge order would depend
     // on which units the cancel signal caught). The first
@@ -1659,10 +1666,7 @@ ExploreReport Explorer::run() {
       rep.replayed_steps += r.replayed_steps;
       rep.restored_steps += r.restored_steps;
       conservative.insert(r.conservative.begin(), r.conservative.end());
-      for (const auto& [fp, t] : r.fps_overlay) {
-        const auto [it, fresh] = fps.emplace(fp, t);
-        if (!fresh && it->second > t) it->second = t;
-      }
+      fps.merge_min(r.fps_overlay);
       if (liveness) merge_live_graph(graph, r.graph);
       if (r.cex.has_value() && !rep.cex.has_value()) rep.cex = r.cex;
       if (r.outcome == UnitOutcome::kViolation) wave_violation = true;
@@ -1715,6 +1719,8 @@ ExploreReport Explorer::run() {
       }
     }
 
+    rep.barrier_s += seconds_since(barrier_start);
+
     // The snapshot stores the *next* wave index: the per-unit budget
     // schedule continues across an interruption exactly as it would
     // have uninterrupted.
@@ -1730,7 +1736,7 @@ ExploreReport Explorer::run() {
 
   if (liveness) {
     stats.liveness = true;
-    stats.graph_states = static_cast<std::uint64_t>(graph.order.size());
+    stats.graph_states = static_cast<std::uint64_t>(graph.nodes.size());
     stats.graph_edges = graph.edge_count();
     stats.graph_truncated = graph.truncated_count();
     // Post-exhaustion fair-cycle search: only once the graph is the
@@ -1741,7 +1747,9 @@ ExploreReport Explorer::run() {
     // every exhausted (re)invocation.
     if (stats.exhausted && !rep.cex.has_value() && !rep.cancelled) {
       rep.fair_cycle_checked = true;
+      const auto fair_cycle_start = std::chrono::steady_clock::now();
       rep.cex = find_fair_lasso(graph, cfg_.scenario, &rep.lasso_error);
+      rep.fair_cycle_s = seconds_since(fair_cycle_start);
     }
   }
 
@@ -1762,7 +1770,10 @@ ExploreReport Explorer::run() {
     for (const auto& [key, reg] : registry) {
       snap.nodes.push_back(NodeState{{key[0], key[1]}, reg.assigned});
     }
-    snap.fingerprints.assign(fps.begin(), fps.end());
+    snap.fingerprints.reserve(fps.size());
+    fps.for_each([&](std::uint64_t fp, std::uint64_t t) {
+      snap.fingerprints.emplace_back(fp, t);
+    });
     std::sort(snap.fingerprints.begin(), snap.fingerprints.end());
     snap.graph = std::move(graph);
     std::string err;

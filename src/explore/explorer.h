@@ -202,6 +202,14 @@ struct ExploreReport {
   /// instead of re-executing (explorer.cpp, UnitEngine). stats.steps =
   /// restored_steps + replayed_steps + the steps that extended a path.
   std::uint64_t restored_steps = 0;
+  /// Wall seconds this invocation spent in wave barriers (folding the
+  /// units' results into the committed search state, then decomposing
+  /// and re-queueing units) and in the fair-cycle search after
+  /// exhaustion, lasso probing included: the search's serial phases.
+  /// They vary from run to run, so they stay out of ExploreStats and
+  /// the snapshot.
+  double barrier_s = 0;
+  double fair_cycle_s = 0;
   /// Non-empty: resuming failed and nothing ran. resume_rejected
   /// distinguishes an incompatible snapshot (different scenario or
   /// search configuration — the caller's exit-2 case) from an

@@ -32,11 +32,31 @@ void note_menu_fairness(const std::vector<std::uint64_t>& menu,
   }
 }
 
-void add_live_edge(LiveGraphNode& n, LiveGraphEdge e) {
-  for (const LiveGraphEdge& have : n.edges) {
-    if (have.choices == e.choices) return;
+std::uint32_t LiveGraph::add_node(std::uint64_t fp) {
+  const auto [at, fresh] = index.try_emplace(fp, nodes.size());
+  if (fresh) {
+    WFD_CHECK_MSG(nodes.size() < UINT32_MAX, "state graph index overflow");
+    nodes.emplace_back().fp = fp;
   }
-  n.edges.push_back(std::move(e));
+  return static_cast<std::uint32_t>(*at);
+}
+
+void LiveGraph::add_edge(std::uint32_t src,
+                         std::span<const std::uint32_t> decisions,
+                         LiveGraphEdge e) {
+  std::vector<LiveGraphEdge>& edges = nodes[src].edges;
+  for (const LiveGraphEdge& have : edges) {
+    const std::span<const std::uint32_t> b = block(have);
+    if (std::equal(b.begin(), b.end(), decisions.begin(), decisions.end())) {
+      return;
+    }
+  }
+  WFD_CHECK_MSG(choices.size() + decisions.size() <= UINT32_MAX,
+                "state graph decision pool overflow");
+  e.block_at = static_cast<std::uint32_t>(choices.size());
+  e.block_size = static_cast<std::uint32_t>(decisions.size());
+  choices.insert(choices.end(), decisions.begin(), decisions.end());
+  edges.push_back(e);
 }
 
 void merge_live_graph(LiveGraph& into, const LiveGraph& from) {
@@ -49,9 +69,16 @@ void merge_live_graph(LiveGraph& into, const LiveGraph& from) {
       into.have_root = true;
     }
   }
-  for (const std::uint64_t fp : from.order) {
-    const LiveGraphNode& src = from.nodes.at(fp);
-    LiveGraphNode& dst = into.at(fp);
+  // Map every overlay node first, in the overlay's insertion order: new
+  // nodes append in that order, and an edge into a node the overlay
+  // created after its source resolves.
+  std::vector<std::uint32_t> to(from.nodes.size());
+  for (std::size_t i = 0; i < from.nodes.size(); ++i) {
+    to[i] = into.add_node(from.nodes[i].fp);
+  }
+  for (std::size_t i = 0; i < from.nodes.size(); ++i) {
+    const LiveGraphNode& src = from.nodes[i];
+    LiveGraphNode& dst = into.nodes[to[i]];
     // goal is fingerprint-pure: equal wherever computed. enabled and
     // deliverable are fingerprint-pure too, but only *computed* where a
     // unit expanded the node; a destination-only overlay entry carries
@@ -61,46 +88,22 @@ void merge_live_graph(LiveGraph& into, const LiveGraph& from) {
     dst.enabled |= src.enabled;
     dst.expanded = dst.expanded || src.expanded;
     dst.truncated = dst.truncated || src.truncated;
-    for (const LiveGraphEdge& e : src.edges) add_live_edge(dst, e);
+    for (LiveGraphEdge e : src.edges) {
+      const std::span<const std::uint32_t> decisions = from.block(e);
+      e.to = to[e.to];
+      into.add_edge(to[i], decisions, e);
+    }
   }
 }
 
 namespace {
 
-/// The graph re-keyed by insertion index, which is what every
-/// deterministic order below derives from.
-struct Indexed {
-  std::vector<std::uint64_t> fps;                      ///< index -> fp
-  std::vector<const LiveGraphNode*> node;              ///< index -> node
-  std::unordered_map<std::uint64_t, std::size_t> idx;  ///< fp -> index
-  /// Successor indices, in edge-recording order.
-  std::vector<std::vector<std::size_t>> adj;
-
-  explicit Indexed(const LiveGraph& g) : fps(g.order) {
-    node.reserve(fps.size());
-    idx.reserve(fps.size());
-    for (std::size_t i = 0; i < fps.size(); ++i) {
-      node.push_back(&g.nodes.at(fps[i]));
-      idx.emplace(fps[i], i);
-    }
-    adj.resize(fps.size());
-    for (std::size_t i = 0; i < fps.size(); ++i) {
-      adj[i].reserve(node[i]->edges.size());
-      for (const LiveGraphEdge& e : node[i]->edges) {
-        const auto it = idx.find(e.dst);
-        WFD_CHECK_MSG(it != idx.end(), "edge into an unrecorded state");
-        adj[i].push_back(it->second);
-      }
-    }
-  }
-};
-
 /// Iterative Tarjan over the subgraph induced by `alive`. Roots are
 /// tried in insertion order and successors in edge-recording order, so
 /// the SCC list is deterministic; members come out sorted by index.
-std::vector<std::vector<std::size_t>> sccs_of(const Indexed& g,
+std::vector<std::vector<std::size_t>> sccs_of(const LiveGraph& g,
                                               const std::vector<char>& alive) {
-  const std::size_t n = g.fps.size();
+  const std::size_t n = g.nodes.size();
   std::vector<int> index(n, -1);
   std::vector<int> low(n, 0);
   std::vector<char> on_stack(n, 0);
@@ -122,8 +125,9 @@ std::vector<std::vector<std::size_t>> sccs_of(const Indexed& g,
     while (!call.empty()) {
       Call& f = call.back();
       const std::size_t v = f.v;
-      if (f.next_child < g.adj[v].size()) {
-        const std::size_t w = g.adj[v][f.next_child++];
+      const std::vector<LiveGraphEdge>& out_edges = g.nodes[v].edges;
+      if (f.next_child < out_edges.size()) {
+        const std::size_t w = out_edges[f.next_child++].to;
         if (!alive[w]) continue;
         if (index[w] == -1) {
           index[w] = low[w] = counter++;
@@ -176,13 +180,13 @@ struct FairWitness {
 /// obligation; they also cannot lie on a cycle at all (injection
 /// budgets decrease monotonically and are fingerprinted), so they never
 /// manufacture one.
-std::optional<FairWitness> fair_goal_avoiding_scc(const Indexed& g) {
+std::optional<FairWitness> fair_goal_avoiding_scc(const LiveGraph& g) {
   std::deque<std::vector<std::size_t>> work;
   {
-    const std::vector<char> all(g.fps.size(), 1);
+    const std::vector<char> all(g.nodes.size(), 1);
     for (auto& comp : sccs_of(g, all)) work.push_back(std::move(comp));
   }
-  std::vector<char> in_comp(g.fps.size(), 0);
+  std::vector<char> in_comp(g.nodes.size(), 0);
   while (!work.empty()) {
     const std::vector<std::size_t> comp = std::move(work.front());
     work.pop_front();
@@ -193,10 +197,10 @@ std::optional<FairWitness> fair_goal_avoiding_scc(const Indexed& g) {
     std::uint64_t delivered = 0;
     bool internal = false;
     for (const std::size_t v : comp) {
-      enabled |= g.node[v]->enabled;
-      deliverable_all &= g.node[v]->deliverable;
-      for (const LiveGraphEdge& e : g.node[v]->edges) {
-        if (in_comp[g.idx.at(e.dst)] == 0) continue;
+      enabled |= g.nodes[v].enabled;
+      deliverable_all &= g.nodes[v].deliverable;
+      for (const LiveGraphEdge& e : g.nodes[v].edges) {
+        if (in_comp[e.to] == 0) continue;
         internal = true;
         if (!e.fault && e.sched != kNoProcess) {
           sched |= std::uint64_t{1} << e.sched;
@@ -217,16 +221,16 @@ std::optional<FairWitness> fair_goal_avoiding_scc(const Indexed& g) {
         continue;
       }
       for (const std::size_t v : comp) {
-        if (!g.node[v]->goal) {
+        if (!g.nodes[v].goal) {
           for (const std::size_t w : comp) in_comp[w] = 0;
           return FairWitness{comp, sched, deliverable_all, v};
         }
       }
     } else if (internal) {
-      std::vector<char> sub(g.fps.size(), 0);
+      std::vector<char> sub(g.nodes.size(), 0);
       bool any = false;
       for (const std::size_t v : comp) {
-        if ((g.node[v]->enabled & starved) == 0) {
+        if ((g.nodes[v].enabled & starved) == 0) {
           sub[v] = 1;
           any = true;
         }
@@ -248,12 +252,12 @@ struct Hop {
 
 /// Shortest path (BFS; ties broken by insertion/edge order) from `from`
 /// to `to` through nodes with mask[v] != 0. Empty when from == to.
-std::vector<Hop> route(const Indexed& g, const std::vector<char>& mask,
+std::vector<Hop> route(const LiveGraph& g, const std::vector<char>& mask,
                        std::size_t from, std::size_t to) {
   std::vector<Hop> out;
   if (from == to) return out;
-  std::vector<int> parent(g.fps.size(), -1);
-  std::vector<const LiveGraphEdge*> via(g.fps.size(), nullptr);
+  std::vector<int> parent(g.nodes.size(), -1);
+  std::vector<const LiveGraphEdge*> via(g.nodes.size(), nullptr);
   std::deque<std::size_t> q;
   parent[from] = static_cast<int>(from);
   q.push_back(from);
@@ -261,8 +265,8 @@ std::vector<Hop> route(const Indexed& g, const std::vector<char>& mask,
   while (!q.empty() && !found) {
     const std::size_t v = q.front();
     q.pop_front();
-    for (const LiveGraphEdge& e : g.node[v]->edges) {
-      const std::size_t w = g.idx.at(e.dst);
+    for (const LiveGraphEdge& e : g.nodes[v].edges) {
+      const std::size_t w = e.to;
       if (mask[w] == 0 || parent[w] != -1) continue;
       parent[w] = static_cast<int>(v);
       via[w] = &e;
@@ -288,15 +292,15 @@ std::vector<Hop> route(const Indexed& g, const std::vector<char>& mask,
 /// (ascending process order), then closing back on the entry — the
 /// fairness certificate made concrete as a fingerprint route.
 template <typename MatchFn>
-void cover_edge(const Indexed& g, const FairWitness& w,
+void cover_edge(const LiveGraph& g, const FairWitness& w,
                 const std::vector<char>& in_comp, MatchFn match,
                 std::size_t& cur, std::vector<Hop>& out) {
   const LiveGraphEdge* cover = nullptr;
   std::size_t cover_src = 0;
   for (const std::size_t v : w.members) {
-    for (const LiveGraphEdge& e : g.node[v]->edges) {
+    for (const LiveGraphEdge& e : g.nodes[v].edges) {
       if (e.fault || !match(e)) continue;
-      if (in_comp[g.idx.at(e.dst)] == 0) continue;
+      if (in_comp[e.to] == 0) continue;
       cover = &e;
       cover_src = v;
       break;
@@ -307,11 +311,11 @@ void cover_edge(const Indexed& g, const FairWitness& w,
   std::vector<Hop> leg = route(g, in_comp, cur, cover_src);
   out.insert(out.end(), leg.begin(), leg.end());
   out.push_back(Hop{cover_src, cover});
-  cur = g.idx.at(cover->dst);
+  cur = cover->to;
 }
 
-std::vector<Hop> loop_route(const Indexed& g, const FairWitness& w) {
-  std::vector<char> in_comp(g.fps.size(), 0);
+std::vector<Hop> loop_route(const LiveGraph& g, const FairWitness& w) {
+  std::vector<char> in_comp(g.nodes.size(), 0);
   for (const std::size_t v : w.members) in_comp[v] = 1;
   std::vector<Hop> out;
   std::size_t cur = w.entry;
@@ -349,17 +353,18 @@ std::vector<Hop> loop_route(const Indexed& g, const FairWitness& w) {
 std::optional<Counterexample> find_fair_lasso(
     const LiveGraph& g, const ScenarioOptions& scenario,
     std::string* concretize_error) {
-  if (!g.have_root || g.order.empty()) return std::nullopt;
-  const Indexed ix(g);
-  const std::optional<FairWitness> w = fair_goal_avoiding_scc(ix);
+  if (!g.have_root || g.nodes.empty()) return std::nullopt;
+  const std::optional<FairWitness> w = fair_goal_avoiding_scc(g);
   if (!w.has_value()) return std::nullopt;
 
   // Fingerprint routes: stem from the initial state to the cycle entry
   // (over the whole graph), then the covering loop inside the SCC.
-  const std::vector<char> all(ix.fps.size(), 1);
+  const std::uint64_t* root = g.index.find(g.root);
+  WFD_CHECK_MSG(root != nullptr, "state graph without its root node");
+  const std::vector<char> all(g.nodes.size(), 1);
   const std::vector<Hop> stem =
-      route(ix, all, ix.idx.at(g.root), w->entry);
-  const std::vector<Hop> loop = loop_route(ix, *w);
+      route(g, all, static_cast<std::size_t>(*root), w->entry);
+  const std::vector<Hop> loop = loop_route(g, *w);
 
   // Concretize by probing. The probe scenario widens the horizon so the
   // stem plus one unrolling always fit; under the liveness validate()
@@ -382,7 +387,7 @@ std::optional<Counterexample> find_fair_lasso(
   // fairness certificate. Probing re-runs the invariants so their
   // carried history — part of the fingerprint — evolves exactly as it
   // did during exploration.
-  const auto lands = [&](const sim::DecisionLog& block,
+  const auto lands = [&](std::span<const std::uint32_t> block,
                          const LiveGraphEdge& want) -> bool {
     sim::DecisionLog full = log;
     full.insert(full.end(), block.begin(), block.end());
@@ -410,7 +415,7 @@ std::optional<Counterexample> find_fair_lasso(
       return false;
     }
     const std::optional<std::uint64_t> fp = scenario_fingerprint(sc);
-    return fp.has_value() && *fp == want.dst;
+    return fp.has_value() && *fp == g.nodes[want.to].fp;
   };
 
   // The schedule-menu width at the state the pinned prefix lands on:
@@ -434,20 +439,22 @@ std::optional<Counterexample> find_fair_lasso(
   // while trailing oracle picks (begin_run, crash re-picks) enumerate
   // from the pattern and are path-independent.
   const auto pin = [&](const Hop& hop) -> bool {
-    for (const LiveGraphEdge& e : ix.node[hop.src]->edges) {
-      if (e.dst != hop.edge->dst) continue;
-      if (lands(e.choices, *hop.edge)) {
-        log.insert(log.end(), e.choices.begin(), e.choices.end());
+    for (const LiveGraphEdge& e : g.nodes[hop.src].edges) {
+      if (e.to != hop.edge->to) continue;
+      const std::span<const std::uint32_t> recorded = g.block(e);
+      if (lands(recorded, *hop.edge)) {
+        log.insert(log.end(), recorded.begin(), recorded.end());
         ++pinned;
         return true;
       }
     }
     const std::size_t width = menu_width();
-    for (const LiveGraphEdge& e : ix.node[hop.src]->edges) {
-      if (e.dst != hop.edge->dst || e.choices.empty()) continue;
+    for (const LiveGraphEdge& e : g.nodes[hop.src].edges) {
+      if (e.to != hop.edge->to || e.block_size == 0) continue;
       for (std::size_t i = 0; i < width; ++i) {
+        const std::span<const std::uint32_t> tail = g.block(e).subspan(1);
         sim::DecisionLog block = {static_cast<std::uint32_t>(i)};
-        block.insert(block.end(), e.choices.begin() + 1, e.choices.end());
+        block.insert(block.end(), tail.begin(), tail.end());
         if (lands(block, *hop.edge)) {
           log.insert(log.end(), block.begin(), block.end());
           ++pinned;
@@ -467,7 +474,8 @@ std::optional<Counterexample> find_fair_lasso(
     std::ostringstream err;
     err << "failed to concretize a lasso transition (" << part << " hop "
         << at << " of " << total << ": fingerprint "
-        << ix.fps[hop.src] << " -> " << hop.edge->dst << ")\n";
+        << g.nodes[hop.src].fp << " -> " << g.nodes[hop.edge->to].fp
+        << ")\n";
     err << "partial lasso pinned so far: " << pinned << " steps, decisions=";
     for (std::size_t i = 0; i < log.size(); ++i) {
       err << (i == 0 ? "" : ",") << log[i];

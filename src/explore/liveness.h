@@ -68,15 +68,31 @@
 // the probed state. Everything here is deterministic given the graph,
 // and the graph is merged in canonical slot order — so the reported
 // lasso is identical at any --threads.
+//
+// Storage is flat. Nodes sit in a vector in insertion order, so a
+// node's index is its position; a FingerprintTable maps a fingerprint
+// to it, and each edge names its destination by index, so the
+// fair-cycle search walks the graph with no lookup. Decision blocks are
+// slices of one graph-wide vector, and recording a transition its
+// source already has allocates nothing. The barrier first maps an
+// overlay's node indices to committed ones in one pass over the
+// overlay's nodes and only then folds flags and edges, so an edge into
+// a node the same overlay created later resolves. The committed order
+// is the overlays' new nodes in slot order, each overlay's in its own
+// insertion order; a node's edges are its committed ones, then each
+// overlay's new ones in slot and recording order. Snapshots write
+// gnode= lines in insertion order and gedge= lines in edge order, with
+// destinations as fingerprints.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
+#include "explore/fingerprint_table.h"
 #include "explore/scenario.h"
 #include "explore/types.h"
 #include "sim/choice.h"
@@ -103,11 +119,13 @@ void note_menu_fairness(const std::vector<std::uint64_t>& menu,
                         const sim::Simulator& sim, std::uint64_t* enabled,
                         std::uint64_t* deliverable);
 
-/// One recorded transition: the decision block the step consumed, the
-/// destination fingerprint, the process the step ran.
+/// One recorded transition: the destination node, the decision block
+/// the step consumed (a slice of LiveGraph::choices), the process the
+/// step ran.
 struct LiveGraphEdge {
-  sim::DecisionLog choices;
-  std::uint64_t dst = 0;
+  std::uint32_t to = 0;          ///< Destination: an index into nodes.
+  std::uint32_t block_at = 0;    ///< Decision block offset in choices.
+  std::uint32_t block_size = 0;  ///< Decision block length.
   ProcessId sched = kNoProcess;
   /// Sender of the delivered message (deliver == true); kNoProcess for
   /// λ/start/fault edges. (sender, sched) is the directed channel the
@@ -117,8 +135,9 @@ struct LiveGraphEdge {
   bool deliver = false;  ///< The step delivered a message to `sched`.
 };
 
-/// Per-node bookkeeping, keyed by state fingerprint in LiveGraph.
+/// Per-node bookkeeping.
 struct LiveGraphNode {
+  std::uint64_t fp = 0;       ///< The state fingerprint.
   bool goal = false;          ///< The liveness clause's goal bit here.
   std::uint64_t enabled = 0;  ///< Processes with a move in the menu here.
   /// Directed channels with a pending message delivery in the menu here
@@ -131,49 +150,58 @@ struct LiveGraphNode {
   std::vector<LiveGraphEdge> edges;  ///< First-recorded order, deduped.
 };
 
-/// Insertion-ordered fingerprint-keyed state graph. Units record into
-/// private overlays; the wave barrier merges them in canonical slot
-/// order, so the committed insertion order — and everything the
-/// fair-cycle search derives from it — is thread-count independent.
+/// Insertion-ordered state graph: a node's index is its position in
+/// `nodes`, and edges name their destination by that index. Units
+/// record into private overlays; the wave barrier merges them in
+/// canonical slot order, so the committed insertion order — and
+/// everything the fair-cycle search derives from it — is thread-count
+/// independent.
 struct LiveGraph {
-  std::vector<std::uint64_t> order;  ///< Fingerprints, insertion order.
-  std::unordered_map<std::uint64_t, LiveGraphNode> nodes;
+  std::vector<LiveGraphNode> nodes;  ///< Insertion order.
+  FingerprintTable index;            ///< Fingerprint -> index in nodes.
+  /// Every edge's decision block, back to back.
+  std::vector<std::uint32_t> choices;
   /// The initial state (computed before the first step, which precedes
   /// the oracle's begin_run picks — identical across runs).
   std::uint64_t root = 0;
   bool have_root = false;
 
-  /// The node for `fp`, appending it to the insertion order when new.
-  LiveGraphNode& at(std::uint64_t fp) {
-    const auto [it, fresh] = nodes.try_emplace(fp);
-    if (fresh) order.push_back(fp);
-    return it->second;
+  /// The index of the node for `fp`, appending a node when new.
+  std::uint32_t add_node(std::uint64_t fp);
+
+  /// The decision block of `e`.
+  [[nodiscard]] std::span<const std::uint32_t> block(
+      const LiveGraphEdge& e) const {
+    return {choices.data() + e.block_at, e.block_size};
   }
+
+  /// Appends `e` to node `src`'s edges with decision block `decisions`
+  /// (which must not point into `choices`), unless an edge there already
+  /// has that block: distinct runs and units reach the same node by the
+  /// same transition, and the decision block identifies the transition.
+  /// A duplicate allocates nothing.
+  void add_edge(std::uint32_t src, std::span<const std::uint32_t> decisions,
+                LiveGraphEdge e);
 
   [[nodiscard]] std::uint64_t edge_count() const {
     std::uint64_t total = 0;
-    for (const auto& [fp, n] : nodes) {
-      total += static_cast<std::uint64_t>(n.edges.size());
-    }
+    for (const LiveGraphNode& n : nodes) total += n.edges.size();
     return total;
   }
 
   [[nodiscard]] std::uint64_t truncated_count() const {
     std::uint64_t total = 0;
-    for (const auto& [fp, n] : nodes) {
+    for (const LiveGraphNode& n : nodes) {
       if (n.truncated) ++total;
     }
     return total;
   }
 };
 
-/// Record `e` on `n` unless an edge with the same decision block exists
-/// (distinct runs and units reach the same node by the same transition;
-/// the decision block identifies the transition).
-void add_live_edge(LiveGraphNode& n, LiveGraphEdge e);
-
 /// Fold a unit overlay into the committed graph. Caller supplies the
-/// canonical order (barrier slot order) for determinism.
+/// canonical order (barrier slot order) for determinism: the overlay's
+/// new nodes are appended in its insertion order, and each node's new
+/// edges after the ones it has.
 void merge_live_graph(LiveGraph& into, const LiveGraph& from);
 
 /// Post-exhaustion search (see the file comment). Returns a replayable

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "explore/option_text.h"
 
@@ -158,15 +160,14 @@ bool parse_node(const std::string& s, NodeState* n) {
 // gnode=<fp>;g=<goal>;en=<enabled>;dl=<channel bitset, bit sender*8 +
 //       receiver>;x=<expanded>;t=<truncated>;edges=<count> — the next
 //       <count> gedge= lines belong to it.
-void gnode_to_text(std::ostream& out, std::uint64_t fp,
-                   const LiveGraphNode& n) {
-  out << "gnode=" << fp << ";g=" << (n.goal ? 1 : 0) << ";en=" << n.enabled
+void gnode_to_text(std::ostream& out, const LiveGraphNode& n) {
+  out << "gnode=" << n.fp << ";g=" << (n.goal ? 1 : 0) << ";en=" << n.enabled
       << ";dl=" << n.deliverable << ";x=" << (n.expanded ? 1 : 0)
       << ";t=" << (n.truncated ? 1 : 0) << ";edges=" << n.edges.size()
       << "\n";
 }
 
-bool parse_gnode(const std::string& s, std::uint64_t* fp, LiveGraphNode* n,
+bool parse_gnode(const std::string& s, LiveGraphNode* n,
                  std::uint64_t* edges_expected) {
   std::string part;
   std::istringstream parts(s);
@@ -176,7 +177,7 @@ bool parse_gnode(const std::string& s, std::uint64_t* fp, LiveGraphNode* n,
   while (std::getline(parts, part, ';')) {
     if (first) {
       first = false;
-      if (!parse_u64(part, fp)) return false;
+      if (!parse_u64(part, &n->fp)) return false;
       saw_fp = true;
       continue;
     }
@@ -206,18 +207,24 @@ bool parse_gnode(const std::string& s, std::uint64_t* fp, LiveGraphNode* n,
 
 // gedge=d=<dst>;p=<sched+1, 0 = none>;s=<sender+1, 0 = none>;f=<fault>;
 //       c=<decision indices>
-void gedge_to_text(std::ostream& out, const LiveGraphEdge& e) {
-  out << "gedge=d=" << e.dst << ";p=" << (e.sched + 1)
+void gedge_to_text(std::ostream& out, const LiveGraph& g,
+                   const LiveGraphEdge& e) {
+  out << "gedge=d=" << g.nodes[e.to].fp << ";p=" << (e.sched + 1)
       << ";s=" << (e.sender + 1) << ";f=" << (e.fault ? 1 : 0)
       << ";dv=" << (e.deliver ? 1 : 0) << ";c=";
-  for (std::size_t i = 0; i < e.choices.size(); ++i) {
+  const std::span<const std::uint32_t> block = g.block(e);
+  for (std::size_t i = 0; i < block.size(); ++i) {
     if (i != 0) out << ",";
-    out << e.choices[i];
+    out << block[i];
   }
   out << "\n";
 }
 
-bool parse_gedge(const std::string& s, LiveGraphEdge* e) {
+/// Parses one gedge= line into `e` and its destination fingerprint
+/// `dst`, appending its decision block to `choices`; the caller
+/// resolves `dst` to e->to once every node is known.
+bool parse_gedge(const std::string& s, LiveGraphEdge* e, std::uint64_t* dst,
+                 std::vector<std::uint32_t>* choices) {
   std::string part;
   std::istringstream parts(s);
   bool saw_dst = false;
@@ -227,7 +234,7 @@ bool parse_gedge(const std::string& s, LiveGraphEdge* e) {
     const std::string key = part.substr(0, eq);
     const std::string val = part.substr(eq + 1);
     if (key == "d") {
-      if (!parse_u64(val, &e->dst)) return false;
+      if (!parse_u64(val, dst)) return false;
       saw_dst = true;
     } else if (key == "p") {
       std::uint64_t v = 0;
@@ -244,11 +251,12 @@ bool parse_gedge(const std::string& s, LiveGraphEdge* e) {
     } else if (key == "c") {
       std::vector<std::uint64_t> raw;
       if (!parse_labels(val, &raw)) return false;
-      e->choices.clear();
-      e->choices.reserve(raw.size());
+      if (choices->size() + raw.size() > UINT32_MAX) return false;
+      e->block_at = static_cast<std::uint32_t>(choices->size());
+      e->block_size = static_cast<std::uint32_t>(raw.size());
       for (const std::uint64_t v : raw) {
         if (v > UINT32_MAX) return false;
-        e->choices.push_back(static_cast<std::uint32_t>(v));
+        choices->push_back(static_cast<std::uint32_t>(v));
       }
     } else {
       return false;
@@ -310,10 +318,9 @@ std::string to_text(const StateSnapshot& s) {
   // must restore it verbatim.
   if (s.graph.have_root) out << "groot=" << s.graph.root << "\n";
   std::uint64_t gedges_total = 0;
-  for (const std::uint64_t fp : s.graph.order) {
-    const LiveGraphNode& n = s.graph.nodes.at(fp);
-    gnode_to_text(out, fp, n);
-    for (const LiveGraphEdge& e : n.edges) gedge_to_text(out, e);
+  for (const LiveGraphNode& n : s.graph.nodes) {
+    gnode_to_text(out, n);
+    for (const LiveGraphEdge& e : n.edges) gedge_to_text(out, s.graph, e);
     gedges_total += static_cast<std::uint64_t>(n.edges.size());
   }
   // Trailer: count checks plus an end marker, so a torn or truncated
@@ -322,7 +329,7 @@ std::string to_text(const StateSnapshot& s) {
   out << "nodes_total=" << s.nodes.size() << "\n";
   out << "frames_total=" << frames_total << "\n";
   out << "fps_total=" << s.fingerprints.size() << "\n";
-  out << "gnodes_total=" << s.graph.order.size() << "\n";
+  out << "gnodes_total=" << s.graph.nodes.size() << "\n";
   out << "gedges_total=" << gedges_total << "\n";
   out << "end=snapshot\n";
   return out.str();
@@ -363,7 +370,9 @@ std::optional<StateSnapshot> parse_snapshot(const std::string& text,
   std::uint64_t gedges_seen = 0;
   /// Edges still owed to the node last opened by a gnode= line.
   std::uint64_t gedges_owed = 0;
-  std::uint64_t gnode_open = 0;  ///< That node's fingerprint.
+  /// Each edge's destination fingerprint, in file order: an edge may
+  /// point at a node listed after it, so they resolve at the end.
+  std::vector<std::uint64_t> gedge_dsts;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
@@ -431,23 +440,25 @@ std::optional<StateSnapshot> parse_snapshot(const std::string& text,
       if (ok) s.graph.have_root = true;
     } else if (key == "gnode") {
       if (gedges_owed != 0) return fail("graph node with missing edges");
-      std::uint64_t fp = 0;
       LiveGraphNode n;
       std::uint64_t expected = 0;
-      if (!parse_gnode(val, &fp, &n, &expected)) {
+      if (!parse_gnode(val, &n, &expected)) {
         return fail("bad graph node: " + val);
       }
-      if (s.graph.nodes.count(fp) != 0) {
-        return fail("duplicate graph node " + std::to_string(fp));
+      if (s.graph.index.find(n.fp) != nullptr) {
+        return fail("duplicate graph node " + std::to_string(n.fp));
       }
-      s.graph.at(fp) = std::move(n);
+      s.graph.nodes[s.graph.add_node(n.fp)] = std::move(n);
       gedges_owed = expected;
-      gnode_open = fp;
     } else if (key == "gedge") {
       if (gedges_owed == 0) return fail("graph edge without an owning node");
       LiveGraphEdge e;
-      if (!parse_gedge(val, &e)) return fail("bad graph edge: " + val);
-      s.graph.nodes.find(gnode_open)->second.edges.push_back(std::move(e));
+      std::uint64_t dst = 0;
+      if (!parse_gedge(val, &e, &dst, &s.graph.choices)) {
+        return fail("bad graph edge: " + val);
+      }
+      s.graph.nodes.back().edges.push_back(e);
+      gedge_dsts.push_back(dst);
       --gedges_owed;
       ++gedges_seen;
     } else if (key == "units_total") {
@@ -497,22 +508,28 @@ std::optional<StateSnapshot> parse_snapshot(const std::string& text,
     return fail("fingerprint count mismatch");
   }
   if (gedges_owed != 0) return fail("graph node with missing edges");
-  if (!gnodes_total.has_value() || *gnodes_total != s.graph.order.size()) {
+  if (!gnodes_total.has_value() || *gnodes_total != s.graph.nodes.size()) {
     return fail("graph node count mismatch");
   }
   if (!gedges_total.has_value() || *gedges_total != gedges_seen) {
     return fail("graph edge count mismatch");
   }
-  if (!s.graph.order.empty() && !s.graph.have_root) {
+  if (!s.graph.nodes.empty() && !s.graph.have_root) {
     return fail("state graph without a root");
   }
   // Internal consistency the fair-cycle search would otherwise
-  // WFD_CHECK-crash on: every edge must land on a stored node.
-  for (const auto& [fp, n] : s.graph.nodes) {
-    for (const LiveGraphEdge& e : n.edges) {
-      if (s.graph.nodes.count(e.dst) == 0) {
-        return fail("graph edge into an unknown node");
-      }
+  // WFD_CHECK-crash on: the root and every edge's destination must be
+  // stored nodes.
+  if (s.graph.have_root && !s.graph.nodes.empty() &&
+      s.graph.index.find(s.graph.root) == nullptr) {
+    return fail("state graph root is not a graph node");
+  }
+  std::size_t next_dst = 0;
+  for (LiveGraphNode& n : s.graph.nodes) {
+    for (LiveGraphEdge& e : n.edges) {
+      const std::uint64_t* to = s.graph.index.find(gedge_dsts[next_dst++]);
+      if (to == nullptr) return fail("graph edge into an unknown node");
+      e.to = static_cast<std::uint32_t>(*to);
     }
   }
   for (const UnitState& u : s.units) {

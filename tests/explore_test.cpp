@@ -2,20 +2,25 @@
 // finds the seeded agreement bug, shrinking preserves and minimizes the
 // counterexample, replay files round-trip and re-execute
 // deterministically, and the parallel campaign both finds the bug and
-// stays clean on the correct protocols.
+// stays clean on the correct protocols. The explorer's fingerprint
+// table is checked against std::unordered_map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "explore/campaign.h"
 #include "explore/explorer.h"
+#include "explore/fingerprint_table.h"
 #include "explore/option_text.h"
 #include "explore/replay_io.h"
 #include "explore/scenario.h"
@@ -195,6 +200,117 @@ TEST(ExplorerTest, FingerprintPruningFires) {
   Explorer ex(ScenarioFactory(opt).builder(), eo);
   const ExploreReport rep = ex.run();
   EXPECT_GT(rep.stats.fp_prunes, 0u);
+}
+
+// ---- FingerprintTable ---------------------------------------------------
+
+using Reference = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+/// Requires `t` to hold exactly `ref`: size, every lookup, and for_each
+/// visiting each entry once.
+void expect_same_entries(const FingerprintTable& t, const Reference& ref) {
+  ASSERT_EQ(t.size(), ref.size());
+  for (const auto& [fp, v] : ref) {
+    const std::uint64_t* got = t.find(fp);
+    ASSERT_NE(got, nullptr) << fp;
+    EXPECT_EQ(*got, v) << fp;
+  }
+  Reference seen;
+  t.for_each([&](std::uint64_t fp, std::uint64_t v) {
+    EXPECT_TRUE(seen.emplace(fp, v).second) << "visited twice: " << fp;
+  });
+  EXPECT_EQ(seen, ref);
+}
+
+TEST(FingerprintTableTest, MatchesUnorderedMapOnRandomKeys) {
+  std::mt19937_64 rng(7);
+  FingerprintTable t;
+  Reference ref;
+  // 20,000 entries take the table from 16 slots through 12 doublings;
+  // the check after each batch sees it between them.
+  for (int batch = 0; batch < 20; ++batch) {
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t fp = rng();
+      const std::uint64_t v = rng() % 100;
+      const auto [stored, fresh] = t.try_emplace(fp, v);
+      const auto [it, ref_fresh] = ref.try_emplace(fp, v);
+      EXPECT_EQ(fresh, ref_fresh);
+      EXPECT_EQ(*stored, it->second);
+    }
+    expect_same_entries(t, ref);
+  }
+  // Present keys are found again, absent ones are not.
+  for (const auto& [fp, v] : ref) {
+    const auto [stored, fresh] = t.try_emplace(fp, v + 1);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(*stored, v);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t fp = rng();
+    EXPECT_EQ(t.find(fp) != nullptr, ref.count(fp) != 0) << fp;
+  }
+}
+
+TEST(FingerprintTableTest, KeyZeroAndSharedLowBits) {
+  FingerprintTable t;
+  Reference ref;
+  EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_TRUE(t.try_emplace(0, 5).second);
+  EXPECT_FALSE(t.try_emplace(0, 9).second);
+  EXPECT_EQ(*t.find(0), 5u);
+  t.keep_min(0, 3);
+  t.keep_min(0, 4);
+  ref[0] = 3;
+  // Keys whose low 32 bits agree all start probing at the same slot at
+  // every table size up to 2^32 slots; all-ones low bits start at the
+  // last slot, so the probe wraps around to the first.
+  for (std::uint64_t i = 1; i <= 3000; ++i) {
+    const std::uint64_t same = (i << 32) | 0x5u;
+    const std::uint64_t wrap = (i << 32) | 0xffffffffu;
+    t.keep_min(same, i);
+    t.keep_min(wrap, 2 * i);
+    ref[same] = i;
+    ref[wrap] = 2 * i;
+  }
+  expect_same_entries(t, ref);
+  EXPECT_EQ(t.find(0x5u), nullptr);
+  EXPECT_EQ(t.find(0xffffffffu), nullptr);
+}
+
+TEST(FingerprintTableTest, MergeKeepsTheSmallerTime) {
+  std::mt19937_64 rng(11);
+  FingerprintTable committed;
+  FingerprintTable overlay;
+  Reference ref;
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(rng());
+  keys.push_back(0);
+  // The committed set holds the first two thirds of the keys, the
+  // overlay the last two thirds: a third of each side overlaps, with
+  // the smaller time on either side.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t a = rng() % 50;
+    const std::uint64_t b = rng() % 50;
+    if (i < 2 * keys.size() / 3) {
+      committed.keep_min(keys[i], a);
+      ref[keys[i]] = a;
+    }
+    if (i >= keys.size() / 3) {
+      overlay.keep_min(keys[i], b);
+      const auto [it, fresh] = ref.try_emplace(keys[i], b);
+      if (!fresh) it->second = std::min(it->second, b);
+    }
+  }
+  committed.merge_min(overlay);
+  expect_same_entries(committed, ref);
+  // Merging into an empty table copies the overlay.
+  FingerprintTable empty;
+  empty.merge_min(overlay);
+  Reference overlay_ref;
+  overlay.for_each([&](std::uint64_t fp, std::uint64_t v) {
+    overlay_ref[fp] = v;
+  });
+  expect_same_entries(empty, overlay_ref);
 }
 
 TEST(ShrinkTest, ShrunkCounterexampleStillReproduces) {

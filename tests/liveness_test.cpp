@@ -1,6 +1,8 @@
 // Fixture tests for the fair-cycle search over hand-built LiveGraphs:
 // graphs constructed edge by edge, not explored, so each test isolates
-// one fairness rule of find_fair_lasso with a known-shape witness.
+// one fairness rule of find_fair_lasso with a known-shape witness. The
+// last tests pin the graph's own bookkeeping: edge deduplication and
+// the barrier merge's insertion and edge order.
 //
 // Two outcomes are distinguishable through the public API without a
 // real exploration behind the graph. A graph whose only goal-avoiding
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,9 @@
 
 namespace wfd::explore {
 namespace {
+
+/// The decision block every fixture edge carries.
+constexpr std::uint32_t kBlock[] = {0};
 
 ScenarioOptions live_options() {
   ScenarioOptions opt;
@@ -46,32 +52,29 @@ LiveGraph two_sender_cycle(bool serve_both) {
   const std::uint64_t fp_b = 11;
   g.root = fp_a;
   g.have_root = true;
+  const std::uint32_t a = g.add_node(fp_a);
+  const std::uint32_t b = g.add_node(fp_b);
   const std::uint64_t pending =
       live_channel_bit(0, 2) | live_channel_bit(1, 2);
-  LiveGraphNode& a = g.at(fp_a);
-  a.goal = false;
-  a.enabled = std::uint64_t{1} << 2;
-  a.deliverable = pending;
-  a.expanded = true;
+  for (const std::uint32_t v : {a, b}) {
+    LiveGraphNode& n = g.nodes[v];
+    n.goal = false;
+    n.enabled = std::uint64_t{1} << 2;
+    n.deliverable = pending;
+    n.expanded = true;
+  }
   LiveGraphEdge ab;
-  ab.choices = {0};
-  ab.dst = fp_b;
+  ab.to = b;
   ab.sched = 2;
   ab.sender = 1;
   ab.deliver = true;
-  a.edges = {ab};
-  LiveGraphNode& b = g.at(fp_b);
-  b.goal = false;
-  b.enabled = std::uint64_t{1} << 2;
-  b.deliverable = pending;
-  b.expanded = true;
+  g.add_edge(a, kBlock, ab);
   LiveGraphEdge ba;
-  ba.choices = {0};
-  ba.dst = fp_a;
+  ba.to = a;
   ba.sched = 2;
   ba.sender = serve_both ? ProcessId{0} : ProcessId{1};
   ba.deliver = true;
-  b.edges = {ba};
+  g.add_edge(b, kBlock, ba);
   return g;
 }
 
@@ -113,17 +116,18 @@ LiveGraph sched_cycle(bool fault) {
   const std::uint64_t fp_b = 21;
   g.root = fp_a;
   g.have_root = true;
-  for (const std::uint64_t fp : {fp_a, fp_b}) {
-    LiveGraphNode& n = g.at(fp);
+  const std::uint32_t a = g.add_node(fp_a);
+  const std::uint32_t b = g.add_node(fp_b);
+  for (const std::uint32_t v : {a, b}) {
+    LiveGraphNode& n = g.nodes[v];
     n.goal = false;
     n.enabled = 1;  // Process 0 has a move everywhere.
     n.expanded = true;
     LiveGraphEdge e;
-    e.choices = {0};
-    e.dst = (fp == fp_a) ? fp_b : fp_a;
+    e.to = (v == a) ? b : a;
     e.sched = 0;
     e.fault = fault;
-    n.edges = {e};
+    g.add_edge(v, kBlock, e);
   }
   return g;
 }
@@ -155,29 +159,26 @@ LiveGraph deliver_cycle(bool deliver_is_fault) {
   const std::uint64_t fp_b = 31;
   g.root = fp_a;
   g.have_root = true;
-  LiveGraphNode& a = g.at(fp_a);
-  a.goal = false;
-  a.enabled = std::uint64_t{1} << 1;
-  a.deliverable = live_channel_bit(0, 1);
-  a.expanded = true;
+  const std::uint32_t a = g.add_node(fp_a);
+  const std::uint32_t b = g.add_node(fp_b);
+  for (const std::uint32_t v : {a, b}) {
+    LiveGraphNode& n = g.nodes[v];
+    n.goal = false;
+    n.enabled = std::uint64_t{1} << 1;
+    n.deliverable = live_channel_bit(0, 1);
+    n.expanded = true;
+  }
   LiveGraphEdge ab;
-  ab.choices = {0};
-  ab.dst = fp_b;
+  ab.to = b;
   ab.sched = 1;
   ab.sender = 0;
   ab.deliver = true;
   ab.fault = deliver_is_fault;
-  a.edges = {ab};
-  LiveGraphNode& b = g.at(fp_b);
-  b.goal = false;
-  b.enabled = std::uint64_t{1} << 1;
-  b.deliverable = live_channel_bit(0, 1);
-  b.expanded = true;
+  g.add_edge(a, kBlock, ab);
   LiveGraphEdge ba;  // Lambda step: keeps process 1 scheduled.
-  ba.choices = {0};
-  ba.dst = fp_a;
+  ba.to = a;
   ba.sched = 1;
-  b.edges = {ba};
+  g.add_edge(b, kBlock, ba);
   return g;
 }
 
@@ -203,10 +204,144 @@ TEST(LivenessFixtureTest, GoalTrueCyclesRefuteNothing) {
   // Sanity: a perfectly fair cycle whose every node satisfies the goal
   // is not a counterexample to <>[]goal.
   LiveGraph g = sched_cycle(/*fault=*/false);
-  for (const std::uint64_t fp : g.order) g.nodes.at(fp).goal = true;
+  for (LiveGraphNode& n : g.nodes) n.goal = true;
   std::string err;
   EXPECT_FALSE(find_fair_lasso(g, live_options(), &err).has_value());
   EXPECT_TRUE(err.empty()) << err;
+}
+
+// ---- Graph bookkeeping ------------------------------------------------
+
+/// Records src -> to with decision block `block`, scheduling `sched`.
+void add_step(LiveGraph& g, std::uint32_t src, std::uint32_t to,
+              const std::vector<std::uint32_t>& block, ProcessId sched) {
+  LiveGraphEdge e;
+  e.to = to;
+  e.sched = sched;
+  g.add_edge(src, block, e);
+}
+
+/// The graph node by node in insertion order, each line
+/// "<fp> g<goal> en<enabled> x<expanded> t<truncated>:" followed by
+/// " <block>-><destination fp>@<sched>" per edge in edge order. Also
+/// checks that the fingerprint index names each node's position.
+std::vector<std::string> render(const LiveGraph& g) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+    const LiveGraphNode& n = g.nodes[i];
+    const std::uint64_t* at = g.index.find(n.fp);
+    EXPECT_TRUE(at != nullptr && *at == i) << n.fp;
+    std::string line = std::to_string(n.fp) + " g" +
+                       std::to_string(n.goal ? 1 : 0) + " en" +
+                       std::to_string(n.enabled) + " x" +
+                       std::to_string(n.expanded ? 1 : 0) + " t" +
+                       std::to_string(n.truncated ? 1 : 0) + ":";
+    for (const LiveGraphEdge& e : n.edges) {
+      line += " ";
+      const auto block = g.block(e);
+      for (std::size_t k = 0; k < block.size(); ++k) {
+        line += (k == 0 ? "" : ",") + std::to_string(block[k]);
+      }
+      line += "->" + std::to_string(g.nodes[e.to].fp) + "@" +
+              std::to_string(e.sched);
+    }
+    out.push_back(line);
+  }
+  return out;
+}
+
+TEST(LiveGraphTest, RecordedTransitionIsNotRecordedAgain) {
+  LiveGraph g;
+  const std::uint32_t a = g.add_node(7);
+  const std::uint32_t b = g.add_node(8);
+  EXPECT_EQ(g.add_node(7), a);
+  EXPECT_EQ(g.nodes.size(), 2u);
+  add_step(g, a, b, {1, 0}, 0);
+  // A prefix of a recorded block is another transition.
+  add_step(g, a, a, {1}, 0);
+  const std::size_t pool = g.choices.size();
+  const std::size_t capacity = g.nodes[a].edges.capacity();
+  add_step(g, a, b, {1, 0}, 0);
+  add_step(g, a, a, {1}, 1);
+  EXPECT_EQ(g.choices.size(), pool);
+  EXPECT_EQ(g.nodes[a].edges.capacity(), capacity);
+  EXPECT_EQ(g.edge_count(), 2u);
+  EXPECT_EQ(render(g), (std::vector<std::string>{
+                           "7 g0 en0 x0 t0: 1,0->8@0 1->7@0",
+                           "8 g0 en0 x0 t0:"}));
+}
+
+TEST(LiveGraphTest, BarrierMergeKeepsInsertionAndEdgeOrder) {
+  const std::uint64_t r = 100, b = 200, c = 300, d = 400, e = 500;
+  LiveGraph into;
+  into.root = r;
+  into.have_root = true;
+  {
+    const std::uint32_t vr = into.add_node(r);
+    into.nodes[vr].enabled = 1;
+    into.nodes[vr].expanded = true;
+    add_step(into, vr, vr, {0}, 0);
+  }
+  // Slot 0's overlay: a duplicate of the committed self-loop, then B
+  // and C, new, with B's edge into C.
+  LiveGraph u1;
+  u1.root = r;
+  u1.have_root = true;
+  {
+    const std::uint32_t vr = u1.add_node(r);
+    const std::uint32_t vb = u1.add_node(b);
+    const std::uint32_t vc = u1.add_node(c);
+    u1.nodes[vr].enabled = 1;
+    u1.nodes[vr].expanded = true;
+    add_step(u1, vr, vr, {0}, 0);
+    add_step(u1, vr, vb, {1}, 1);
+    u1.nodes[vb].enabled = 2;
+    u1.nodes[vb].expanded = true;
+    add_step(u1, vb, vc, {0}, 1);
+    u1.nodes[vc].goal = true;
+    u1.nodes[vc].truncated = true;
+  }
+  // Slot 1's overlay: D first, whose first edge points at E, created
+  // later in the same overlay; B again, with the edge slot 0 already
+  // recorded and one into D.
+  LiveGraph u2;
+  u2.root = r;
+  u2.have_root = true;
+  {
+    const std::uint32_t vd = u2.add_node(d);
+    const std::uint32_t vb = u2.add_node(b);
+    const std::uint32_t ve = u2.add_node(e);
+    const std::uint32_t vc = u2.add_node(c);
+    u2.nodes[vd].enabled = 1;
+    u2.nodes[vd].expanded = true;
+    add_step(u2, vd, ve, {2}, 0);
+    add_step(u2, vd, vb, {0}, 0);
+    u2.nodes[vb].enabled = 2;
+    u2.nodes[vb].expanded = true;
+    add_step(u2, vb, vc, {0}, 1);
+    add_step(u2, vb, vd, {3}, 1);
+    u2.nodes[vc].goal = true;
+  }
+  merge_live_graph(into, u1);
+  merge_live_graph(into, u2);
+  EXPECT_TRUE(into.have_root);
+  EXPECT_EQ(into.root, r);
+  EXPECT_EQ(render(into), (std::vector<std::string>{
+                              "100 g0 en1 x1 t0: 0->100@0 1->200@1",
+                              "200 g0 en2 x1 t0: 0->300@1 3->400@1",
+                              "300 g1 en0 x0 t1:",
+                              "400 g0 en1 x1 t0: 2->500@0 0->200@0",
+                              "500 g0 en0 x0 t0:"}));
+  EXPECT_EQ(into.edge_count(), 6u);
+  EXPECT_EQ(into.truncated_count(), 1u);
+
+  // Folding the same overlays again finds every node and edge recorded.
+  const std::vector<std::string> once = render(into);
+  const std::size_t pool = into.choices.size();
+  merge_live_graph(into, u2);
+  merge_live_graph(into, u1);
+  EXPECT_EQ(render(into), once);
+  EXPECT_EQ(into.choices.size(), pool);
 }
 
 }  // namespace

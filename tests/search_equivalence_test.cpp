@@ -50,6 +50,10 @@ void expect_same_stats(const ExploreStats& a, const ExploreStats& b,
   EXPECT_EQ(a.injected_dups, b.injected_dups) << what;
   EXPECT_EQ(a.violations, b.violations) << what;
   EXPECT_EQ(a.exhausted, b.exhausted) << what;
+  EXPECT_EQ(a.liveness, b.liveness) << what;
+  EXPECT_EQ(a.graph_states, b.graph_states) << what;
+  EXPECT_EQ(a.graph_edges, b.graph_edges) << what;
+  EXPECT_EQ(a.graph_truncated, b.graph_truncated) << what;
 }
 
 /// Runs the scenario at threads = 1, 2, 8 and requires the T=1 report
@@ -435,10 +439,6 @@ TEST(GoldenSearchTest, StatsBlocksArePinned) {
       std::remove(cfg.save_path.c_str());
     }
     expect_same_stats(rep.stats, g.want, g.name);
-    EXPECT_EQ(rep.stats.liveness, g.want.liveness);
-    EXPECT_EQ(rep.stats.graph_states, g.want.graph_states);
-    EXPECT_EQ(rep.stats.graph_edges, g.want.graph_edges);
-    EXPECT_EQ(rep.stats.graph_truncated, g.want.graph_truncated);
     EXPECT_FALSE(rep.cex.has_value());
     EXPECT_EQ(rep.fair_cycle_checked, g.want.liveness);
     EXPECT_TRUE(rep.conservative_payloads.empty());
@@ -450,20 +450,22 @@ TEST(GoldenSearchTest, StatsBlocksArePinned) {
 // reports (unshrunk), pinned. A transition lost or mis-attributed by a
 // shortcut over a replayed prefix (a checkpoint restore) moves these
 // counts, the lasso or the saved graph's digest.
+const std::vector<std::string> kCrashLiveD7 = {
+    "--problem=consensus-crash-live-bug", "--n=3", "--crash=explore",
+    "--crashes=1", "--liveness=termination", "--fd=static",
+    "--reduction=none", "--depth=7"};
+
 TEST(GoldenSearchTest, CrashLivenessGraphAndLassoArePinned) {
-  SearchConfig cfg = golden_config(
-      {"--problem=consensus-crash-live-bug", "--n=3", "--crash=explore",
-       "--crashes=1", "--liveness=termination", "--fd=static",
-       "--reduction=none", "--depth=7"});
+  SearchConfig cfg = golden_config(kCrashLiveD7);
   cfg.save_path = testing::TempDir() + "wfd_golden_crash_live.wfds";
   const ExploreReport rep = explore(cfg);
-  expect_same_stats(rep.stats,
-                    golden_stats(12290, 36681, 239551, 0, 23995, 0, 0, 0,
-                                 27169),
-                    "crash-live-bug d7");
-  EXPECT_EQ(rep.stats.graph_states, 9984u);
-  EXPECT_EQ(rep.stats.graph_edges, 21958u);
-  EXPECT_EQ(rep.stats.graph_truncated, 5154u);
+  ExploreStats want =
+      golden_stats(12290, 36681, 239551, 0, 23995, 0, 0, 0, 27169);
+  want.liveness = true;
+  want.graph_states = 9984;
+  want.graph_edges = 21958;
+  want.graph_truncated = 5154;
+  expect_same_stats(rep.stats, want, "crash-live-bug d7");
   EXPECT_TRUE(rep.fair_cycle_checked);
   EXPECT_TRUE(rep.lasso_error.empty()) << rep.lasso_error;
   ASSERT_TRUE(rep.cex.has_value());
@@ -472,6 +474,38 @@ TEST(GoldenSearchTest, CrashLivenessGraphAndLassoArePinned) {
   ASSERT_TRUE(rep.save_error.empty()) << rep.save_error;
   EXPECT_EQ(graph_digest(cfg.save_path), 15844492909837552755ull);
   std::remove(cfg.save_path.c_str());
+}
+
+// The same crash-composed liveness search at 1, 2 and 8 threads: the
+// barrier merges the units' graph overlays in slot order, so the graph
+// (its counters and the saved graph's digest, which folds its insertion
+// and edge order) and the lasso found in it are thread-count invariant.
+TEST(ParallelEquivalenceTest, CrashLivenessGraphIsThreadCountInvariant) {
+  ExploreReport ref;
+  std::uint64_t ref_digest = 0;
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    SearchConfig cfg = golden_config(kCrashLiveD7);
+    cfg.threads = threads;
+    cfg.save_path = testing::TempDir() + "wfd_parallel_crash_live_t" +
+                    std::to_string(threads) + ".wfds";
+    const ExploreReport rep = explore(cfg);
+    ASSERT_TRUE(rep.save_error.empty()) << rep.save_error;
+    const std::uint64_t digest = graph_digest(cfg.save_path);
+    std::remove(cfg.save_path.c_str());
+    EXPECT_TRUE(rep.fair_cycle_checked);
+    EXPECT_TRUE(rep.lasso_error.empty()) << rep.lasso_error;
+    ASSERT_TRUE(rep.cex.has_value());
+    if (threads == 1) {
+      ref = rep;
+      ref_digest = digest;
+      continue;
+    }
+    expect_same_stats(ref.stats, rep.stats, "crash-live-bug d7");
+    EXPECT_EQ(digest, ref_digest);
+    EXPECT_EQ(rep.cex->decisions, ref.cex->decisions);
+    EXPECT_EQ(rep.cex->loop, ref.cex->loop);
+  }
 }
 
 // A seeded safety bug searched without stopping at the first violation,

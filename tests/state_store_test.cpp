@@ -9,12 +9,14 @@
 // cancel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "explore/explorer.h"
 #include "explore/scenario.h"
@@ -149,32 +151,33 @@ StateSnapshot liveness_snapshot() {
   s.stats.graph_truncated = 1;
   s.graph.root = 0xfeedull;
   s.graph.have_root = true;
-  LiveGraphNode& a = s.graph.at(0xfeedull);
-  a.goal = false;
-  a.enabled = 0b11;
+  const std::uint32_t a = s.graph.add_node(0xfeedull);
+  const std::uint32_t b = s.graph.add_node(0xbeefull);
+  LiveGraphNode& na = s.graph.nodes[a];
+  na.goal = false;
+  na.enabled = 0b11;
   // Channel bits (live_channel_bit): 0->1 and 1->0 both pending.
-  a.deliverable = live_channel_bit(0, 1) | live_channel_bit(1, 0);
-  a.expanded = true;
+  na.deliverable = live_channel_bit(0, 1) | live_channel_bit(1, 0);
+  na.expanded = true;
   LiveGraphEdge self;
-  self.choices = {0};
-  self.dst = 0xfeedull;
+  self.to = a;
   self.sched = 0;
+  s.graph.add_edge(a, std::vector<std::uint32_t>{0}, self);
   LiveGraphEdge hop;
-  hop.choices = {1, 2, 0};
-  hop.dst = 0xbeefull;
+  hop.to = b;
   hop.sched = 1;
   hop.sender = 0;
   hop.deliver = true;
+  s.graph.add_edge(a, std::vector<std::uint32_t>{1, 2, 0}, hop);
   LiveGraphEdge crash;
-  crash.choices = {3};
-  crash.dst = 0xbeefull;
+  crash.to = b;
   crash.sched = kNoProcess;
   crash.fault = true;
-  a.edges = {self, hop, crash};
-  LiveGraphNode& b = s.graph.at(0xbeefull);
-  b.goal = true;
-  b.enabled = 0b01;
-  b.truncated = true;
+  s.graph.add_edge(a, std::vector<std::uint32_t>{3}, crash);
+  LiveGraphNode& nb = s.graph.nodes[b];
+  nb.goal = true;
+  nb.enabled = 0b01;
+  nb.truncated = true;
   return s;
 }
 
@@ -192,11 +195,15 @@ TEST(StateStoreTest, TextRoundTripsLivenessGraph) {
   EXPECT_EQ(p->graph.root, s.graph.root);
   // Insertion order is part of the format: the fair-cycle search is
   // only deterministic in it.
-  ASSERT_EQ(p->graph.order, s.graph.order);
-  for (const std::uint64_t fp : s.graph.order) {
-    const LiveGraphNode& want = s.graph.nodes.at(fp);
-    ASSERT_TRUE(p->graph.nodes.count(fp)) << fp;
-    const LiveGraphNode& got = p->graph.nodes.at(fp);
+  ASSERT_EQ(p->graph.nodes.size(), s.graph.nodes.size());
+  for (std::size_t v = 0; v < s.graph.nodes.size(); ++v) {
+    const LiveGraphNode& want = s.graph.nodes[v];
+    const std::uint64_t fp = want.fp;
+    const LiveGraphNode& got = p->graph.nodes[v];
+    ASSERT_EQ(got.fp, fp) << v;
+    const std::uint64_t* at = p->graph.index.find(fp);
+    ASSERT_TRUE(at != nullptr) << fp;
+    EXPECT_EQ(*at, v) << fp;
     EXPECT_EQ(got.goal, want.goal) << fp;
     EXPECT_EQ(got.enabled, want.enabled) << fp;
     EXPECT_EQ(got.deliverable, want.deliverable) << fp;
@@ -204,8 +211,14 @@ TEST(StateStoreTest, TextRoundTripsLivenessGraph) {
     EXPECT_EQ(got.truncated, want.truncated) << fp;
     ASSERT_EQ(got.edges.size(), want.edges.size()) << fp;
     for (std::size_t i = 0; i < want.edges.size(); ++i) {
-      EXPECT_EQ(got.edges[i].choices, want.edges[i].choices) << fp << "/" << i;
-      EXPECT_EQ(got.edges[i].dst, want.edges[i].dst) << fp << "/" << i;
+      const auto got_block = p->graph.block(got.edges[i]);
+      const auto want_block = s.graph.block(want.edges[i]);
+      EXPECT_TRUE(std::equal(got_block.begin(), got_block.end(),
+                             want_block.begin(), want_block.end()))
+          << fp << "/" << i;
+      EXPECT_EQ(p->graph.nodes[got.edges[i].to].fp,
+                s.graph.nodes[want.edges[i].to].fp)
+          << fp << "/" << i;
       EXPECT_EQ(got.edges[i].sched, want.edges[i].sched) << fp << "/" << i;
       EXPECT_EQ(got.edges[i].sender, want.edges[i].sender)
           << fp << "/" << i;
@@ -237,6 +250,22 @@ TEST(StateStoreTest, GraphSectionIsStructurallyValidated) {
   ASSERT_NE(gn, std::string::npos);
   orphan.insert(gn, "gedge=d=1;p=1;f=0;dv=0;c=0\n");
   EXPECT_FALSE(parse_snapshot(orphan, &error).has_value());
+
+  // An edge into a node the file never lists cannot resolve.
+  std::string dangling = good;
+  const std::size_t ge = dangling.find("gedge=d=");
+  ASSERT_NE(ge, std::string::npos);
+  dangling.insert(ge + std::string("gedge=d=").size(), "9");
+  EXPECT_FALSE(parse_snapshot(dangling, &error).has_value());
+  EXPECT_NE(error.find("unknown node"), std::string::npos) << error;
+
+  // Nor can a root the file never lists.
+  std::string rootless = good;
+  const std::size_t gr = rootless.find("groot=");
+  ASSERT_NE(gr, std::string::npos);
+  rootless.insert(gr + std::string("groot=").size(), "9");
+  EXPECT_FALSE(parse_snapshot(rootless, &error).has_value());
+  EXPECT_NE(error.find("root"), std::string::npos) << error;
 
   // The count trailer catches a silently lost node.
   std::string fewer = good;

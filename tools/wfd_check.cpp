@@ -425,6 +425,9 @@ int run_exhaustive(const Args& a) {
   // Throughput of this invocation: a resumed search adds to the
   // snapshot's counts, so only the states it added count toward its rate.
   const auto elapsed_ms = static_cast<unsigned long long>(elapsed_s * 1e3);
+  const auto barrier_ms = static_cast<unsigned long long>(rep.barrier_s * 1e3);
+  const auto fair_cycle_ms =
+      static_cast<unsigned long long>(rep.fair_cycle_s * 1e3);
   const double states_per_sec =
       elapsed_s > 0
           ? static_cast<double>(st.nodes - rep.resumed_nodes) / elapsed_s
@@ -474,6 +477,7 @@ int run_exhaustive(const Args& a) {
       "\"conservative_payloads\":%s,"
       "\"status\":\"%s\",\"coverage\":\"%s\","
       "\"resumed\":%s,\"resume_generation\":%llu,"
+      "\"barrier_ms\":%llu,\"fair_cycle_ms\":%llu,"
       "\"elapsed_ms\":%llu,\"states_per_sec\":%.0f,"
       "\"steps_per_state\":%.2f,\"replayed_steps\":%llu,"
       "\"restored_steps\":%llu,\"config\":%s%s",
@@ -494,8 +498,8 @@ int run_exhaustive(const Args& a) {
       : deadline_hit        ? "deadline"
                             : "budget",
       cov.c_str(), rep.resumed ? "true" : "false",
-      static_cast<unsigned long long>(rep.resume_generation), elapsed_ms,
-      states_per_sec, steps_per_state,
+      static_cast<unsigned long long>(rep.resume_generation), barrier_ms,
+      fair_cycle_ms, elapsed_ms, states_per_sec, steps_per_state,
       static_cast<unsigned long long>(rep.replayed_steps),
       static_cast<unsigned long long>(rep.restored_steps),
       explore::config_to_json(cfg).c_str(), liveness_json.c_str());
